@@ -30,6 +30,7 @@ from .rotation import (
     RightIsoclinic,
     Rotation4,
     Simple,
+    _leading_negative,
     classify,
     from_reflections,
     simple_to_reflections,
@@ -322,13 +323,6 @@ def _random_unit(rng) -> Quaternion:
     return Quaternion.from_array(vec / np.linalg.norm(vec))
 
 
-def _canonical_alone(q: Quaternion) -> Quaternion:
-    for c in q.components():
-        if abs(c) > 1e-9:
-            return -q if c < 0.0 else q
-    return q
-
-
 def random_rotation(rng, kind: str, eps: float = DEFAULT_EPS) -> Rotation4:
     """Deterministic (per rng state) rotation of the requested kind."""
     for _ in range(1000):
@@ -345,7 +339,8 @@ def random_rotation(rng, kind: str, eps: float = DEFAULT_EPS) -> Rotation4:
             if isinstance(classify(r, eps), Double):
                 return r
         elif kind == "left-isoclinic":
-            a = _canonical_alone(_random_unit(rng))
+            a = _random_unit(rng)
+            a = -a if _leading_negative(a) else a
             if a.v.norm() > 1e-6:
                 return Rotation4(a, Quaternion(1.0))
         elif kind == "right-isoclinic":

@@ -23,6 +23,7 @@ from .quat import (
     EPS_UNIT,
     Quaternion,
     Vec3,
+    _gibbs_rule,
     mul,
     normalized,
     polar,
@@ -32,7 +33,7 @@ from .rotation import (
     Identity,
     Rotation4,
     Simple,
-    _reduce_angle,
+    _sum_plane_first,
     classify,
     invariant_planes,
     plane_rotation_angle,
@@ -101,14 +102,12 @@ def compose_gibbs(f: GibbsPair, g: GibbsPair) -> GibbsPair:
     is real, not a typo.  A vanishing denominator means the composed factor
     is a pure quaternion (cosine zero) and the chart breaks down.
     """
-    den_p = 1.0 - g.p_tilde.dot(f.p_tilde)
-    den_q = 1.0 - f.q_tilde.dot(g.q_tilde)
-    if abs(den_p) <= EPS_GIBBS:
-        raise GibbsSingular("left composed cosine vanishes (p-denominator is zero)")
-    if abs(den_q) <= EPS_GIBBS:
-        raise GibbsSingular("right composed cosine vanishes (q-denominator is zero)")
-    p = (g.p_tilde + f.p_tilde + g.p_tilde.cross(f.p_tilde)) / den_p
-    q = (f.q_tilde + g.q_tilde + f.q_tilde.cross(g.q_tilde)) / den_q
+    p, den_p = _gibbs_rule(
+        f.p_tilde, g.p_tilde, "left composed cosine vanishes (p-denominator is zero)"
+    )
+    q, den_q = _gibbs_rule(
+        g.q_tilde, f.q_tilde, "right composed cosine vanishes (q-denominator is zero)"
+    )
     cos_a = f.cos_alpha * g.cos_alpha * den_p
     cos_b = f.cos_beta * g.cos_beta * den_q
     return GibbsPair(p, q, cos_a, cos_b)
@@ -119,10 +118,7 @@ def compose_left_clifford(
 ) -> tuple[Vec3, float]:
     """Compose two left turns x -> a x (first) and x -> b x (second) in the
     Gibbs chart; returns the data of x -> (ba) x."""
-    den = 1.0 - g1.dot(g2)
-    if abs(den) <= EPS_GIBBS:
-        raise GibbsSingular("composed cosine vanishes (denominator is zero)")
-    p = (g1 + g2 + g2.cross(g1)) / den
+    p, den = _gibbs_rule(g1, g2, "composed cosine vanishes (denominator is zero)")
     return p, cos1 * cos2 * den
 
 
@@ -157,22 +153,18 @@ def is_composition_simple(
     Computes all three routes: the scalar residual from the quaternion
     factors, the determinant of the stacked reflection normals, and the
     dimension of the intersection of the two fixed planes (nullity of the
-    4x4 matrix whose rows are the four normals)."""
+    4x4 matrix of the four normals)."""
     for name, rot in (("f", f), ("g", g)):
         if not isinstance(classify(rot, eps), (Simple, Identity)):
             raise NotSimple(f"{name} is not a simple rotation")
     s_condition = g.a.v.dot(f.a.v) - f.b.v.dot(g.b.v)
     ny, nz = simple_to_reflections(f, eps)
     nu, nw = simple_to_reflections(g, eps)
-    det_normals = float(np.linalg.det(_normals_matrix_scalar_last(ny, nz, nu, nw)))
-    rows = np.vstack(
-        [ny.q.as_array(), nz.q.as_array(), nu.q.as_array(), nw.q.as_array()]
-    )
-    intersection_dim = 4 - rank(rows)
+    normals = _normals_matrix_scalar_last(ny, nz, nu, nw)
     return SimplicityReport(
         s_condition=s_condition,
-        det_normals=det_normals,
-        intersection_dim=intersection_dim,
+        det_normals=float(np.linalg.det(normals)),
+        intersection_dim=4 - rank(normals),
         is_simple=abs(s_condition) <= eps,
     )
 
@@ -195,9 +187,7 @@ def composed_planes_from_gibbs(h: GibbsPair) -> tuple[Plane, Plane, float, float
     pa = polar(r.a)
     pb = polar(r.b)
     first, second = invariant_planes(pa.axis, pb.axis)
-    m1 = plane_rotation_angle(r, first)
-    m2 = plane_rotation_angle(r, second)
-    half_sum = _reduce_angle(pa.half_angle + pb.half_angle)
-    if abs(m2[1] - half_sum) < abs(m1[1] - half_sum):
-        m1, m2 = m2, m1
+    m1, m2 = _sum_plane_first(
+        pa, pb, plane_rotation_angle(r, first), plane_rotation_angle(r, second)
+    )
     return m1[0], m2[0], m1[1], m2[1]

@@ -23,10 +23,6 @@ class DegenerateAxis(Rot4Error):
     (or span) is degenerate."""
 
 
-class NoConvergence(Rot4Error):
-    """The iterative eigensolver exhausted its sweep budget."""
-
-
 class PairingFailure(Rot4Error):
     """Eigenvalues of the symmetrized rotation matrix cannot be grouped
     into two near-equal pairs; the input is not a rotation to tolerance."""

@@ -1,7 +1,7 @@
-"""Small dense rank/nullspace helpers via full-pivot Gaussian elimination.
+"""Small dense rank/nullspace helpers via the singular value decomposition.
 
-Sized for the 4x4 systems this package produces; deterministic by
-construction (fixed pivot strategy, fixed tolerance)."""
+Sized for the 4x4 systems this package produces; deterministic for a given
+LAPACK build (fixed tolerance, no random starts)."""
 
 from __future__ import annotations
 
@@ -10,47 +10,21 @@ import numpy as np
 PIVOT_TOL = 1e-10
 
 
-def _eliminate(matrix, tol: float):
+def _svd_rank(matrix, tol: float) -> tuple[np.ndarray, int]:
+    """Vt of the SVD and the count of singular values above
+    tol * max(1, largest |entry|)."""
     a = np.array(matrix, dtype=float)
-    m, n = a.shape
-    scale = max(1.0, float(np.abs(a).max()))
-    col_perm = list(range(n))
-    r = 0
-    for k in range(min(m, n)):
-        sub = np.abs(a[k:, k:])
-        pi, pj = np.unravel_index(int(np.argmax(sub)), sub.shape)
-        if sub[pi, pj] <= tol * scale:
-            break
-        pi += k
-        pj += k
-        a[[k, pi], :] = a[[pi, k], :]
-        a[:, [k, pj]] = a[:, [pj, k]]
-        col_perm[k], col_perm[pj] = col_perm[pj], col_perm[k]
-        for row in range(k + 1, m):
-            f = a[row, k] / a[k, k]
-            a[row, k:] -= f * a[k, k:]
-            a[row, k] = 0.0
-        r += 1
-    return a, col_perm, r
+    _, sv, vt = np.linalg.svd(a)
+    cut = tol * max(1.0, float(np.abs(a).max()))
+    return vt, int((sv > cut).sum())
 
 
 def rank(matrix, tol: float = PIVOT_TOL) -> int:
-    """Numerical rank with pivots measured against the largest entry."""
-    return _eliminate(matrix, tol)[2]
+    """Numerical rank with singular values measured against the largest entry."""
+    return _svd_rank(matrix, tol)[1]
 
 
 def nullspace(matrix, tol: float = PIVOT_TOL) -> list[np.ndarray]:
-    """Normalized basis of the (right) nullspace, one vector per free column."""
-    a, perm, r = _eliminate(matrix, tol)
-    n = a.shape[1]
-    basis = []
-    for free in range(r, n):
-        x = np.zeros(n)
-        x[free] = 1.0
-        for i in range(r - 1, -1, -1):
-            x[i] = -(a[i, i + 1 :] @ x[i + 1 :]) / a[i, i]
-        out = np.zeros(n)
-        for pos, orig in enumerate(perm):
-            out[orig] = x[pos]
-        basis.append(out / np.linalg.norm(out))
-    return basis
+    """Orthonormal basis of the (right) nullspace: the rows of Vt past the rank."""
+    vt, r = _svd_rank(matrix, tol)
+    return list(vt[r:])

@@ -17,12 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, PairingFailure
+from .errors import PairingFailure
 from .plane import Plane
-from .quat import Quaternion
-
-JACOBI_MAX_SWEEPS = 30
-JACOBI_OFF_TOL = 1e-13
+from .quat import EPS_ALG, Quaternion
 
 
 def left_mult_matrix(a: Quaternion) -> np.ndarray:
@@ -51,56 +48,19 @@ def right_mult_matrix(b: Quaternion) -> np.ndarray:
     )
 
 
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt((off**2).sum()))
-
-
 def symmetric_eigen4(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvector columns of a
-    symmetric 4x4 matrix, by cyclic Jacobi rotations.
+    symmetric 4x4 matrix, by LAPACK's symmetric eigensolver.
 
-    Raises NoConvergence if the off-diagonal mass has not dropped below
-    tolerance within the sweep budget, and ValueError for asymmetric input.
+    Raises ValueError for a non-4x4 or asymmetric input.
     """
     s = np.array(matrix, dtype=float)
     if s.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {s.shape}")
-    if np.abs(s - s.T).max() > 1e-12:
+    if np.abs(s - s.T).max() > EPS_ALG:
         raise ValueError("matrix is not symmetric")
-    a = (s + s.T) / 2.0
-    v = np.eye(4)
-    tol = JACOBI_OFF_TOL * max(1.0, float(np.linalg.norm(a)))
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _off_norm(a) <= tol:
-            break
-        for p in range(3):
-            for q in range(p + 1, 4):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # smaller-angle root of the 2x2 diagonalization
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                rp = c * a[p, :] - sn * a[q, :]
-                rq = sn * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rp, rq
-                cp = c * a[:, p] - sn * a[:, q]
-                cq = sn * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = cp, cq
-                a[p, q] = a[q, p] = 0.0
-                vp = c * v[:, p] - sn * v[:, q]
-                vq = sn * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vp, vq
-    if _off_norm(a) > tol:
-        raise NoConvergence("Jacobi sweeps exhausted without convergence")
-
-    eigvals = np.diag(a).copy()
-    order = np.argsort(-eigvals)
-    return eigvals[order], v[:, order]
+    eigvals, eigvecs = np.linalg.eigh((s + s.T) / 2.0)
+    return eigvals[::-1], eigvecs[:, ::-1]
 
 
 @dataclass(frozen=True)

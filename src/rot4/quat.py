@@ -223,13 +223,24 @@ def unit_from_gibbs(g: Vec3) -> Quaternion:
     return Quaternion(scale, g * scale)
 
 
+def _gibbs_rule(g1: Vec3, g2: Vec3, singular: str) -> tuple[Vec3, float]:
+    """The Gibbs composition rule 'g1 followed by g2':
+    ((g2 + g1 + g2 x g1) / den, den) with den = 1 - g2.g1.
+
+    Raises GibbsSingular with the message `singular` when den vanishes.
+    """
+    den = 1.0 - g2.dot(g1)
+    if abs(den) <= EPS_GIBBS:
+        raise GibbsSingular(singular)
+    return (g2 + g1 + g2.cross(g1)) / den, den
+
+
 def rodrigues_compose(g1: Vec3, g2: Vec3) -> Vec3:
     """Gibbs vector of the 3D rotation 'g1 followed by g2'.
 
     Composition rule (g2 + g1 + g2 x g1) / (1 - g2.g1); singular exactly
     when the composed rotation angle reaches pi.
     """
-    den = 1.0 - g2.dot(g1)
-    if abs(den) <= EPS_GIBBS:
-        raise GibbsSingular("composed rotation angle is pi; no Gibbs vector exists")
-    return (g2 + g1 + g2.cross(g1)) / den
+    return _gibbs_rule(
+        g1, g2, "composed rotation angle is pi; no Gibbs vector exists"
+    )[0]

@@ -28,6 +28,7 @@ from .oracle import left_mult_matrix, right_mult_matrix
 from .plane import Plane, plane_from_span
 from .quat import (
     EPS_AXIS,
+    EPS_UNIT,
     ONE,
     PolarForm,
     Quaternion,
@@ -45,6 +46,15 @@ EPS_APPLY = 1e-9
 DEFAULT_EPS = 1e-8
 
 
+def _leading_negative(q: Quaternion) -> bool:
+    """Whether the first component of q whose magnitude exceeds EPS_AXIS is
+    negative: the sign rule that picks one of +-q."""
+    for c in q.components():
+        if abs(c) > EPS_AXIS:
+            return c < 0.0
+    return False
+
+
 @dataclass(frozen=True)
 class Rotation4:
     """The rotation x -> a x b for unit quaternions a, b.
@@ -60,12 +70,9 @@ class Rotation4:
     def __post_init__(self):
         require_unit(self.a, "left factor")
         require_unit(self.b, "right factor")
-        for c in self.a.components():
-            if abs(c) > EPS_AXIS:
-                if c < 0.0:
-                    object.__setattr__(self, "a", -self.a)
-                    object.__setattr__(self, "b", -self.b)
-                break
+        if _leading_negative(self.a):
+            object.__setattr__(self, "a", -self.a)
+            object.__setattr__(self, "b", -self.b)
 
     @classmethod
     def identity(cls) -> "Rotation4":
@@ -181,6 +188,18 @@ def plane_rotation_angle(r: Rotation4, invariant: Plane) -> tuple[Plane, float]:
     return invariant, math.atan2(s, c)
 
 
+def _sum_plane_first(
+    pa: PolarForm, pb: PolarForm, m1: tuple[Plane, float], m2: tuple[Plane, float]
+) -> tuple[tuple[Plane, float], tuple[Plane, float]]:
+    """Order two measured (plane, angle) pairs so the one whose angle is
+    nearest the reduced half-angle sum of the factors comes first; a tie
+    keeps m1 first."""
+    half_sum = _reduce_angle(pa.half_angle + pb.half_angle)
+    if abs(m2[1] - half_sum) < abs(m1[1] - half_sum):
+        return m2, m1
+    return m1, m2
+
+
 def _orthonormal_to(p: Vec3) -> tuple[Vec3, Vec3]:
     """Two unit 3-vectors completing the unit vector p to a right triad."""
     comps = p.components()
@@ -201,7 +220,7 @@ def invariant_planes(p: Vec3, q: Vec3) -> tuple[Plane, Plane]:
     complement {x : Sx = 0, p.x = 0}.  Which plane carries which angle is
     the caller's concern (see classify).
     """
-    if abs(p.norm() - 1.0) > 1e-9 or abs(q.norm() - 1.0) > 1e-9:
+    if abs(p.norm() - 1.0) > EPS_UNIT or abs(q.norm() - 1.0) > EPS_UNIT:
         raise NotUnit("axes must be unit 3-vectors")
     if (p - q).norm() <= EPS_AXIS or (p + q).norm() <= EPS_AXIS:
         lam1 = plane_from_span(ONE, pure(p))
@@ -249,10 +268,7 @@ def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
         rot_plane, angle = measured[1 - fixed_idx]
         return Simple(angle, fixed_plane=measured[fixed_idx][0], rotation_plane=rot_plane)
 
-    half_sum = _reduce_angle(pa.half_angle + pb.half_angle)
-    sum_idx = 0 if abs(measured[0][1] - half_sum) <= abs(measured[1][1] - half_sum) else 1
-    p1, a1 = measured[sum_idx]
-    p2, a2 = measured[1 - sum_idx]
+    (p1, a1), (p2, a2) = _sum_plane_first(pa, pb, *measured)
     return Double(plane1=p1, angle1=a1, plane2=p2, angle2=a2)
 
 
@@ -282,6 +298,6 @@ def simple_to_reflections(
             "the kernel tolerance"
         )
     y_arr = max(basis, key=lambda vec: float(np.abs(vec).max()))
-    y = Quaternion.from_array(y_arr / np.linalg.norm(y_arr))
+    y = Quaternion.from_array(y_arr)
     z = normalized(mul(r.a, y))
     return ReflectionNormal(y), ReflectionNormal(z)

@@ -31,6 +31,7 @@ from rot4 import (
     planes_from_matrix,
     projector_distance,
     pure,
+    rodrigues_compose,
     same_plane,
     to_matrix,
     unit_from_gibbs,
@@ -184,6 +185,17 @@ class TestComposeGibbs:
             sign = 1.0 if via_rules.cos_alpha * extracted.cos_alpha > 0 else -1.0
             assert abs(via_rules.cos_alpha - sign * extracted.cos_alpha) <= 1e-10
             assert abs(via_rules.cos_beta - sign * extracted.cos_beta) <= 1e-10
+
+    def test_sides_are_the_3d_rule_in_opposite_orders(self, rng):
+        for _ in range(200):
+            gf = GibbsPair.from_rotation(rand_gibbs_rotation(rng))
+            gg = GibbsPair.from_rotation(rand_gibbs_rotation(rng))
+            try:
+                gh = compose_gibbs(gf, gg)
+            except GibbsSingular:
+                continue
+            assert gh.p_tilde == rodrigues_compose(gf.p_tilde, gg.p_tilde)
+            assert gh.q_tilde == rodrigues_compose(gg.q_tilde, gf.q_tilde)
 
     def test_singular_denominator(self):
         f = Rotation4(unit_from_gibbs(Vec3(1, 0, 0)), unit_from_gibbs(Vec3(0, 1, 0)))
