@@ -20,7 +20,7 @@ from .compose import GibbsPair, compose, compose_gibbs, is_composition_simple
 from .errors import GibbsSingular, NotSimple, NotUnit, PairingFailure
 from .oracle import OraclePlanes, planes_from_matrix
 from .plane import Plane, projector_distance
-from .quat import EPS_UNIT, Quaternion, norm_sq, normalized
+from .quat import EPS_UNIT, RANDOM_AXIS_MARGIN, Quaternion, norm_sq, normalized
 from .rotation import (
     DEFAULT_EPS,
     Double,
@@ -83,7 +83,11 @@ def parse_doc(text: str) -> tuple[Quaternion, Quaternion]:
             or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in arr)
         ):
             raise _CliError(EXIT_MALFORMED, f'"{key}" must be an array of 4 numbers')
-        factors.append(Quaternion.from_array(arr))
+        try:
+            factors.append(Quaternion.from_array(arr))
+        except (ValueError, OverflowError) as exc:
+            # json reads 1e400 as inf, and float() overflows on huge integers
+            raise _CliError(EXIT_MALFORMED, f'"{key}": {exc}') from exc
     return factors[0], factors[1]
 
 
@@ -341,11 +345,11 @@ def random_rotation(rng, kind: str, eps: float = DEFAULT_EPS) -> Rotation4:
         elif kind == "left-isoclinic":
             a = _random_unit(rng)
             a = -a if _leading_negative(a) else a
-            if a.v.norm() > 1e-6:
+            if a.v.norm() > RANDOM_AXIS_MARGIN:
                 return Rotation4(a, Quaternion(1.0))
         elif kind == "right-isoclinic":
             b = _random_unit(rng)
-            if b.v.norm() > 1e-6:
+            if b.v.norm() > RANDOM_AXIS_MARGIN:
                 return Rotation4(Quaternion(1.0), b)
         else:
             raise ValueError(f"unknown kind {kind!r}")

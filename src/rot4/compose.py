@@ -26,17 +26,14 @@ from .quat import (
     _gibbs_rule,
     mul,
     normalized,
-    polar,
 )
 from .rotation import (
     DEFAULT_EPS,
     Identity,
     Rotation4,
     Simple,
-    _sum_plane_first,
+    _measured_planes,
     classify,
-    invariant_planes,
-    plane_rotation_angle,
     simple_to_reflections,
 )
 
@@ -172,22 +169,16 @@ def is_composition_simple(
 def composed_planes_from_gibbs(h: GibbsPair) -> tuple[Plane, Plane, float, float]:
     """Invariant planes and angles of the rotation described by Gibbs data.
 
-    Recovers unit axes and half-angles from the stored vectors and cosines,
-    builds the invariant planes, and measures the turn inside each plane on
-    the reconstructed rotation.  Returns (plane1, plane2, angle1, angle2)
-    with plane1 carrying the reduced half-angle sum and plane2 the reduced
-    difference; consistent with classify of the reconstructed rotation.
+    Rebuilds the rotation from the stored vectors and cosines and hands it to
+    classify's plane step: the planes are the eigenspaces of x -> p x q for
+    the unit axes p, q, and each angle is measured on the rotation itself.
+    Returns (plane1, plane2, angle1, angle2) with plane1 carrying the reduced
+    half-angle sum and plane2 the reduced difference, in classify's order.
     """
     if h.p_tilde.norm() <= EPS_AXIS or h.q_tilde.norm() <= EPS_AXIS:
         raise DegenerateAxis(
             "a Gibbs vector vanishes; the rotation is isoclinic-like and its "
             "planes are not unique"
         )
-    r = h.to_rotation()
-    pa = polar(r.a)
-    pb = polar(r.b)
-    first, second = invariant_planes(pa.axis, pb.axis)
-    m1, m2 = _sum_plane_first(
-        pa, pb, plane_rotation_angle(r, first), plane_rotation_angle(r, second)
-    )
-    return m1[0], m2[0], m1[1], m2[1]
+    (p1, a1), (p2, a2) = _measured_planes(h.to_rotation())
+    return p1, p2, a1, a2

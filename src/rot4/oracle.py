@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import PairingFailure
 from .plane import Plane
-from .quat import EPS_ALG, Quaternion
+from .quat import DEFAULT_EPS, EPS_ALG, EPS_MATRIX, Quaternion
 
 
 def left_mult_matrix(a: Quaternion) -> np.ndarray:
@@ -79,14 +79,15 @@ class OraclePlanes:
     isoclinic: bool
 
 
-def planes_from_matrix(matrix, eps: float = 1e-8) -> OraclePlanes:
+def planes_from_matrix(matrix, eps: float = DEFAULT_EPS) -> OraclePlanes:
     """Recover invariant planes and angles of a 4x4 rotation matrix."""
     m = np.array(matrix, dtype=float)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     # admission is looser than the 1e-9 unit-norm gate on quaternion factors:
     # factors at that boundary already give an orthogonality defect near 2e-9
-    if np.abs(m.T @ m - np.eye(4)).max() > 1e-8 or abs(np.linalg.det(m) - 1.0) > 1e-8:
+    orthogonality_defect = np.abs(m.T @ m - np.eye(4)).max()
+    if orthogonality_defect > EPS_MATRIX or abs(np.linalg.det(m) - 1.0) > EPS_MATRIX:
         raise ValueError("matrix is not a rotation (orthogonal, det +1) to tolerance")
 
     eigvals, eigvecs = symmetric_eigen4(m + m.T)

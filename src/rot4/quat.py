@@ -16,12 +16,16 @@ import numpy as np
 from .errors import GibbsSingular, NotUnit
 
 # Tolerance tiers: pure-algebra identities hold to rounding; unit-norm
-# admission of user input is deliberately looser; the last two detect
-# degeneracies (vanishing axis, Gibbs-chart breakdown).
+# admission of user input is deliberately looser; EPS_AXIS tells a factor +-1
+# and EPS_GIBBS a Gibbs-chart breakdown.  Then the default classification
+# tolerance, the oracle's matrix admission and the seeded isoclinic margin.
 EPS_ALG = 1e-12
 EPS_UNIT = 1e-9
 EPS_AXIS = 1e-9
 EPS_GIBBS = 1e-9
+DEFAULT_EPS = 1e-8
+EPS_MATRIX = 1e-8
+RANDOM_AXIS_MARGIN = 1e-6
 
 
 def _finite(name: str, value) -> float:

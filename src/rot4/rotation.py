@@ -25,12 +25,12 @@ import numpy as np
 from .errors import NotSimple, NotUnit
 from .linalg4 import nullspace
 from .oracle import left_mult_matrix, right_mult_matrix
-from .plane import Plane, plane_from_span
+from .plane import Plane
 from .quat import (
+    DEFAULT_EPS,
     EPS_AXIS,
     EPS_UNIT,
     ONE,
-    PolarForm,
     Quaternion,
     Vec3,
     conj,
@@ -41,9 +41,6 @@ from .quat import (
     pure,
     require_unit,
 )
-
-EPS_APPLY = 1e-9
-DEFAULT_EPS = 1e-8
 
 
 def _leading_negative(q: Quaternion) -> bool:
@@ -188,49 +185,45 @@ def plane_rotation_angle(r: Rotation4, invariant: Plane) -> tuple[Plane, float]:
     return invariant, math.atan2(s, c)
 
 
-def _sum_plane_first(
-    pa: PolarForm, pb: PolarForm, m1: tuple[Plane, float], m2: tuple[Plane, float]
-) -> tuple[tuple[Plane, float], tuple[Plane, float]]:
-    """Order two measured (plane, angle) pairs so the one whose angle is
-    nearest the reduced half-angle sum of the factors comes first; a tie
-    keeps m1 first."""
-    half_sum = _reduce_angle(pa.half_angle + pb.half_angle)
-    if abs(m2[1] - half_sum) < abs(m1[1] - half_sum):
-        return m2, m1
-    return m1, m2
-
-
-def _orthonormal_to(p: Vec3) -> tuple[Vec3, Vec3]:
-    """Two unit 3-vectors completing the unit vector p to a right triad."""
-    comps = p.components()
-    seeds = (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1))
-    seed = seeds[min(range(3), key=lambda k: abs(comps[k]))]
-    e = p.cross(seed)
-    e = e / e.norm()
-    return e, p.cross(e)
-
-
 def invariant_planes(p: Vec3, q: Vec3) -> tuple[Plane, Plane]:
     """The two orthogonal invariant planes of x -> a x b from the unit axes
     p (of a) and q (of b).
 
-    Generic case: the spans {p - q, 1 + pq} and {p + q, 1 - pq},
-    orthonormalized first-vector-first.  For q = +-p both generic spans of
-    one plane collapse; the pair is then Sp{1, p} and its orthogonal
-    complement {x : Sx = 0, p.x = 0}.  Which plane carries which angle is
-    the caller's concern (see classify).
+    They are the +1 and -1 eigenspaces of the symmetric involution
+    T x = p x q, holding p - q, 1 + pq and p + q, 1 - pq.  For s = +-1, u is
+    column k of 2P = I + sT, twice the projector, at its largest diagonal
+    entry; its squared norm 4 P_kk is at least 2 since trace P = 2.  The
+    partner p u is orthogonal to u and in the plane, as x -> p x commutes
+    with T.  No axis threshold is involved.  The plane holding more of 1
+    comes first; which plane carries which angle is classify's concern.
     """
     if abs(p.norm() - 1.0) > EPS_UNIT or abs(q.norm() - 1.0) > EPS_UNIT:
         raise NotUnit("axes must be unit 3-vectors")
-    if (p - q).norm() <= EPS_AXIS or (p + q).norm() <= EPS_AXIS:
-        lam1 = plane_from_span(ONE, pure(p))
-        e, f = _orthonormal_to(p)
-        lam2 = Plane(pure(e), pure(f))
-        return lam1, lam2
-    pq = mul(pure(p), pure(q))
-    pi1 = plane_from_span(pure(p - q), ONE + pq)
-    pi2 = plane_from_span(pure(p + q), ONE - pq)
-    return pi1, pi2
+    lp = left_mult_matrix(pure(p))
+    t = lp @ right_mult_matrix(pure(q))
+    diag = np.diag(t)
+    planes = []
+    for sign, k in ((1.0, int(np.argmax(diag))), (-1.0, int(np.argmin(diag)))):
+        u = sign * t[:, k]
+        u[k] += 1.0
+        u /= math.sqrt(u @ u)
+        # tolist() hands plain floats to the constructors, which is cheaper
+        w = (lp @ u).tolist()
+        planes.append(Plane(Quaternion.from_array(u.tolist()), Quaternion.from_array(w)))
+    plus, minus = planes
+    return (minus, plus) if p.dot(q) > 0.0 else (plus, minus)
+
+
+def _measured_planes(r: Rotation4) -> tuple[tuple[Plane, float], tuple[Plane, float]]:
+    """Both invariant planes of r, each measured by plane_rotation_angle, the
+    one whose angle is nearest the reduced half-angle sum of the factors
+    first; a tie keeps invariant_planes' order."""
+    pa, pb = polar(r.a), polar(r.b)
+    m1, m2 = (plane_rotation_angle(r, x) for x in invariant_planes(pa.axis, pb.axis))
+    half_sum = _reduce_angle(pa.half_angle + pb.half_angle)
+    if abs(m2[1] - half_sum) < abs(m1[1] - half_sum):
+        return m2, m1
+    return m1, m2
 
 
 def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
@@ -238,10 +231,11 @@ def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
 
     Decision order: a factor counts as +-1 when its vector part is below
     EPS_AXIS (isoclinic / identity cases); otherwise the rotation is Simple
-    when |S(a) - S(b)| <= eps and Double otherwise.  Plane/angle assignment
-    is measured directly by applying r inside each candidate plane rather
-    than trusting any labeling convention, so the degenerate axis cases
-    need no special-casing here.
+    when |S(a) - S(b)| <= eps and Double otherwise.  Both cases take the
+    planes in one order: each angle is measured by applying r inside its
+    plane, and the plane nearest the reduced half-angle sum comes first.
+    That plane is plane1 of a Double and the rotation plane of a Simple,
+    whose other plane is the fixed one.
     """
     a, b = r.a, r.b
     require_unit(a, "left factor")
@@ -258,17 +252,9 @@ def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
     if vb <= EPS_AXIS:
         return LeftIsoclinic(math.acos(_clamp(math.copysign(1.0, b.s) * a.s)))
 
-    pa: PolarForm = polar(a)
-    pb: PolarForm = polar(b)
-    first, second = invariant_planes(pa.axis, pb.axis)
-    measured = [plane_rotation_angle(r, first), plane_rotation_angle(r, second)]
-
+    (p1, a1), (p2, a2) = _measured_planes(r)
     if abs(a.s - b.s) <= eps:
-        fixed_idx = 0 if measured[0][1] <= measured[1][1] else 1
-        rot_plane, angle = measured[1 - fixed_idx]
-        return Simple(angle, fixed_plane=measured[fixed_idx][0], rotation_plane=rot_plane)
-
-    (p1, a1), (p2, a2) = _sum_plane_first(pa, pb, *measured)
+        return Simple(a1, fixed_plane=p2, rotation_plane=p1)
     return Double(plane1=p1, angle1=a1, plane2=p2, angle2=a2)
 
 

@@ -79,9 +79,15 @@ class TestClassify:
         code, _ = run(capsys, "classify", write_doc('{"a": [1, 0, 0], "b": [1, 0, 0, 0]}'))
         assert code == 2
 
-    def test_non_finite(self, capsys, write_doc):
+    # json reads 1e400 as inf; float() overflows on a 401-digit integer
+    @pytest.mark.parametrize(
+        "number", ["NaN", "1e400", "1" + "0" * 400], ids=["nan", "1e400", "huge-int"]
+    )
+    def test_non_finite(self, capsys, write_doc, number):
         code, _ = run(
-            capsys, "classify", write_doc('{"a": [NaN, 0, 0, 0], "b": [1, 0, 0, 0]}')
+            capsys,
+            "classify",
+            write_doc('{"a": [%s, 0, 0, 0], "b": [1, 0, 0, 0]}' % number),
         )
         assert code == 2
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rot4 import (
     Double,
@@ -35,6 +37,7 @@ from rot4 import (
     simple_to_reflections,
     to_matrix,
 )
+from rot4.cli import build_verify_report
 from conftest import comp_diff, rand_unit_quat, rand_unit_vec3
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -281,6 +284,43 @@ class TestInvariantPlanes:
             axis_plane = plane_from_span(ONE, pure(p))
             assert axis_plane.contains(apply(r, ONE), 1e-12)
             assert axis_plane.contains(apply(r, pure(p)), 1e-12)
+
+
+_COORD = st.floats(-1.0, 1.0)
+_VEC = st.tuples(_COORD, _COORD, _COORD)
+
+
+class TestNearlyParallelAxes:
+    """Doubles whose unit factor axes lie 1e-8, 1e-9 or 1e-10 from q = +-p:
+    around EPS_AXIS, where the planes must not depend on a threshold."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        p_raw=_VEC,
+        d_raw=_VEC,
+        gap=st.sampled_from([1e-8, 1e-9, 1e-10]),
+        sign=st.sampled_from([1.0, -1.0]),
+        alpha=st.floats(0.2, 2.9),
+        beta=st.floats(0.2, 2.9),
+    )
+    def test_double_agrees_with_oracle(self, p_raw, d_raw, gap, sign, alpha, beta):
+        # half-angles away from simple: |S(a) - S(b)| >= 1e-3
+        assume(abs(math.cos(alpha) - math.cos(beta)) >= 1e-3)
+        p = np.array(p_raw)
+        assume(np.linalg.norm(p) >= 0.1)
+        p /= np.linalg.norm(p)
+        d = np.array(d_raw)
+        d -= (d @ p) * p
+        assume(np.linalg.norm(d) >= 0.1)
+        d /= np.linalg.norm(d)
+        q = p + gap * d
+        q *= sign / np.linalg.norm(q)
+        a = Quaternion(math.cos(alpha), Vec3(*p) * math.sin(alpha))
+        b = Quaternion(math.cos(beta), Vec3(*q) * math.sin(beta))
+        r = Rotation4(a, b)
+        assert isinstance(classify(r), Double)
+        report = build_verify_report(r)
+        assert report["ok"], report
 
 
 class TestToMatrix:
