@@ -24,16 +24,14 @@ from .quat import (
     Quaternion,
     Vec3,
     _gibbs_rule,
+    conj,
     mul,
     normalized,
 )
 from .rotation import (
     DEFAULT_EPS,
-    Identity,
     Rotation4,
-    Simple,
     _measured_planes,
-    classify,
     simple_to_reflections,
 )
 
@@ -122,7 +120,9 @@ def compose_left_clifford(
 @dataclass(frozen=True)
 class SimplicityReport:
     """Three equivalent verdicts on whether a composition of two simple
-    rotations is itself simple.
+    rotations is itself simple, taken on the pair that the normals y, z of f
+    and u, w of g realise: a = z conj(y), b = conj(y) z, c = w conj(u),
+    d = conj(u) w.
 
     s_condition is the residual Vc.Va - Vb.Vd of the factor vector parts; it
     equals -2 * det_normals, the determinant of the four reflection normals
@@ -147,21 +147,27 @@ def is_composition_simple(
 ) -> SimplicityReport:
     """Decide whether 'f followed by g' is simple, for simple f and g.
 
-    Computes all three routes: the scalar residual from the quaternion
-    factors, the determinant of the stacked reflection normals, and the
-    dimension of the intersection of the two fixed planes (nullity of the
-    4x4 matrix of the four normals)."""
+    Splits f and g with simple_to_reflections and computes all three routes
+    on the pair the normals realise, (f, g) itself when both are exactly
+    simple: the scalar residual of its factors, the determinant of the
+    stacked reflection normals, and the dimension of the intersection of the
+    two fixed planes (nullity of the 4x4 matrix of the four normals)."""
+    normals = []
     for name, rot in (("f", f), ("g", g)):
-        if not isinstance(classify(rot, eps), (Simple, Identity)):
-            raise NotSimple(f"{name} is not a simple rotation")
-    s_condition = g.a.v.dot(f.a.v) - f.b.v.dot(g.b.v)
-    ny, nz = simple_to_reflections(f, eps)
-    nu, nw = simple_to_reflections(g, eps)
-    normals = _normals_matrix_scalar_last(ny, nz, nu, nw)
+        try:
+            normals += simple_to_reflections(rot, eps)
+        except NotSimple as exc:
+            exc.args = (f"{name} is not a simple rotation: {exc}",)
+            raise  # in place, so the traceback still ends in the split
+    y, z, u, w = (n.q for n in normals)
+    a, b = mul(z, conj(y)), mul(conj(y), z)
+    c, d = mul(w, conj(u)), mul(conj(u), w)
+    s_condition = c.v.dot(a.v) - b.v.dot(d.v)
+    m = _normals_matrix_scalar_last(*normals)
     return SimplicityReport(
         s_condition=s_condition,
-        det_normals=float(np.linalg.det(normals)),
-        intersection_dim=4 - rank(normals),
+        det_normals=float(np.linalg.det(m)),
+        intersection_dim=4 - rank(m),
         is_simple=abs(s_condition) <= eps,
     )
 

@@ -23,7 +23,6 @@ from typing import Union
 import numpy as np
 
 from .errors import NotSimple, NotUnit
-from .linalg4 import nullspace
 from .oracle import left_mult_matrix, right_mult_matrix
 from .plane import Plane
 from .quat import (
@@ -263,27 +262,20 @@ def simple_to_reflections(
 ) -> tuple[ReflectionNormal, ReflectionNormal]:
     """Decompose a simple rotation into two hyperplane reflections.
 
-    The first normal y is a unit vector solving a y = y b, found as a
-    nullspace vector of the 4x4 map x -> a x - x b (the nullspace is
-    2-dimensional exactly when S(a) = S(b)); the second is z = a y.  Then
-    z conj(y) = a exactly and conj(y) z = b up to the kernel residual, so
-    from_reflections(y, z) reproduces r.
-
-    Among the nullspace basis the vector with the largest single component
-    is chosen, which makes the decomposition deterministic.
+    Accepts exactly what classify(r, eps) calls Simple or Identity and
+    raises NotSimple on every other kind.  The first normal y is the u of
+    classify's rotation plane (1 for the identity); the second is z = a y.
+    That plane is the -1 eigenspace of x -> p x q for the unit axes p, q,
+    so p y = y q and a y = y b' with b' = S(a) + |V(a)| q.  Hence
+    from_reflections(y, z) is (a, b'): r itself when S(a) = S(b), and for
+    a near-simple r the simple rotation with a's angle and b's axis.
     """
-    if abs(r.a.s - r.b.s) > eps:
-        raise NotSimple(
-            f"scalar parts differ by {abs(r.a.s - r.b.s):.3e}; not a simple rotation"
-        )
-    kernel_map = left_mult_matrix(r.a) - right_mult_matrix(r.b)
-    basis = nullspace(kernel_map)
-    if not basis:
-        raise NotSimple(
-            "factors deviate from the simple-rotation condition by more than "
-            "the kernel tolerance"
-        )
-    y_arr = max(basis, key=lambda vec: float(np.abs(vec).max()))
-    y = Quaternion.from_array(y_arr)
+    kind = classify(r, eps)
+    if isinstance(kind, Identity):
+        y = ONE
+    elif isinstance(kind, Simple):
+        y = kind.rotation_plane.u
+    else:
+        raise NotSimple(f"a {type(kind).__name__} rotation, not simple at eps = {eps:.1e}")
     z = normalized(mul(r.a, y))
     return ReflectionNormal(y), ReflectionNormal(z)

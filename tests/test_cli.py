@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rot4 import Quaternion, Rotation4, apply, from_reflections, ReflectionNormal
+from rot4 import Quaternion, Rotation4, apply, from_reflections, normalized, ReflectionNormal
 from rot4.cli import main, parse_doc
 from conftest import comp_diff
 
@@ -13,6 +13,13 @@ R2 = 1.0 / math.sqrt(2.0)
 F_DOC = json.dumps({"a": [R2, R2, 0.0, 0.0], "b": [R2, 0.0, R2, 0.0]})
 G_DOC = json.dumps({"a": [R2, 0.0, R2, 0.0], "b": [R2, 0.0, 0.0, R2]})
 IDENTITY_DOC = json.dumps({"a": [1.0, 0.0, 0.0, 0.0], "b": [1.0, 0.0, 0.0, 0.0]})
+# a simple rotation with its factors printed at 8 decimals: once renormalized
+# (--normalize), |S(a) - S(b)| is about 2.9e-9, which classify calls Simple
+ROUNDED = {
+    "a": [0.72891192, 0.45310598, 0.22663348, -0.46045591],
+    "b": [0.72891192, 0.53232799, -0.07931467, -0.4231117],
+}
+ROUNDED_DOC = json.dumps(ROUNDED)
 
 
 @pytest.fixture
@@ -138,6 +145,19 @@ class TestCompose:
             capsys, "compose", write_doc(double_doc), write_doc(G_DOC), "--check-simple"
         )
         assert code == 2
+
+    def test_check_simple_rounded_factors(self, capsys, write_doc):
+        code, out = run(
+            capsys,
+            "compose",
+            write_doc(ROUNDED_DOC),
+            write_doc(G_DOC),
+            "--check-simple",
+            "--normalize",
+        )
+        assert code == 0
+        rep = json.loads(out)["simplicity"]
+        assert abs(rep["s_condition"] + 2 * rep["det_normals"]) <= 1e-12
 
     def test_gibbs_golden(self, capsys, write_doc):
         code, out = run(capsys, "compose", write_doc(F_DOC), write_doc(G_DOC), "--gibbs")
@@ -280,3 +300,20 @@ class TestReflections:
         )
         code, _ = run(capsys, "reflections", write_doc(double_doc))
         assert code == 1
+
+    def test_rounded_simple_factors(self, capsys, write_doc):
+        path = write_doc(ROUNDED_DOC)
+        code, out = run(capsys, "classify", path, "--normalize", "--json")
+        assert code == 0 and json.loads(out)["kind"] == "simple"
+        code, out = run(capsys, "reflections", path, "--normalize")
+        assert code == 0
+        doc = json.loads(out)
+        back = from_reflections(
+            ReflectionNormal(Quaternion.from_array(doc["y"])),
+            ReflectionNormal(Quaternion.from_array(doc["z"])),
+        )
+        # the normals realise (a, b') with b' = S(a) + |V(a)| q for b's axis q
+        a, b = (normalized(Quaternion.from_array(ROUNDED[k])) for k in ("a", "b"))
+        b_prime = Quaternion(a.s, b.v * (a.v.norm() / b.v.norm()))
+        assert comp_diff(back.a, a) <= 1e-12
+        assert comp_diff(back.b, b_prime) <= 1e-12

@@ -24,9 +24,11 @@ from rot4 import (
     Vec3,
     apply,
     classify,
+    conj,
     dot4,
     from_reflections,
     invariant_planes,
+    is_composition_simple,
     mul,
     plane_from_span,
     planes_orthogonal,
@@ -288,6 +290,7 @@ class TestInvariantPlanes:
 
 _COORD = st.floats(-1.0, 1.0)
 _VEC = st.tuples(_COORD, _COORD, _COORD)
+_VEC4 = st.tuples(_COORD, _COORD, _COORD, _COORD)
 
 
 class TestNearlyParallelAxes:
@@ -357,10 +360,55 @@ class TestSimpleToReflections:
             residual = mul(r.a, ny.q) - mul(ny.q, r.b)
             assert max(abs(c) for c in residual.components()) <= 1e-10
 
-    def test_rejects_double(self, rng):
-        while True:
-            r = rand_rotation(rng)
-            if abs(r.a.s - r.b.s) > 0.1:
-                break
+    @pytest.mark.parametrize("kind", ["double", "right-isoclinic"])
+    def test_rejects_double(self, rng, kind):
+        # the split accepts exactly what classify calls Simple or Identity:
+        # a 1e-5 right turn has |S(a) - S(b)| = 5e-11 <= eps, yet is isoclinic
+        if kind == "double":
+            while True:
+                r = rand_rotation(rng)
+                if abs(r.a.s - r.b.s) > 0.1:
+                    break
+        else:
+            b = Quaternion(math.cos(1e-5), Vec3(0.6, 0.0, 0.8) * math.sin(1e-5))
+            r = Rotation4(ONE, b)
+            assert isinstance(classify(r), RightIsoclinic)
         with pytest.raises(NotSimple):
             simple_to_reflections(r)
+
+
+class TestNearSimpleSplit:
+    """Rotations that classify calls Simple at |S(a) - S(b)| of 1e-11 to
+    5e-9: the split must accept them and realise (a, b'), with
+    b' = S(a) + |V(a)| q for the unit axis q of b."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        p_raw=_VEC,
+        q_raw=_VEC,
+        y_raw=_VEC4,
+        z_raw=_VEC4,
+        gap=st.sampled_from([1e-11, 1e-10, 1e-9, 5e-9]),
+        alpha=st.floats(0.2, 2.9),
+    )
+    def test_split_realises_a_and_b_prime(self, p_raw, q_raw, y_raw, z_raw, gap, alpha):
+        vecs = [np.array(v) for v in (p_raw, q_raw, y_raw, z_raw)]
+        assume(min(np.linalg.norm(v) for v in vecs) >= 0.1)
+        p, q, y_g, z_g = (v / np.linalg.norm(v) for v in vecs)
+        sb = math.cos(alpha) - gap
+        r = Rotation4(
+            Quaternion(math.cos(alpha), Vec3(*p) * math.sin(alpha)),
+            Quaternion(sb, Vec3(*q) * math.sqrt(1.0 - sb * sb)),
+        )
+        assert isinstance(classify(r), Simple)
+        ny, nz = simple_to_reflections(r)
+        y, z = ny.q, nz.q
+        b_prime = Quaternion(r.a.s, r.b.v * (r.a.v.norm() / r.b.v.norm()))
+        assert comp_diff(mul(z, conj(y)), r.a) <= 1e-12
+        assert comp_diff(mul(conj(y), z), b_prime) <= 1e-12
+        g = from_reflections(
+            ReflectionNormal(Quaternion.from_array(y_g)),
+            ReflectionNormal(Quaternion.from_array(z_g)),
+        )
+        report = is_composition_simple(r, g)
+        assert abs(report.s_condition + 2 * report.det_normals) <= 1e-12
