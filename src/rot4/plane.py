@@ -8,6 +8,7 @@ rotation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,12 +52,12 @@ class Plane:
 
 def plane_from_span(v1: Quaternion, v2: Quaternion, eps: float = EPS_AXIS) -> Plane:
     """Orthonormalize the spanning pair (v1 first) via Gram-Schmidt."""
-    n1 = np.sqrt(norm_sq(v1))
+    n1 = math.sqrt(norm_sq(v1))
     if n1 <= eps:
         raise DegenerateAxis("first spanning vector is (near-)zero")
     u = v1 / n1
     w = v2 - u * dot4(v2, u)
-    n2 = np.sqrt(norm_sq(w))
+    n2 = math.sqrt(norm_sq(w))
     if n2 <= eps:
         raise DegenerateAxis("spanning vectors are (near-)collinear")
     return Plane(u, w / n2)

@@ -9,7 +9,7 @@ this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -35,24 +35,57 @@ def _finite(name: str, value) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Vec3:
+_new = object.__new__
+_set = object.__setattr__
+
+
+class _Value:
+    """Immutable value object over __slots__: equality, hash and repr over
+    the slots in order, as a frozen dataclass gives them."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Vec3(_Value):
     """3-vector: the vector part of a quaternion, an axis, or a Gibbs vector."""
 
-    x1: float = 0.0
-    x2: float = 0.0
-    x3: float = 0.0
+    __slots__ = ("x1", "x2", "x3")
+    __match_args__ = __slots__
 
-    def __post_init__(self):
-        object.__setattr__(self, "x1", _finite("x1", self.x1))
-        object.__setattr__(self, "x2", _finite("x2", self.x2))
-        object.__setattr__(self, "x3", _finite("x3", self.x3))
+    def __init__(self, x1: float = 0.0, x2: float = 0.0, x3: float = 0.0):
+        _set(self, "x1", _finite("x1", x1))
+        _set(self, "x2", _finite("x2", x2))
+        _set(self, "x3", _finite("x3", x3))
 
     def dot(self, other: "Vec3") -> float:
         return self.x1 * other.x1 + self.x2 * other.x2 + self.x3 * other.x3
 
     def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(
+        return _vec(
             self.x2 * other.x3 - self.x3 * other.x2,
             self.x3 * other.x1 - self.x1 * other.x3,
             self.x1 * other.x2 - self.x2 * other.x1,
@@ -71,16 +104,17 @@ class Vec3:
         return np.array(self.components())
 
     def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x1 + other.x1, self.x2 + other.x2, self.x3 + other.x3)
+        return _vec(self.x1 + other.x1, self.x2 + other.x2, self.x3 + other.x3)
 
     def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x1 - other.x1, self.x2 - other.x2, self.x3 - other.x3)
+        return _vec(self.x1 - other.x1, self.x2 - other.x2, self.x3 - other.x3)
 
     def __neg__(self) -> "Vec3":
-        return Vec3(-self.x1, -self.x2, -self.x3)
+        return _vec(-self.x1, -self.x2, -self.x3)
 
     def __mul__(self, factor: float) -> "Vec3":
-        return Vec3(self.x1 * factor, self.x2 * factor, self.x3 * factor)
+        f = float(factor)
+        return _vec(self.x1 * f, self.x2 * f, self.x3 * f)
 
     __rmul__ = __mul__
 
@@ -88,15 +122,28 @@ class Vec3:
         return self * (1.0 / factor)
 
 
-@dataclass(frozen=True)
-class Quaternion:
+def _vec(x1: float, x2: float, x3: float) -> Vec3:
+    """Vec3 of floats computed in this module.  x*0.0 is 0.0 exactly when x
+    is finite, so one fused test admits all three; a failure goes through
+    the public constructor, which names the bad component."""
+    if x1 * 0.0 + x2 * 0.0 + x3 * 0.0 == 0.0:
+        v = _new(Vec3)
+        _set(v, "x1", x1)
+        _set(v, "x2", x2)
+        _set(v, "x3", x3)
+        return v
+    return Vec3(x1, x2, x3)
+
+
+class Quaternion(_Value):
     """Quaternion s + v, with v the 3-vector part."""
 
-    s: float = 0.0
-    v: Vec3 = Vec3()
+    __slots__ = ("s", "v")
+    __match_args__ = __slots__
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", _finite("s", self.s))
+    def __init__(self, s: float = 0.0, v: Vec3 = Vec3()):
+        _set(self, "s", _finite("s", s))
+        _set(self, "v", v)
 
     @classmethod
     def of(cls, s: float, x1: float, x2: float, x3: float) -> "Quaternion":
@@ -114,24 +161,44 @@ class Quaternion:
         return np.array(self.components())
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.s + other.s, self.v + other.v)
+        v, w = self.v, other.v
+        return _quat(self.s + other.s, v.x1 + w.x1, v.x2 + w.x2, v.x3 + w.x3)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.s - other.s, self.v - other.v)
+        v, w = self.v, other.v
+        return _quat(self.s - other.s, v.x1 - w.x1, v.x2 - w.x2, v.x3 - w.x3)
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.s, -self.v)
+        v = self.v
+        return _quat(-self.s, -v.x1, -v.x2, -v.x3)
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
             return mul(self, other)
-        return Quaternion(self.s * other, self.v * other)
+        f = float(other)
+        v = self.v
+        return _quat(self.s * f, v.x1 * f, v.x2 * f, v.x3 * f)
 
     def __rmul__(self, factor: float) -> "Quaternion":
-        return Quaternion(self.s * factor, self.v * factor)
+        return self * factor
 
     def __truediv__(self, factor: float) -> "Quaternion":
         return self * (1.0 / factor)
+
+
+def _quat(s: float, x1: float, x2: float, x3: float) -> Quaternion:
+    """Quaternion of floats computed in this module, admitted by one fused
+    finiteness test like _vec."""
+    if s * 0.0 + x1 * 0.0 + x2 * 0.0 + x3 * 0.0 == 0.0:
+        v = _new(Vec3)
+        _set(v, "x1", x1)
+        _set(v, "x2", x2)
+        _set(v, "x3", x3)
+        q = _new(Quaternion)
+        _set(q, "s", s)
+        _set(q, "v", v)
+        return q
+    return Quaternion(s, Vec3(x1, x2, x3))
 
 
 ONE = Quaternion(1.0)
@@ -146,15 +213,24 @@ def pure(v: Vec3) -> Quaternion:
 
 
 def mul(x: Quaternion, y: Quaternion) -> Quaternion:
-    """Quaternion product: scalar s1*s2 - v1.v2, vector s1*v2 + s2*v1 + v1 x v2."""
-    s = x.s * y.s - x.v.dot(y.v)
-    v = y.v * x.s + x.v * y.s + x.v.cross(y.v)
-    return Quaternion(s, v)
+    """Quaternion product: scalar s1*s2 - v1.v2, vector s1*v2 + s2*v1 + v1 x v2,
+    each component summed in that order."""
+    s1, v1 = x.s, x.v
+    s2, v2 = y.s, y.v
+    a1, a2, a3 = v1.x1, v1.x2, v1.x3
+    b1, b2, b3 = v2.x1, v2.x2, v2.x3
+    return _quat(
+        s1 * s2 - (a1 * b1 + a2 * b2 + a3 * b3),
+        b1 * s1 + a1 * s2 + (a2 * b3 - a3 * b2),
+        b2 * s1 + a2 * s2 + (a3 * b1 - a1 * b3),
+        b3 * s1 + a3 * s2 + (a1 * b2 - a2 * b1),
+    )
 
 
 def conj(x: Quaternion) -> Quaternion:
     """Conjugate: scalar part kept, vector part negated."""
-    return Quaternion(x.s, -x.v)
+    v = x.v
+    return _quat(x.s, -v.x1, -v.x2, -v.x3)
 
 
 def norm_sq(x: Quaternion) -> float:
@@ -198,7 +274,8 @@ class PolarForm:
     axis_degenerate: bool = False
 
     def to_quaternion(self) -> Quaternion:
-        return Quaternion(math.cos(self.half_angle), self.axis * math.sin(self.half_angle))
+        sine, axis = math.sin(self.half_angle), self.axis
+        return _quat(math.cos(self.half_angle), axis.x1 * sine, axis.x2 * sine, axis.x3 * sine)
 
 
 def polar(a: Quaternion) -> PolarForm:
@@ -224,7 +301,7 @@ def gibbs_from_unit(a: Quaternion) -> Vec3:
 def unit_from_gibbs(g: Vec3) -> Quaternion:
     """Unit quaternion (1 + g)/sqrt(1 + |g|^2); scalar part always positive."""
     scale = 1.0 / math.sqrt(1.0 + g.norm_sq())
-    return Quaternion(scale, g * scale)
+    return _quat(scale, g.x1 * scale, g.x2 * scale, g.x3 * scale)
 
 
 def _gibbs_rule(g1: Vec3, g2: Vec3, singular: str) -> tuple[Vec3, float]:

@@ -30,6 +30,9 @@ from .quat import (
     EPS_AXIS,
     EPS_UNIT,
     ONE,
+    I,
+    J,
+    K,
     Quaternion,
     Vec3,
     conj,
@@ -184,33 +187,34 @@ def plane_rotation_angle(r: Rotation4, invariant: Plane) -> tuple[Plane, float]:
     return invariant, math.atan2(s, c)
 
 
+_BASIS = (ONE, I, J, K)
+
+
 def invariant_planes(p: Vec3, q: Vec3) -> tuple[Plane, Plane]:
     """The two orthogonal invariant planes of x -> a x b from the unit axes
     p (of a) and q (of b).
 
     They are the +1 and -1 eigenspaces of the symmetric involution
     T x = p x q, holding p - q, 1 + pq and p + q, 1 - pq.  For s = +-1, u is
-    column k of 2P = I + sT, twice the projector, at its largest diagonal
-    entry; its squared norm 4 P_kk is at least 2 since trace P = 2.  The
-    partner p u is orthogonal to u and in the plane, as x -> p x commutes
-    with T.  No axis threshold is involved.  The plane holding more of 1
-    comes first; which plane carries which angle is classify's concern.
+    column k of 2P = I + sT, twice the projector, at its first largest
+    diagonal entry; its squared norm 4 P_kk is at least 2 since trace P = 2.
+    Column k of T is p e_k q, and its diagonal is (-p.q, p.q - 2 p_i q_i).
+    The partner p u is orthogonal to u and in the plane, as x -> p x
+    commutes with T.  No axis threshold is involved.  The plane holding
+    more of 1 comes first; which plane carries which angle is classify's
+    concern.
     """
     if abs(p.norm() - 1.0) > EPS_UNIT or abs(q.norm() - 1.0) > EPS_UNIT:
         raise NotUnit("axes must be unit 3-vectors")
-    lp = left_mult_matrix(pure(p))
-    t = lp @ right_mult_matrix(pure(q))
-    diag = np.diag(t)
+    pp, pq = pure(p), pure(q)
+    d = p.dot(q)
+    diag = (-d, d - 2.0 * p.x1 * q.x1, d - 2.0 * p.x2 * q.x2, d - 2.0 * p.x3 * q.x3)
     planes = []
-    for sign, k in ((1.0, int(np.argmax(diag))), (-1.0, int(np.argmin(diag)))):
-        u = sign * t[:, k]
-        u[k] += 1.0
-        u /= math.sqrt(u @ u)
-        # tolist() hands plain floats to the constructors, which is cheaper
-        w = (lp @ u).tolist()
-        planes.append(Plane(Quaternion.from_array(u.tolist()), Quaternion.from_array(w)))
+    for sign, k in ((1.0, diag.index(max(diag))), (-1.0, diag.index(min(diag)))):
+        u = normalized(mul(mul(pp, _BASIS[k]), pq) * sign + _BASIS[k])
+        planes.append(Plane(u, mul(pp, u)))
     plus, minus = planes
-    return (minus, plus) if p.dot(q) > 0.0 else (plus, minus)
+    return (minus, plus) if d > 0.0 else (plus, minus)
 
 
 def _measured_planes(r: Rotation4) -> tuple[tuple[Plane, float], tuple[Plane, float]]:

@@ -1,6 +1,11 @@
+import copy
 import math
+import pickle
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rot4 import (
     EPS_ALG,
@@ -11,19 +16,26 @@ from rot4 import (
     NotUnit,
     ONE,
     Quaternion,
+    Rotation4,
     Vec3,
     conj,
     dot4,
     gibbs_from_unit,
     mul,
     norm_sq,
+    plane_from_span,
+    planes_from_matrix,
     polar,
     rodrigues_compose,
+    to_matrix,
     unit_from_gibbs,
 )
 from conftest import comp_diff, comp_diff_up_to_sign, rand_unit_quat
 
 R2 = 1.0 / math.sqrt(2.0)
+
+_COORD = st.floats(-1e6, 1e6)
+_QUAT = st.tuples(_COORD, _COORD, _COORD, _COORD)
 
 
 class TestMul:
@@ -46,6 +58,15 @@ class TestMul:
         got = mul(Quaternion.of(R2, 0, R2, 0), Quaternion.of(R2, R2, 0, 0))
         expected = Quaternion.of(0.5, 0.5, 0.5, -0.5)
         assert comp_diff(got, expected) < 1e-15
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(x=_QUAT, y=_QUAT)
+    def test_bit_equal_to_textbook_product(self, x, y):
+        x, y = Quaternion.of(*x), Quaternion.of(*y)
+        s = x.s * y.s - x.v.dot(y.v)
+        v = y.v * x.s + x.v * y.s + x.v.cross(y.v)
+        got = [c.hex() for c in mul(x, y).components()]
+        assert got == [c.hex() for c in (s, *v.components())]
 
 
 class TestConjNorm:
@@ -184,12 +205,50 @@ class TestRodrigues:
             assert comp_diff(Quaternion(0, composed), Quaternion(0, oracle)) <= 1e-10
 
 
+def _floats_of(value) -> tuple:
+    """Every stored float of a Vec3, Quaternion, Plane or OraclePlanes."""
+    if isinstance(value, (Vec3, Quaternion)):
+        return value.components()
+    if hasattr(value, "plane1"):
+        return _floats_of(value.plane1) + _floats_of(value.plane2)
+    return _floats_of(value.u) + _floats_of(value.w)
+
+
+_BIG = Quaternion.of(1e200, 0, 0, 0)
+_HUGE = Quaternion.of(1e308, 0, 0, 0)
+_SIMPLE = Rotation4(Quaternion.of(R2, R2, 0, 0), Quaternion.of(R2, 0, R2, 0))
+
+
 class TestConstructors:
-    def test_reject_non_finite(self):
-        with pytest.raises(ValueError):
-            Vec3(float("nan"), 0, 0)
-        with pytest.raises(ValueError):
-            Quaternion(float("inf"))
+    # each maker either raises ValueError or returns values that hold only
+    # finite Python floats
+    @pytest.mark.parametrize(
+        "make, rejected",
+        [
+            pytest.param(lambda: Vec3(float("nan"), 0, 0), True, id="vec3-nan"),
+            pytest.param(lambda: Quaternion(float("inf")), True, id="quaternion-inf"),
+            pytest.param(lambda: mul(_BIG, _BIG), True, id="mul-overflow"),
+            pytest.param(lambda: Vec3(1e300, 0, 0) * 1e300, True, id="scale-overflow"),
+            pytest.param(lambda: _HUGE + _HUGE, True, id="sum-overflow"),
+            pytest.param(lambda: Vec3(1, 2, 3) * np.float64(2.0), False, id="numpy-factor"),
+            pytest.param(lambda: Quaternion(np.float64(1)), False, id="numpy-scalar"),
+            pytest.param(
+                lambda: plane_from_span(Quaternion.of(1, 1, 0, 0), Quaternion.of(0, 1, 1, 0)),
+                False,
+                id="plane-from-span",
+            ),
+            pytest.param(
+                lambda: planes_from_matrix(to_matrix(_SIMPLE)), False, id="planes-from-matrix"
+            ),
+        ],
+    )
+    def test_reject_non_finite(self, make, rejected):
+        if rejected:
+            with pytest.raises(ValueError, match="must be finite"):
+                make()
+        else:
+            for x in _floats_of(make()):
+                assert type(x) is float and math.isfinite(x)
 
     def test_operator_sugar_matches_functions(self, rng):
         x = rand_unit_quat(rng)
@@ -197,3 +256,40 @@ class TestConstructors:
         assert comp_diff(x * y, mul(x, y)) == 0.0
         assert comp_diff(2.0 * x, x * 2.0) == 0.0
         assert comp_diff((x + y) - y, x) <= 1e-15
+
+
+class TestValueSemantics:
+    def test_equality_and_hash(self):
+        assert Quaternion.of(1, 0, 0, 0) == ONE
+        assert hash(Quaternion.of(1, 0, 0, 0)) == hash(ONE)
+        assert mul(I, J) == K and hash(mul(I, J)) == hash(K)
+        assert Vec3(1, 2, 3) == Vec3(1.0, 2.0, 3.0)
+        assert Vec3(1, 2, 3) != Vec3(1, 2, 4)
+        assert Quaternion() != Vec3()
+        assert len({ONE, Quaternion(1.0), I}) == 2
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            ONE.s = 2.0
+        with pytest.raises(AttributeError):
+            ONE.v.x1 = 2.0
+        with pytest.raises(AttributeError):
+            del ONE.s
+        assert ONE.s == 1.0
+
+    def test_repr(self):
+        assert repr(Vec3(1, 2, 3)) == "Vec3(x1=1.0, x2=2.0, x3=3.0)"
+        assert repr(ONE) == "Quaternion(s=1.0, v=Vec3(x1=0.0, x2=0.0, x3=0.0))"
+
+    def test_defaults(self):
+        assert Vec3().components() == (0.0, 0.0, 0.0)
+        assert Quaternion().components() == (0.0, 0.0, 0.0, 0.0)
+        assert Quaternion(1.0) == ONE
+
+    def test_copy_pickle_and_match(self):
+        x = Quaternion.of(0.5, 0.5, 0.5, -0.5)
+        assert copy.deepcopy(x) == x
+        assert pickle.loads(pickle.dumps(x)) == x
+        match x:
+            case Quaternion(s, Vec3(x1, x2, x3)):
+                assert (s, x1, x2, x3) == x.components()

@@ -29,6 +29,7 @@ from rot4 import (
     from_reflections,
     invariant_planes,
     is_composition_simple,
+    left_mult_matrix,
     mul,
     plane_from_span,
     planes_orthogonal,
@@ -36,6 +37,7 @@ from rot4 import (
     projector_distance,
     pure,
     reflect,
+    right_mult_matrix,
     simple_to_reflections,
     to_matrix,
 )
@@ -291,6 +293,52 @@ class TestInvariantPlanes:
 _COORD = st.floats(-1.0, 1.0)
 _VEC = st.tuples(_COORD, _COORD, _COORD)
 _VEC4 = st.tuples(_COORD, _COORD, _COORD, _COORD)
+
+
+def _reference_planes(p: Vec3, q: Vec3) -> tuple[Plane, Plane]:
+    """invariant_planes' construction written with numpy matrices: u is
+    column k of I + sT, T = L(p) R(q), at the first largest diagonal entry of
+    sT, and w = L(p) u; the plane holding more of 1 first."""
+    lp = left_mult_matrix(pure(p))
+    t = lp @ right_mult_matrix(pure(q))
+    diag = np.diag(t)
+    planes = []
+    for sign, k in ((1.0, int(np.argmax(diag))), (-1.0, int(np.argmin(diag)))):
+        u = sign * t[:, k]
+        u[k] += 1.0
+        u /= np.linalg.norm(u)
+        planes.append(Plane(Quaternion.from_array(u), Quaternion.from_array(lp @ u)))
+    plus, minus = planes
+    return (minus, plus) if p.dot(q) > 0.0 else (plus, minus)
+
+
+class TestInvariantPlanesReference:
+    """The float construction against the matrix one, on generic axes and on
+    axes 1e-8..1e-10 from q = +-p."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        p_raw=_VEC,
+        q_raw=_VEC,
+        gap=st.sampled_from([None, 1e-8, 1e-9, 1e-10]),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_matches_matrix_construction(self, p_raw, q_raw, gap, sign):
+        p = np.array(p_raw)
+        d = np.array(q_raw)
+        assume(np.linalg.norm(p) >= 0.1 and np.linalg.norm(d) >= 0.1)
+        p /= np.linalg.norm(p)
+        if gap is None:
+            q = d
+        else:
+            d -= (d @ p) * p
+            assume(np.linalg.norm(d) >= 0.1)
+            q = p + gap * d / np.linalg.norm(d)
+        q *= sign / np.linalg.norm(q)
+        p, q = Vec3(*p), Vec3(*q)
+        got, want = invariant_planes(p, q), _reference_planes(p, q)
+        for g, w in zip(got, want):
+            assert projector_distance(g, w) <= 2e-15
 
 
 class TestNearlyParallelAxes:
