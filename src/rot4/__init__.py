@@ -4,6 +4,10 @@ Classification (identity / simple / isoclinic / double) with invariant
 planes and angles, composition with geometric-parameter propagation in the
 Gibbs chart, the simplicity criterion for composed simple rotations, and an
 independent matrix-eigendecomposition oracle for cross-checking all of it.
+
+Only the oracle and rot4.linalg4 compute with numpy arrays.  They load on
+first use, so `import rot4` does not import numpy: the oracle's names below
+resolve through the module __getattr__.
 """
 
 from .compose import (
@@ -22,13 +26,6 @@ from .errors import (
     NotUnit,
     PairingFailure,
     Rot4Error,
-)
-from .oracle import (
-    OraclePlanes,
-    left_mult_matrix,
-    planes_from_matrix,
-    right_mult_matrix,
-    symmetric_eigen4,
 )
 from .plane import (
     EPS_PLANE,
@@ -149,3 +146,23 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = (
+    "OraclePlanes",
+    "left_mult_matrix",
+    "planes_from_matrix",
+    "right_mult_matrix",
+    "symmetric_eigen4",
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_ORACLE_NAMES))

@@ -14,12 +14,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .compose import GibbsPair, compose, compose_gibbs, is_composition_simple
 from .errors import GibbsSingular, NotSimple, NotUnit, PairingFailure
-from .oracle import OraclePlanes, planes_from_matrix
-from .plane import Plane, projector_distance
+from .plane import Plane, _projector_rows, projector_distance
 from .quat import EPS_UNIT, RANDOM_AXIS_MARGIN, Quaternion, norm_sq, normalized
 from .rotation import (
     DEFAULT_EPS,
@@ -115,7 +112,7 @@ def doc_of_rotation(r: Rotation4) -> dict:
 def _plane_json(plane: Plane, with_projector: bool = False) -> dict:
     out = {"u": list(plane.u.components()), "w": list(plane.w.components())}
     if with_projector:
-        out["projector"] = plane.projector().tolist()
+        out["projector"] = _projector_rows(plane)
     return out
 
 
@@ -249,11 +246,13 @@ def _formula_entries(kind) -> tuple[list[tuple[Plane | None, float]], bool]:
 def build_verify_report(r: Rotation4, eps: float = DEFAULT_EPS) -> dict:
     """Compare classify's planes/angles with the matrix-eigendecomposition
     route on the same rotation."""
+    from .oracle import planes_from_matrix
+
     kind = classify(r, eps)
     formula, planes_free = _formula_entries(kind)
     # eps governs the comparison verdict; eigenvalue pairing never needs to be
     # stricter than the default, or exact pairs would fail at rounding level
-    oracle: OraclePlanes = planes_from_matrix(to_matrix(r), max(eps, DEFAULT_EPS))
+    oracle = planes_from_matrix(to_matrix(r), max(eps, DEFAULT_EPS))
     oracle_entries = [(oracle.plane1, oracle.angle1), (oracle.plane2, oracle.angle2)]
 
     # two possible pairings; take the one with the smaller total angle gap
@@ -323,6 +322,8 @@ def cmd_verify(args) -> int:
 
 
 def _random_unit(rng) -> Quaternion:
+    import numpy as np
+
     vec = rng.standard_normal(4)
     return Quaternion.from_array(vec / np.linalg.norm(vec))
 
@@ -357,6 +358,8 @@ def random_rotation(rng, kind: str, eps: float = DEFAULT_EPS) -> Rotation4:
 
 
 def cmd_random(args) -> int:
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     r = random_rotation(rng, args.kind, args.eps)
     print(json.dumps(doc_of_rotation(r)))

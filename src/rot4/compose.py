@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateAxis, GibbsSingular, NotSimple
-from .linalg4 import rank
 from .plane import Plane
 from .quat import (
     EPS_AXIS,
@@ -136,10 +133,10 @@ class SimplicityReport:
     is_simple: bool
 
 
-def _normals_matrix_scalar_last(*normals) -> np.ndarray:
-    return np.column_stack(
-        [[n.q.v.x1, n.q.v.x2, n.q.v.x3, n.q.s] for n in normals]
-    )
+def _normals_matrix_scalar_last(*normals) -> list[list[float]]:
+    """Rows of the matrix whose columns are the normals, scalar last."""
+    columns = [(n.q.v.x1, n.q.v.x2, n.q.v.x3, n.q.s) for n in normals]
+    return [list(row) for row in zip(*columns)]
 
 
 def is_composition_simple(
@@ -152,6 +149,8 @@ def is_composition_simple(
     simple: the scalar residual of its factors, the determinant of the
     stacked reflection normals, and the dimension of the intersection of the
     two fixed planes (nullity of the 4x4 matrix of the four normals)."""
+    from .linalg4 import det, rank
+
     normals = []
     for name, rot in (("f", f), ("g", g)):
         try:
@@ -166,7 +165,7 @@ def is_composition_simple(
     m = _normals_matrix_scalar_last(*normals)
     return SimplicityReport(
         s_condition=s_condition,
-        det_normals=float(np.linalg.det(m)),
+        det_normals=det(m),
         intersection_dim=4 - rank(m),
         is_simple=abs(s_condition) <= eps,
     )

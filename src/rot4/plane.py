@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateAxis
 from .quat import EPS_AXIS, EPS_UNIT, Quaternion, dot4, norm_sq
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EPS_PLANE = 1e-8
 
@@ -36,18 +38,28 @@ class Plane:
 
     def projector(self) -> np.ndarray:
         """Symmetric rank-2 idempotent u*u^T + w*w^T."""
-        ua = self.u.as_array()
-        wa = self.w.as_array()
-        return np.outer(ua, ua) + np.outer(wa, wa)
+        import numpy as np
+
+        return np.array(_projector_rows(self))
 
     def contains(self, x: Quaternion, eps: float = EPS_PLANE) -> bool:
         """True when x lies in the plane up to a projection residual of eps."""
-        xa = x.as_array()
-        return bool(np.abs(self.projector() @ xa - xa).max() <= eps)
+        xs = x.components()
+        return all(
+            abs(sum(p * c for p, c in zip(row, xs)) - xi) <= eps
+            for row, xi in zip(_projector_rows(self), xs)
+        )
 
     def flipped(self) -> "Plane":
         """Same plane with reversed orientation."""
         return Plane(self.u, -self.w)
+
+
+def _projector_rows(plane: Plane) -> list[list[float]]:
+    """Rows of the projector, entry (i, j) = u_i*u_j + w_i*w_j: the floats
+    numpy's outer(u, u) + outer(w, w) gives, bit for bit."""
+    us, ws = plane.u.components(), plane.w.components()
+    return [[ui * uj + wi * wj for uj, wj in zip(us, ws)] for ui, wi in zip(us, ws)]
 
 
 def plane_from_span(v1: Quaternion, v2: Quaternion, eps: float = EPS_AXIS) -> Plane:
@@ -65,7 +77,11 @@ def plane_from_span(v1: Quaternion, v2: Quaternion, eps: float = EPS_AXIS) -> Pl
 
 def projector_distance(p1: Plane, p2: Plane) -> float:
     """Max-abs entry difference of the two projectors."""
-    return float(np.abs(p1.projector() - p2.projector()).max())
+    return max(
+        abs(x - y)
+        for r1, r2 in zip(_projector_rows(p1), _projector_rows(p2))
+        for x, y in zip(r1, r2)
+    )
 
 
 def same_plane(p1: Plane, p2: Plane, eps: float = EPS_PLANE) -> bool:

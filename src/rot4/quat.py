@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import GibbsSingular, NotUnit
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Tolerance tiers: pure-algebra identities hold to rounding; unit-norm
 # admission of user input is deliberately looser; EPS_AXIS tells a factor +-1
@@ -101,6 +103,8 @@ class Vec3(_Value):
         return (self.x1, self.x2, self.x3)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.components())
 
     def __add__(self, other: "Vec3") -> "Vec3":
@@ -158,6 +162,8 @@ class Quaternion(_Value):
         return (self.s, self.v.x1, self.v.x2, self.v.x3)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.components())
 
     def __add__(self, other: "Quaternion") -> "Quaternion":

@@ -18,12 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .errors import NotSimple, NotUnit
-from .oracle import left_mult_matrix, right_mult_matrix
 from .plane import Plane
 from .quat import (
     DEFAULT_EPS,
@@ -43,6 +40,9 @@ from .quat import (
     pure,
     require_unit,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _leading_negative(q: Quaternion) -> bool:
@@ -85,6 +85,8 @@ def apply(r: Rotation4, x: Quaternion) -> Quaternion:
 
 def to_matrix(r: Rotation4) -> np.ndarray:
     """4x4 matrix M with M @ [s, x1, x2, x3] = components of apply(r, x)."""
+    from .oracle import left_mult_matrix, right_mult_matrix
+
     return left_mult_matrix(r.a) @ right_mult_matrix(r.b)
 
 
@@ -241,8 +243,6 @@ def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
     whose other plane is the fixed one.
     """
     a, b = r.a, r.b
-    require_unit(a, "left factor")
-    require_unit(b, "right factor")
     va = a.v.norm()
     vb = b.v.norm()
     if va <= EPS_AXIS and vb <= EPS_AXIS:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,3 +321,43 @@ class TestReflections:
         b_prime = Quaternion(a.s, b.v * (a.v.norm() / b.v.norm()))
         assert comp_diff(back.a, a) <= 1e-12
         assert comp_diff(back.b, b_prime) <= 1e-12
+
+
+class TestNumpyLoading:
+    """numpy is loaded only by the commands that compute with arrays: the
+    oracle (verify), rank and det (compose --check-simple) and the random
+    generator.  Each case runs in a fresh interpreter."""
+
+    SCRIPT = """
+import sys
+import rot4, rot4.cli
+at_import = "numpy" in sys.modules
+code = rot4.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(at_import, "numpy" in sys.modules, code)
+"""
+
+    @pytest.mark.parametrize(
+        "argv, loads_numpy",
+        [
+            ([], False),
+            (["classify", "F", "--json"], False),
+            (["reflections", "F"], False),
+            (["compose", "F", "G", "--gibbs"], False),
+            (["verify", "F"], True),
+            (["compose", "F", "G", "--check-simple"], True),
+            (["random", "--seed", "0"], True),
+        ],
+        ids=["import", "classify", "reflections", "gibbs", "verify", "check-simple", "random"],
+    )
+    def test_numpy_only_where_arrays_are_used(self, write_doc, argv, loads_numpy):
+        docs = {"F": write_doc(F_DOC), "G": write_doc(G_DOC)}
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *(docs.get(a, a) for a in argv)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        at_import, at_exit, code = proc.stdout.splitlines()[-1].split()
+        assert (at_import, at_exit, code) == ("False", str(loads_numpy), "0")

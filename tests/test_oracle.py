@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import rot4
 from rot4 import (
     I,
     J,
@@ -140,3 +141,34 @@ class TestPlanesFromMatrix:
         r = Rotation4(rand_unit_quat(rng), rand_unit_quat(rng))
         with pytest.raises(PairingFailure):
             planes_from_matrix(to_matrix(r), eps=1e-16)
+
+
+class TestPublicSurface:
+    """The oracle's names are resolved on first use, not at `import rot4`."""
+
+    ORACLE_NAMES = (
+        "OraclePlanes",
+        "left_mult_matrix",
+        "planes_from_matrix",
+        "right_mult_matrix",
+        "symmetric_eigen4",
+    )
+
+    def test_every_public_name_resolves(self):
+        for name in rot4.__all__:
+            assert getattr(rot4, name) is not None, name
+        for name in self.ORACLE_NAMES:
+            assert name in rot4.__all__
+            assert getattr(rot4, name) is getattr(rot4.oracle, name)
+        assert set(rot4.__all__) <= set(dir(rot4))
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from rot4 import *", namespace)
+        assert namespace["planes_from_matrix"] is planes_from_matrix
+        assert set(namespace) - {"__builtins__"} == set(rot4.__all__)
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            rot4.no_such_name
+        assert not hasattr(rot4, "planes_from_array")

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rot4 import (
+    DegenerateAxis,
     Double,
     I,
     Identity,
@@ -293,6 +294,30 @@ class TestInvariantPlanes:
 _COORD = st.floats(-1.0, 1.0)
 _VEC = st.tuples(_COORD, _COORD, _COORD)
 _VEC4 = st.tuples(_COORD, _COORD, _COORD, _COORD)
+
+
+def _numpy_projector(plane: Plane) -> np.ndarray:
+    u, w = plane.u.as_array(), plane.w.as_array()
+    return np.outer(u, u) + np.outer(w, w)
+
+
+class TestProjector:
+    """Projector entries are computed in floats; they must equal numpy's
+    outer(u, u) + outer(w, w) exactly, not to a tolerance."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(v1=_VEC4, v2=_VEC4, v3=_VEC4, v4=_VEC4)
+    def test_equal_to_numpy_outer_products(self, v1, v2, v3, v4):
+        try:
+            p1 = plane_from_span(Quaternion.of(*v1), Quaternion.of(*v2))
+            p2 = plane_from_span(Quaternion.of(*v3), Quaternion.of(*v4))
+        except (DegenerateAxis, ValueError):  # a degenerate span, or rounding past orthonormality
+            assume(False)
+        proj = p1.projector()
+        assert proj.dtype == np.float64 and proj.shape == (4, 4)
+        assert (proj == _numpy_projector(p1)).all()
+        expected = float(np.abs(_numpy_projector(p1) - _numpy_projector(p2)).max())
+        assert projector_distance(p1, p2) == expected
 
 
 def _reference_planes(p: Vec3, q: Vec3) -> tuple[Plane, Plane]:
