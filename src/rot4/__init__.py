@@ -28,7 +28,6 @@ from .errors import (
     Rot4Error,
 )
 from .plane import (
-    EPS_PLANE,
     Plane,
     plane_from_span,
     planes_orthogonal,
@@ -40,6 +39,7 @@ from .quat import (
     EPS_ALG,
     EPS_AXIS,
     EPS_GIBBS,
+    EPS_PLANE,
     EPS_UNIT,
     I,
     J,

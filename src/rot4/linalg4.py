@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-PIVOT_TOL = 1e-10
+from .quat import PIVOT_TOL
 
 
 def rank(matrix, tol: float = PIVOT_TOL) -> int:

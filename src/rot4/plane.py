@@ -13,12 +13,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DegenerateAxis
-from .quat import EPS_AXIS, EPS_UNIT, Quaternion, dot4, norm_sq
+from .quat import EPS_AXIS, EPS_PLANE, EPS_UNIT, Quaternion, dot4, norm_sq
 
 if TYPE_CHECKING:
     import numpy as np
-
-EPS_PLANE = 1e-8
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ this package.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import GibbsSingular, NotUnit
@@ -17,10 +17,12 @@ from .errors import GibbsSingular, NotUnit
 if TYPE_CHECKING:
     import numpy as np
 
-# Tolerance tiers: pure-algebra identities hold to rounding; unit-norm
-# admission of user input is deliberately looser; EPS_AXIS tells a factor +-1
-# and EPS_GIBBS a Gibbs-chart breakdown.  Then the default classification
-# tolerance, the oracle's matrix admission and the seeded isoclinic margin.
+# Every tolerance of the package.  Tiers: pure-algebra identities hold to
+# rounding; unit-norm admission of user input is deliberately looser;
+# EPS_AXIS tells a factor +-1 and EPS_GIBBS a Gibbs-chart breakdown.  Then
+# the default classification tolerance, the oracle's matrix admission, the
+# seeded isoclinic margin, the default projector equality of planes, and
+# the relative singular-value cut of linalg4.rank.
 EPS_ALG = 1e-12
 EPS_UNIT = 1e-9
 EPS_AXIS = 1e-9
@@ -28,6 +30,8 @@ EPS_GIBBS = 1e-9
 DEFAULT_EPS = 1e-8
 EPS_MATRIX = 1e-8
 RANDOM_AXIS_MARGIN = 1e-6
+EPS_PLANE = 1e-8
+PIVOT_TOL = 1e-10
 
 
 def _finite(name: str, value) -> float:
@@ -41,42 +45,16 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-class _Value:
-    """Immutable value object over __slots__: equality, hash and repr over
-    the slots in order, as a frozen dataclass gives them."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"{type(self).__name__}({body})"
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-class Vec3(_Value):
+# init=False keeps the hand-written validating constructors; _vec and _quat
+# build arithmetic results through _new/_set and skip them.  Equality, hash,
+# repr, immutability, __match_args__, copy and pickle come from dataclasses.
+@dataclass(frozen=True, slots=True, init=False)
+class Vec3:
     """3-vector: the vector part of a quaternion, an axis, or a Gibbs vector."""
 
-    __slots__ = ("x1", "x2", "x3")
-    __match_args__ = __slots__
+    x1: float
+    x2: float
+    x3: float
 
     def __init__(self, x1: float = 0.0, x2: float = 0.0, x3: float = 0.0):
         _set(self, "x1", _finite("x1", x1))
@@ -139,11 +117,12 @@ def _vec(x1: float, x2: float, x3: float) -> Vec3:
     return Vec3(x1, x2, x3)
 
 
-class Quaternion(_Value):
+@dataclass(frozen=True, slots=True, init=False)
+class Quaternion:
     """Quaternion s + v, with v the 3-vector part."""
 
-    __slots__ = ("s", "v")
-    __match_args__ = __slots__
+    s: float
+    v: Vec3
 
     def __init__(self, s: float = 0.0, v: Vec3 = Vec3()):
         _set(self, "s", _finite("s", s))

@@ -167,12 +167,6 @@ def _clamp(x: float) -> float:
     return min(1.0, max(-1.0, x))
 
 
-def _reduce_angle(t: float) -> float:
-    """Fold an angle into [0, pi] (same cosine, unsigned)."""
-    t = math.fmod(abs(t), 2.0 * math.pi)
-    return t if t <= math.pi else 2.0 * math.pi - t
-
-
 def plane_rotation_angle(r: Rotation4, invariant: Plane) -> tuple[Plane, float]:
     """Turning angle of r inside one of its invariant planes.
 
@@ -221,14 +215,15 @@ def invariant_planes(p: Vec3, q: Vec3) -> tuple[Plane, Plane]:
 
 def _measured_planes(r: Rotation4) -> tuple[tuple[Plane, float], tuple[Plane, float]]:
     """Both invariant planes of r, each measured by plane_rotation_angle, the
-    one whose angle is nearest the reduced half-angle sum of the factors
-    first; a tie keeps invariant_planes' order."""
-    pa, pb = polar(r.a), polar(r.b)
-    m1, m2 = (plane_rotation_angle(r, x) for x in invariant_planes(pa.axis, pb.axis))
-    half_sum = _reduce_angle(pa.half_angle + pb.half_angle)
-    if abs(m2[1] - half_sum) < abs(m1[1] - half_sum):
-        return m2, m1
-    return m1, m2
+    -1 eigenspace of x -> p x q first.  There p x = x q, so r turns it by
+    x -> x e^{q(ha+hb)}: it carries the reduced half-angle sum, the +1
+    eigenspace the reduced difference.  invariant_planes puts the -1
+    eigenspace first exactly when p.q > 0."""
+    p, q = polar(r.a).axis, polar(r.b).axis
+    first, second = invariant_planes(p, q)
+    if p.dot(q) <= 0.0:
+        first, second = second, first
+    return plane_rotation_angle(r, first), plane_rotation_angle(r, second)
 
 
 def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
@@ -237,10 +232,11 @@ def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
     Decision order: a factor counts as +-1 when its vector part is below
     EPS_AXIS (isoclinic / identity cases); otherwise the rotation is Simple
     when |S(a) - S(b)| <= eps and Double otherwise.  Both cases take the
-    planes in one order: each angle is measured by applying r inside its
-    plane, and the plane nearest the reduced half-angle sum comes first.
-    That plane is plane1 of a Double and the rotation plane of a Simple,
-    whose other plane is the fixed one.
+    planes in one order: the -1 eigenspace of x -> p x q for the unit axes
+    p, q first, which carries the half-angle sum, then the +1 eigenspace.
+    Each angle is measured by applying r inside its plane.  The first plane
+    is plane1 of a Double and the rotation plane of a Simple, whose other
+    plane is the fixed one.
     """
     a, b = r.a, r.b
     va = a.v.norm()

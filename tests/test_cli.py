@@ -104,8 +104,9 @@ class TestClassify:
 
     def test_non_unit_without_normalize(self, capsys, write_doc):
         doc = json.dumps({"a": [1.0, 1.0, 0.0, 0.0], "b": [1.0, 0.0, 0.0, 0.0]})
-        code, _ = run(capsys, "classify", write_doc(doc))
+        code = main(["classify", write_doc(doc)])
         assert code == 3
+        assert "pass --normalize to renormalize" in capsys.readouterr().err
 
     def test_non_unit_with_normalize(self, capsys, write_doc):
         doc = json.dumps({"a": [1.0, 1.0, 0.0, 0.0], "b": [1.0, 0.0, 0.0, 0.0]})

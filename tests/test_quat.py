@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import pickle
 
@@ -285,6 +286,19 @@ class TestValueSemantics:
         assert Vec3().components() == (0.0, 0.0, 0.0)
         assert Quaternion().components() == (0.0, 0.0, 0.0, 0.0)
         assert Quaternion(1.0) == ONE
+
+    def test_dataclass_fields(self):
+        assert [f.name for f in dataclasses.fields(Vec3)] == ["x1", "x2", "x3"]
+        assert [f.name for f in dataclasses.fields(Quaternion)] == ["s", "v"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ONE.s = 2.0
+
+    def test_replace_validates(self):
+        assert dataclasses.replace(ONE, s=0.0) == Quaternion()
+        with pytest.raises(ValueError, match="s must be finite"):
+            dataclasses.replace(ONE, s=float("nan"))
+        with pytest.raises(ValueError, match="x2 must be finite"):
+            dataclasses.replace(Vec3(), x2=float("inf"))
 
     def test_copy_pickle_and_match(self):
         x = Quaternion.of(0.5, 0.5, 0.5, -0.5)

@@ -399,6 +399,37 @@ class TestNearlyParallelAxes:
         assert report["ok"], report
 
 
+class TestNearlyIsoclinic:
+    """Doubles whose left factor has |V(a)| of 2e-9, 1e-8 or 1e-7, just above
+    EPS_AXIS: the sum and difference angles differ by only about 2|V(a)|.
+    plane1 must be the -1 eigenspace of x -> p x q and carry ha + hb."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        p_raw=_VEC,
+        q_raw=_VEC,
+        va=st.sampled_from([2e-9, 1e-8, 1e-7]),
+        sa_sign=st.sampled_from([1.0, -1.0]),
+        beta=st.floats(0.2, 2.9),
+    )
+    def test_plane1_is_minus_one_eigenspace(self, p_raw, q_raw, va, sa_sign, beta):
+        vecs = [np.array(v) for v in (p_raw, q_raw)]
+        assume(min(np.linalg.norm(v) for v in vecs) >= 0.1)
+        p, q = (Vec3(*(v / np.linalg.norm(v))) for v in vecs)
+        r = Rotation4(
+            Quaternion(sa_sign * math.sqrt(1.0 - va * va), p * va),
+            Quaternion(math.cos(beta), q * math.sin(beta)),
+        )
+        kind = classify(r)
+        assert isinstance(kind, Double)
+        pa, pb = polar(r.a), polar(r.b)
+        u = kind.plane1.u
+        assert comp_diff(mul(mul(pure(pa.axis), u), pure(pb.axis)), -u) <= 1e-12
+        half_sum = pa.half_angle + pb.half_angle
+        reduced = half_sum if half_sum <= math.pi else 2.0 * math.pi - half_sum
+        assert abs(kind.angle1 - reduced) <= 1e-12
+
+
 class TestToMatrix:
     def test_identity(self):
         assert np.abs(to_matrix(Rotation4.identity()) - np.eye(4)).max() == 0.0
