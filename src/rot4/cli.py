@@ -28,6 +28,7 @@ from .rotation import (
     RightIsoclinic,
     Rotation4,
     Simple,
+    _kind,
     _leading_negative,
     classify,
     from_reflections,
@@ -312,11 +313,11 @@ def random_rotation(rng, kind: str, eps: float = DEFAULT_EPS) -> Rotation4:
             r = from_reflections(
                 ReflectionNormal(_random_unit(rng)), ReflectionNormal(_random_unit(rng))
             )
-            if isinstance(classify(r, eps), Simple):
+            if _kind(r, eps) is Simple:
                 return r
         elif kind == "double":
             r = Rotation4(_random_unit(rng), _random_unit(rng))
-            if isinstance(classify(r, eps), Double):
+            if _kind(r, eps) is Double:
                 return r
         elif kind == "left-isoclinic":
             a = _random_unit(rng)

@@ -188,71 +188,80 @@ _BASIS = (ONE, I, J, K)
 
 def invariant_planes(p: Vec3, q: Vec3) -> tuple[Plane, Plane]:
     """The two orthogonal invariant planes of x -> a x b from the unit axes
-    p (of a) and q (of b).
-
-    They are the +1 and -1 eigenspaces of the symmetric involution
-    T x = p x q, holding p - q, 1 + pq and p + q, 1 - pq.  For s = +-1, u is
-    column k of 2P = I + sT, twice the projector, at its first largest
-    diagonal entry; its squared norm 4 P_kk is at least 2 since trace P = 2.
-    Column k of T is p e_k q, and its diagonal is (-p.q, p.q - 2 p_i q_i).
-    The partner p u is orthogonal to u and in the plane, as x -> p x
-    commutes with T.  No axis threshold is involved.  The plane holding
-    more of 1 comes first; which plane carries which angle is classify's
-    concern.
+    p (of a) and q (of b): the +1 and -1 eigenspaces of the symmetric
+    involution T x = p x q, holding p - q, 1 + pq and p + q, 1 - pq.  Each u
+    comes from _eigenvectors; its partner p u is orthogonal to u and in the
+    plane, as x -> p x commutes with T.  No axis threshold is involved.  The
+    plane holding more of 1 comes first; which carries which angle is
+    classify's concern.
     """
-    if abs(p.norm() - 1.0) > EPS_UNIT or abs(q.norm() - 1.0) > EPS_UNIT:
-        raise NotUnit("axes must be unit 3-vectors")
     pp, pq = pure(p), pure(q)
-    d = p.dot(q)
-    diag = (-d, d - 2.0 * p.x1 * q.x1, d - 2.0 * p.x2 * q.x2, d - 2.0 * p.x3 * q.x3)
-    planes = []
-    for sign, k in ((1.0, diag.index(max(diag))), (-1.0, diag.index(min(diag)))):
-        u = normalized(mul(mul(pp, _BASIS[k]), pq) * sign + _BASIS[k])
-        planes.append(Plane(u, mul(pp, u)))
-    plus, minus = planes
-    return (minus, plus) if d > 0.0 else (plus, minus)
+    plus, minus = (Plane(u, mul(pp, u)) for u in _eigenvectors(pp, pq, 1.0, -1.0))
+    return (minus, plus) if p.dot(q) > 0.0 else (plus, minus)
+
+
+def _eigenvectors(p: Quaternion, q: Quaternion, *signs: float) -> list[Quaternion]:
+    """For each s = +-1 in signs, a unit u of the s-eigenspace of T x = p x q
+    for pure unit p, q: column k of 2P = I + sT, twice the projector, at its
+    first largest diagonal entry, so |u|^2 = 4 P_kk >= 2 as trace P = 2.
+    Column k of T is p e_k q, and its diagonal is (-p.q, p.q - 2 p_i q_i)."""
+    pv, qv = p.v, q.v
+    if abs(pv.norm() - 1.0) > EPS_UNIT or abs(qv.norm() - 1.0) > EPS_UNIT:
+        raise NotUnit("axes must be unit 3-vectors")
+    d = pv.dot(qv)
+    diag = (-d, d - 2.0 * pv.x1 * qv.x1, d - 2.0 * pv.x2 * qv.x2, d - 2.0 * pv.x3 * qv.x3)
+    us = []
+    for s in signs:
+        k = diag.index(max(diag) if s > 0.0 else min(diag))
+        us.append(normalized(mul(mul(p, _BASIS[k]), q) * s + _BASIS[k]))
+    return us
 
 
 def _measured_planes(r: Rotation4) -> tuple[tuple[Plane, float], tuple[Plane, float]]:
     """Both invariant planes of r, each measured by plane_rotation_angle, the
     -1 eigenspace of x -> p x q first.  There p x = x q, so r turns it by
     x -> x e^{q(ha+hb)}: it carries the reduced half-angle sum, the +1
-    eigenspace the reduced difference.  invariant_planes puts the -1
-    eigenspace first exactly when p.q > 0."""
-    p, q = polar(r.a).axis, polar(r.b).axis
-    first, second = invariant_planes(p, q)
-    if p.dot(q) <= 0.0:
-        first, second = second, first
+    eigenspace the reduced difference."""
+    p, q = pure(polar(r.a).axis), pure(polar(r.b).axis)
+    first, second = (Plane(u, mul(p, u)) for u in _eigenvectors(p, q, -1.0, 1.0))
     return plane_rotation_angle(r, first), plane_rotation_angle(r, second)
+
+
+def _kind(r: Rotation4, eps: float) -> type:
+    """The class of r's kind: a factor counts as +-1 when its vector part is
+    below EPS_AXIS (isoclinic / identity cases; x -> -x is by convention a
+    left turn by pi); otherwise r is Simple when |S(a) - S(b)| <= eps, else
+    Double."""
+    a, b = r.a, r.b
+    a_real, b_real = a.v.norm() <= EPS_AXIS, b.v.norm() <= EPS_AXIS
+    if a_real and b_real:
+        return Identity if a.s * b.s > 0.0 else LeftIsoclinic
+    if a_real or b_real:
+        return RightIsoclinic if a_real else LeftIsoclinic
+    return Simple if abs(a.s - b.s) <= eps else Double
 
 
 def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
     """Classify the rotation and extract its geometric parameters.
 
-    Decision order: a factor counts as +-1 when its vector part is below
-    EPS_AXIS (isoclinic / identity cases); otherwise the rotation is Simple
-    when |S(a) - S(b)| <= eps and Double otherwise.  Both cases take the
-    planes in one order: the -1 eigenspace of x -> p x q for the unit axes
-    p, q first, which carries the half-angle sum, then the +1 eigenspace.
-    Each angle is measured by applying r inside its plane.  The first plane
-    is plane1 of a Double and the rotation plane of a Simple, whose other
-    plane is the fixed one.
+    The kind is _kind's decision, shared with simple_to_reflections.  Simple
+    and Double take the planes in one order: the -1 eigenspace of
+    x -> p x q for the unit axes p, q first, which carries the half-angle
+    sum, then the +1 eigenspace.  Each angle is measured by applying r
+    inside its plane.  The first plane is plane1 of a Double and the
+    rotation plane of a Simple, whose other plane is the fixed one.
     """
     a, b = r.a, r.b
-    va = a.v.norm()
-    vb = b.v.norm()
-    if va <= EPS_AXIS and vb <= EPS_AXIS:
-        if a.s * b.s > 0.0:
-            return Identity()
-        # central inversion x -> -x; by convention a left turn by pi
-        return LeftIsoclinic(math.pi)
-    if va <= EPS_AXIS:
+    kind = _kind(r, eps)
+    if kind is Identity:
+        return Identity()
+    if kind is RightIsoclinic:
         return RightIsoclinic(math.acos(_clamp(math.copysign(1.0, a.s) * b.s)))
-    if vb <= EPS_AXIS:
-        return LeftIsoclinic(math.acos(_clamp(math.copysign(1.0, b.s) * a.s)))
-
+    if kind is LeftIsoclinic:
+        c = -1.0 if a.v.norm() <= EPS_AXIS else math.copysign(1.0, b.s) * a.s
+        return LeftIsoclinic(math.acos(_clamp(c)))
     (p1, a1), (p2, a2) = _measured_planes(r)
-    if abs(a.s - b.s) <= eps:
+    if kind is Simple:
         return Simple(a1, fixed_plane=p2, rotation_plane=p1)
     return Double(plane1=p1, angle1=a1, plane2=p2, angle2=a2)
 
@@ -262,20 +271,20 @@ def simple_to_reflections(
 ) -> tuple[ReflectionNormal, ReflectionNormal]:
     """Decompose a simple rotation into two hyperplane reflections.
 
-    Accepts exactly what classify(r, eps) calls Simple or Identity and
-    raises NotSimple on every other kind.  The first normal y is the u of
-    classify's rotation plane (1 for the identity); the second is z = a y.
-    That plane is the -1 eigenspace of x -> p x q for the unit axes p, q,
-    so p y = y q and a y = y b' with b' = S(a) + |V(a)| q.  Hence
-    from_reflections(y, z) is (a, b'): r itself when S(a) = S(b), and for
-    a near-simple r the simple rotation with a's angle and b's axis.
+    Takes classify's decision (_kind): accepts exactly what classify(r, eps)
+    calls Simple or Identity, raises NotSimple on every other kind.  It
+    builds only y, the -1 eigenvector of x -> p x q for the unit axes p, q:
+    bit for bit the u of classify's rotation plane (1 for the identity).
+    The second normal is z = a y.  As p y = y q, a y = y b' with
+    b' = S(a) + |V(a)| q: from_reflections(y, z) is (a, b'), r itself when
+    S(a) = S(b), else the simple rotation with a's angle and b's axis.
     """
-    kind = classify(r, eps)
-    if isinstance(kind, Identity):
+    kind = _kind(r, eps)
+    if kind is Identity:
         y = ONE
-    elif isinstance(kind, Simple):
-        y = kind.rotation_plane.u
+    elif kind is Simple:
+        (y,) = _eigenvectors(pure(polar(r.a).axis), pure(polar(r.b).axis), -1.0)
     else:
-        raise NotSimple(f"a {type(kind).__name__} rotation, not simple at eps = {eps:.1e}")
+        raise NotSimple(f"a {kind.__name__} rotation, not simple at eps = {eps:.1e}")
     z = normalized(mul(r.a, y))
     return ReflectionNormal(y), ReflectionNormal(z)

@@ -42,6 +42,7 @@ from rot4 import (
     simple_to_reflections,
     to_matrix,
 )
+import rot4.rotation as rotation_module
 from rot4.cli import build_verify_report
 from conftest import comp_diff, rand_unit_quat, rand_unit_vec3
 
@@ -464,8 +465,17 @@ class TestSimpleToReflections:
             residual = mul(r.a, ny.q) - mul(ny.q, r.b)
             assert max(abs(c) for c in residual.components()) <= 1e-10
 
-    @pytest.mark.parametrize("kind", ["double", "right-isoclinic"])
-    def test_rejects_double(self, rng, kind):
+    @pytest.mark.parametrize(
+        "kind, name",
+        [
+            ("double", "Double"),
+            ("left-isoclinic", "LeftIsoclinic"),
+            ("central-inversion", "LeftIsoclinic"),
+            ("right-isoclinic", "RightIsoclinic"),
+        ],
+        ids=["double", "left-isoclinic", "central-inversion", "right-isoclinic"],
+    )
+    def test_rejects_double(self, rng, kind, name):
         # the split accepts exactly what classify calls Simple or Identity:
         # a 1e-5 right turn has |S(a) - S(b)| = 5e-11 <= eps, yet is isoclinic
         if kind == "double":
@@ -473,12 +483,126 @@ class TestSimpleToReflections:
                 r = rand_rotation(rng)
                 if abs(r.a.s - r.b.s) > 0.1:
                     break
+        elif kind == "left-isoclinic":
+            r = Rotation4(Quaternion.of(R2, R2, 0, 0), ONE)
+        elif kind == "central-inversion":
+            r = Rotation4(ONE, -ONE)
         else:
             b = Quaternion(math.cos(1e-5), Vec3(0.6, 0.0, 0.8) * math.sin(1e-5))
             r = Rotation4(ONE, b)
             assert isinstance(classify(r), RightIsoclinic)
-        with pytest.raises(NotSimple):
+        with pytest.raises(NotSimple) as exc:
             simple_to_reflections(r)
+        assert str(exc.value) == f"a {name} rotation, not simple at eps = 1.0e-08"
+
+    def test_builds_no_plane(self, monkeypatch):
+        # the split builds one eigenvector, no plane and no angle
+        expected = simple_to_reflections(GOLDEN_F), is_composition_simple(GOLDEN_F, GOLDEN_G)
+        _refuse_planes(monkeypatch)
+        assert simple_to_reflections(GOLDEN_F) == expected[0]
+        assert is_composition_simple(GOLDEN_F, GOLDEN_G) == expected[1]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("simple_to_reflections must not build planes")
+
+
+def _refuse_planes(mp: pytest.MonkeyPatch) -> None:
+    for name in ("classify", "_measured_planes", "invariant_planes", "plane_rotation_angle"):
+        mp.setattr(rotation_module, name, _refuse)
+
+
+def _unit3(raw) -> Vec3:
+    v = np.array(raw)
+    assume(np.linalg.norm(v) >= 0.1)
+    return Vec3(*(v / np.linalg.norm(v)))
+
+
+def _factor(s: float, axis: Vec3) -> Quaternion:
+    """Unit quaternion with scalar part s about the unit axis."""
+    return Quaternion(s, axis * math.sqrt(1.0 - s * s))
+
+
+_EPS = st.sampled_from([1e-12, 1e-8, 1e-6])
+
+
+class TestSplitMatchesClassify:
+    """simple_to_reflections takes classify's decision and builds only the
+    rotation plane's u: its first normal equals classify's rotation_plane.u
+    bit for bit (1 for the identity), and it raises NotSimple exactly when
+    classify returns another kind.  The split runs with classify and every
+    plane-building step of rotation made to raise."""
+
+    @staticmethod
+    def check(r: Rotation4, eps: float) -> None:
+        kind = classify(r, eps)
+        with pytest.MonkeyPatch.context() as mp:
+            _refuse_planes(mp)
+            if isinstance(kind, (Identity, Simple)):
+                ny, _ = simple_to_reflections(r, eps)
+                assert ny.q == (ONE if isinstance(kind, Identity) else kind.rotation_plane.u)
+            else:
+                with pytest.raises(NotSimple) as exc:
+                    simple_to_reflections(r, eps)
+                name = type(kind).__name__
+                assert str(exc.value) == f"a {name} rotation, not simple at eps = {eps:.1e}"
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(y_raw=_VEC4, z_raw=_VEC4, eps=_EPS)
+    def test_generic_simple(self, y_raw, z_raw, eps):
+        vecs = [np.array(v) for v in (y_raw, z_raw)]
+        assume(min(np.linalg.norm(v) for v in vecs) >= 0.1)
+        y, z = (ReflectionNormal(Quaternion.from_array(v / np.linalg.norm(v))) for v in vecs)
+        self.check(from_reflections(y, z), eps)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        p_raw=_VEC,
+        q_raw=_VEC,
+        gap=st.sampled_from([1e-11, 1e-9, 5e-9, 1e-8, 1.5e-8]),
+        side=st.sampled_from([1.0, -1.0]),
+        alpha=st.floats(0.2, 2.9),
+        eps=_EPS,
+    )
+    def test_near_simple_gap(self, p_raw, q_raw, gap, side, alpha, eps):
+        p, q = _unit3(p_raw), _unit3(q_raw)
+        sa = math.cos(alpha)
+        self.check(Rotation4(_factor(sa, p), _factor(sa - side * gap, q)), eps)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        p_raw=_VEC,
+        d_raw=_VEC,
+        gap=st.sampled_from([1e-8, 1e-9, 1e-10]),
+        sign=st.sampled_from([1.0, -1.0]),
+        alpha=st.floats(0.2, 2.9),
+        ds=st.sampled_from([0.0, 1e-9, 1e-3]),
+        eps=_EPS,
+    )
+    def test_axes_near_plus_minus_p(self, p_raw, d_raw, gap, sign, alpha, ds, eps):
+        p = _unit3(p_raw)
+        d = np.array(d_raw)
+        d -= (d @ p.as_array()) * p.as_array()
+        d_axis = _unit3(d)
+        q = _unit3((p * sign + d_axis * gap).components())
+        sa = math.cos(alpha)
+        self.check(Rotation4(_factor(sa, p), _factor(sa - ds, q)), eps)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        p_raw=_VEC,
+        q_raw=_VEC,
+        va=st.sampled_from([5e-10, 1e-9, 2e-9, 1e-8, 0.5]),
+        vb=st.sampled_from([5e-10, 1e-9, 2e-9, 1e-8]),
+        sa_sign=st.sampled_from([1.0, -1.0]),
+        sb_sign=st.sampled_from([1.0, -1.0]),
+        swap=st.booleans(),
+        eps=_EPS,
+    )
+    def test_vector_part_near_eps_axis(self, p_raw, q_raw, va, vb, sa_sign, sb_sign, swap, eps):
+        a = Quaternion(sa_sign * math.sqrt(1.0 - va * va), _unit3(p_raw) * va)
+        b = Quaternion(sb_sign * math.sqrt(1.0 - vb * vb), _unit3(q_raw) * vb)
+        self.check(Rotation4(b, a) if swap else Rotation4(a, b), eps)
 
 
 class TestNearSimpleSplit:
