@@ -74,11 +74,13 @@ def plane_from_span(v1: Quaternion, v2: Quaternion, eps: float = EPS_AXIS) -> Pl
 
 
 def projector_distance(p1: Plane, p2: Plane) -> float:
-    """Max-abs entry difference of the two projectors."""
+    """Max-abs entry difference of the two projectors, entries as in
+    _projector_rows; both are symmetric bit for bit, so i <= j suffices."""
+    rows = list(zip(p1.u.components(), p1.w.components(), p2.u.components(), p2.w.components()))
     return max(
-        abs(x - y)
-        for r1, r2 in zip(_projector_rows(p1), _projector_rows(p2))
-        for x, y in zip(r1, r2)
+        abs(ui * uj + wi * wj - (xi * xj + yi * yj))
+        for i, (ui, wi, xi, yi) in enumerate(rows)
+        for uj, wj, xj, yj in rows[i:]
     )
 
 

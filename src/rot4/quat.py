@@ -193,8 +193,11 @@ K = Quaternion(0.0, Vec3(0.0, 0.0, 1.0))
 
 
 def pure(v: Vec3) -> Quaternion:
-    """Quaternion with zero scalar part and vector part v."""
-    return Quaternion(0.0, v)
+    """Quaternion with zero scalar part and vector part v, built like _quat's results."""
+    q = _new(Quaternion)
+    _set(q, "s", 0.0)
+    _set(q, "v", v)
+    return q
 
 
 def mul(x: Quaternion, y: Quaternion) -> Quaternion:

@@ -36,7 +36,6 @@ from .quat import (
     dot4,
     mul,
     normalized,
-    polar,
     pure,
     require_unit,
 )
@@ -217,12 +216,17 @@ def _eigenvectors(p: Quaternion, q: Quaternion, *signs: float) -> list[Quaternio
     return us
 
 
+def _axis(x: Quaternion) -> Quaternion:
+    """pure(polar(x).axis) without polar's unit check or angle, for |V(x)| > EPS_AXIS."""
+    return pure(x.v / x.v.norm())
+
+
 def _measured_planes(r: Rotation4) -> tuple[tuple[Plane, float], tuple[Plane, float]]:
     """Both invariant planes of r, each measured by plane_rotation_angle, the
     -1 eigenspace of x -> p x q first.  There p x = x q, so r turns it by
     x -> x e^{q(ha+hb)}: it carries the reduced half-angle sum, the +1
     eigenspace the reduced difference."""
-    p, q = pure(polar(r.a).axis), pure(polar(r.b).axis)
+    p, q = _axis(r.a), _axis(r.b)
     first, second = (Plane(u, mul(p, u)) for u in _eigenvectors(p, q, -1.0, 1.0))
     return plane_rotation_angle(r, first), plane_rotation_angle(r, second)
 
@@ -283,7 +287,7 @@ def simple_to_reflections(
     if kind is Identity:
         y = ONE
     elif kind is Simple:
-        (y,) = _eigenvectors(pure(polar(r.a).axis), pure(polar(r.b).axis), -1.0)
+        (y,) = _eigenvectors(_axis(r.a), _axis(r.b), -1.0)
     else:
         raise NotSimple(f"a {kind.__name__} rotation, not simple at eps = {eps:.1e}")
     z = normalized(mul(r.a, y))

@@ -27,10 +27,12 @@ from rot4 import (
     plane_from_span,
     planes_from_matrix,
     polar,
+    pure,
     rodrigues_compose,
     to_matrix,
     unit_from_gibbs,
 )
+import rot4.quat as quat_module
 from conftest import comp_diff, comp_diff_up_to_sign, rand_unit_quat
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -153,6 +155,25 @@ class TestPolar:
     def test_rejects_non_unit(self):
         with pytest.raises(NotUnit):
             polar(Quaternion.of(1, 1, 0, 0))
+
+
+class TestPure:
+    def test_keeps_the_admitted_vector_without_validating_again(self, monkeypatch):
+        v = Vec3(0.6, 0.0, -0.8)
+        calls = []
+
+        def counting(name, value):
+            calls.append(name)
+            return float(value)
+
+        monkeypatch.setattr(quat_module, "_finite", counting)
+        q = pure(v)
+        assert q.v is v
+        assert calls == []
+        assert q.s == 0.0 and type(q.s) is float
+        validated = Quaternion(0.0, v)  # the public constructor checks s
+        assert calls == ["s"]
+        assert q == validated and hash(q) == hash(validated)
 
 
 class TestGibbs:

@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rot4 import (
+    DEFAULT_EPS,
+    EPS_AXIS,
     DegenerateAxis,
     Double,
     I,
@@ -524,6 +526,46 @@ def _factor(s: float, axis: Vec3) -> Quaternion:
 
 
 _EPS = st.sampled_from([1e-12, 1e-8, 1e-6])
+
+
+class TestAxis:
+    """_axis is pure(polar(x).axis) bit for bit, and classify and the split
+    reach it only with |V(x)| > EPS_AXIS, so it never divides by zero."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(x_raw=_VEC4, scale=st.sampled_from([1.0, 1e-3, 2e-9]))
+    def test_equals_polar_axis(self, x_raw, scale):
+        v = np.array(x_raw)
+        assume(np.linalg.norm(v[1:]) >= 0.1)
+        v[1:] *= scale / np.linalg.norm(v[1:])
+        v[0] = math.copysign(math.sqrt(1.0 - scale * scale), v[0])
+        x = Quaternion.from_array(v)
+        got, want = rotation_module._axis(x), pure(polar(x).axis)
+        assert [c.hex() for c in got.components()] == [c.hex() for c in want.components()]
+
+    def test_reached_only_above_eps_axis(self, monkeypatch):
+        axis = rotation_module._axis
+
+        def guarded(x):
+            assert x.v.norm() > EPS_AXIS
+            return axis(x)
+
+        monkeypatch.setattr(rotation_module, "_axis", guarded)
+        p = Vec3(0.48, 0.6, 0.64)
+        factors = [
+            Quaternion(math.copysign(math.sqrt(1.0 - vn * vn), sign), p * vn)
+            for vn in (0.0, 5e-10, EPS_AXIS, 1.5e-9, 0.6)
+            for sign in (1.0, -1.0)
+        ]
+        for a in factors:
+            for b in factors:
+                r = Rotation4(a, b)
+                for eps in (1e-12, DEFAULT_EPS, 1.0):
+                    classify(r, eps)
+                    try:
+                        simple_to_reflections(r, eps)
+                    except NotSimple:
+                        pass
 
 
 class TestSplitMatchesClassify:
