@@ -544,10 +544,11 @@ class TestAxis:
         assert [c.hex() for c in got.components()] == [c.hex() for c in want.components()]
 
     def test_reached_only_above_eps_axis(self, monkeypatch):
-        axis = rotation_module._axis
+        axis, reached = rotation_module._axis, []
 
         def guarded(x):
             assert x.v.norm() > EPS_AXIS
+            reached.append(x)
             return axis(x)
 
         monkeypatch.setattr(rotation_module, "_axis", guarded)
@@ -566,6 +567,7 @@ class TestAxis:
                         simple_to_reflections(r, eps)
                     except NotSimple:
                         pass
+        assert reached
 
 
 class TestSplitMatchesClassify:
