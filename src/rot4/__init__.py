@@ -3,11 +3,15 @@
 Classification (identity / simple / isoclinic / double) with invariant
 planes and angles, composition with geometric-parameter propagation in the
 Gibbs chart, the simplicity criterion for composed simple rotations, and an
-independent matrix-eigendecomposition oracle for cross-checking all of it.
+independent matrix oracle for cross-checking all of it, which reads the
+invariant planes off M + M^T in plain floats, without an eigensolver.
 
-Only the oracle and rot4.linalg4 compute with numpy arrays.  They load on
-first use, so `import rot4` does not import numpy: the oracle's names below
-resolve through the module __getattr__.
+Only rot4.linalg4 computes with numpy arrays.  It and the functions that
+return arrays (to_matrix, left_mult_matrix, right_mult_matrix and the
+as_array and projector conversions) import numpy on first use, so
+`import rot4` does not import numpy.  The oracle loads on first use too,
+keeping its import time off the commands that never call it: its names
+below resolve through the module __getattr__.
 """
 
 from .compose import (
@@ -140,7 +144,6 @@ __all__ = [
     "rodrigues_compose",
     "same_plane",
     "simple_to_reflections",
-    "symmetric_eigen4",
     "to_matrix",
     "unit_from_gibbs",
 ]
@@ -152,7 +155,6 @@ _ORACLE_NAMES = (
     "left_mult_matrix",
     "planes_from_matrix",
     "right_mult_matrix",
-    "symmetric_eigen4",
 )
 
 

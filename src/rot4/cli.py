@@ -30,10 +30,10 @@ from .rotation import (
     Simple,
     _kind,
     _leading_negative,
+    _matrix_rows,
     classify,
     from_reflections,
     simple_to_reflections,
-    to_matrix,
 )
 
 EXIT_OK = 0
@@ -229,7 +229,7 @@ def build_verify_report(r: Rotation4, eps: float = DEFAULT_EPS) -> dict:
     formula, planes_free = _formula_entries(kind)
     # eps governs the comparison verdict; eigenvalue pairing never needs to be
     # stricter than the default, or exact pairs would fail at rounding level
-    oracle = planes_from_matrix(to_matrix(r), max(eps, DEFAULT_EPS))
+    oracle = planes_from_matrix(_matrix_rows(r), max(eps, DEFAULT_EPS))
     oracle_entries = [(oracle.plane1, oracle.angle1), (oracle.plane2, oracle.angle2)]
 
     # two possible pairings; take the one with the smaller total angle gap

@@ -2,29 +2,35 @@
 
 The map x -> a x b is linear, so it has a 4x4 matrix M in the basis
 (1, i, j, k).  For a rotation with angles t1, t2 on its two orthogonal
-invariant planes, the symmetric part M + M^T acts as 2*cos(t_i) on plane i:
-its eigenspaces are the invariant planes and its eigenvalues encode the
-angle cosines.  The antisymmetric part (M - M^T)/2 acts as sin(t_i) times a
-quarter-turn on plane i, which recovers the sines.  planes_from_matrix makes
-one LAPACK call, eigh on M + M^T, and reads the rest as floats.  Everything
-is derived from the matrix alone; none of the closed-form plane constructions
-of the rest of the package are consulted, so this module can arbitrate them.
+invariant planes, S = M + M^T acts as 2*cos(t_i) on plane i: its two double
+eigenvalues l1 > l2 encode the angle cosines, and its eigenspaces are the
+invariant planes.  N = S - (tr S / 4) I equals ((l1 - l2) / 2) (P1 - P2) for
+the plane projectors P1, P2, so |N|_F = l1 - l2 and P1,2 = (I +- 2N/|N|_F)/2:
+no eigensolver is needed.  The antisymmetric part (M - M^T)/2 acts as
+sin(t_i) times a quarter-turn on plane i, which recovers the sines.
+planes_from_matrix computes all of it in plain floats.  Everything is derived
+from the matrix alone; none of the closed-form plane constructions of the rest
+of the package are consulted, so this module can arbitrate them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import PairingFailure
 from .plane import Plane
-from .quat import DEFAULT_EPS, EPS_ALG, EPS_MATRIX, Quaternion
+from .quat import DEFAULT_EPS, EPS_MATRIX, Quaternion, _quat
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def left_mult_matrix(a: Quaternion) -> np.ndarray:
     """Matrix of x -> a x in the basis (1, i, j, k)."""
+    import numpy as np
+
     s, x1, x2, x3 = a.components()
     return np.array(
         [
@@ -38,6 +44,8 @@ def left_mult_matrix(a: Quaternion) -> np.ndarray:
 
 def right_mult_matrix(b: Quaternion) -> np.ndarray:
     """Matrix of x -> x b in the basis (1, i, j, k)."""
+    import numpy as np
+
     s, x1, x2, x3 = b.components()
     return np.array(
         [
@@ -49,30 +57,14 @@ def right_mult_matrix(b: Quaternion) -> np.ndarray:
     )
 
 
-def symmetric_eigen4(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvector columns of a
-    symmetric 4x4 matrix, by LAPACK's symmetric eigensolver.
-
-    Raises ValueError for a non-4x4, non-finite or asymmetric input.  The gate
-    and the average with the transpose change nothing on an input that is
-    symmetric bit for bit, such as m + m.T: planes_from_matrix skips them.
-    """
-    s = np.array(matrix, dtype=float)
-    if s.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {s.shape}")
-    if not (np.isfinite(s).all() and np.abs(s - s.T).max() <= EPS_ALG):
-        raise ValueError("matrix is not symmetric")
-    eigvals, eigvecs = np.linalg.eigh((s + s.T) / 2.0)
-    return eigvals[::-1], eigvecs[:, ::-1]
-
-
 @dataclass(frozen=True)
 class OraclePlanes:
     """Invariant planes and angles recovered from a rotation matrix.
 
     Angles are unsigned, in [0, pi].  When the two angles coincide the
-    planes are not unique (any orthogonal split works); isoclinic is then
-    set and the reported planes are just one admissible choice.
+    planes are not unique; isoclinic is then set and the reported planes
+    are the fixed split (e0, e1), (e2, e3), which need not be invariant, so
+    only the angles are meaningful.
     """
 
     plane1: Plane
@@ -82,36 +74,137 @@ class OraclePlanes:
     isoclinic: bool
 
 
+def _rows(matrix) -> list[list[float]]:
+    """The 4x4 matrix (nested sequences or an array) as rows of floats."""
+    try:
+        rows = [[float(x) for x in row] for row in matrix]
+    except TypeError:
+        rows = None
+    if rows is None or len(rows) != 4 or any(len(row) != 4 for row in rows):
+        raise ValueError("expected a 4x4 matrix")
+    return rows
+
+
+def _is_rotation(m: list[list[float]], cols: list[tuple[float, ...]]) -> bool:
+    """Finite, with every entry of M^T M - I and det M - 1 within
+    EPS_MATRIX.  x*0.0 is 0.0 exactly when x is finite, so one fused test
+    refuses NaN and infinities before any comparison could let them pass."""
+    if sum([x * 0.0 for row in m for x in row]) != 0.0:
+        return False
+    for i, (a0, a1, a2, a3) in enumerate(cols):
+        for j, (b0, b1, b2, b3) in enumerate(cols[i:], i):
+            if abs(a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 - (i == j)) > EPS_MATRIX:
+                return False
+    # Laplace expansion along the 2x2 minors of rows 0, 1 and rows 2, 3
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    det = (
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+    )
+    return abs(det - 1.0) <= EPS_MATRIX
+
+
+def _pair_split(n: list[list[float]], norm: float) -> float:
+    """The split of N's eigenvalues within their pairs, read off the
+    residual R = N^2 - (|N|_F/2)^2 I, which vanishes for a rotation.  For
+    eigenvalues c +- s1/2 and -c +- s2/2, |N|_F is about 2c and R has
+    eigenvalues about +-c s1 and +-c s2, so sqrt(2) |R|_F / |N|_F is
+    sqrt(s1^2 + s2^2) to first order: at least the larger split, and at
+    most sqrt(2) times it."""
+    quarter = norm * norm / 4.0
+    r_sq = 0.0
+    for i, (a0, a1, a2, a3) in enumerate(n):
+        for j, (b0, b1, b2, b3) in enumerate(n[i:], i):
+            x = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+            r_sq += (x - quarter) ** 2 if i == j else 2.0 * x * x
+    return math.sqrt(2.0 * r_sq) / norm
+
+
+def _basis(q: list[list[float]], norm: float) -> tuple[Quaternion, Quaternion]:
+    """An orthonormal (u, w) of the plane whose projector P is q / norm: u is
+    the column of P at its largest diagonal entry, normalised, and w the
+    column of P - u u^T at its largest diagonal entry, with u projected out
+    once more and normalised.  A column at the largest diagonal entry has
+    squared norm that entry, at least 1/2 for P and 1/4 for P - u u^T, as
+    their traces are 2 and 1."""
+    diag = [q[0][0], q[1][1], q[2][2], q[3][3]]
+    u0, u1, u2, u3 = q[diag.index(max(diag))]
+    scale = 1.0 / math.sqrt(u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3)
+    u0, u1, u2, u3 = u0 * scale, u1 * scale, u2 * scale, u3 * scale
+    rest = [d - norm * x * x for d, x in zip(diag, (u0, u1, u2, u3))]
+    j = rest.index(max(rest))
+    w0, w1, w2, w3 = q[j]
+    uj = norm * (u0, u1, u2, u3)[j]
+    w0, w1, w2, w3 = w0 - u0 * uj, w1 - u1 * uj, w2 - u2 * uj, w3 - u3 * uj
+    along = w0 * u0 + w1 * u1 + w2 * u2 + w3 * u3
+    w0, w1, w2, w3 = w0 - u0 * along, w1 - u1 * along, w2 - u2 * along, w3 - u3 * along
+    scale = 1.0 / math.sqrt(w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3)
+    return _quat(u0, u1, u2, u3), _quat(w0 * scale, w1 * scale, w2 * scale, w3 * scale)
+
+
+_ISOCLINIC_BASES = (
+    (_quat(1.0, 0.0, 0.0, 0.0), _quat(0.0, 1.0, 0.0, 0.0)),
+    (_quat(0.0, 0.0, 1.0, 0.0), _quat(0.0, 0.0, 0.0, 1.0)),
+)
+
+
 def planes_from_matrix(matrix, eps: float = DEFAULT_EPS) -> OraclePlanes:
-    """Recover invariant planes and angles of a 4x4 rotation matrix."""
-    m = np.array(matrix, dtype=float)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+    """Recover invariant planes and angles of a 4x4 rotation matrix.
+
+    Takes nested sequences or an array, and raises ValueError unless they
+    form a 4x4 matrix that is finite, orthogonal and of determinant 1 to
+    EPS_MATRIX.  The rotation is isoclinic when |N|_F = l1 - l2 <= eps; its
+    planes are then (e0, e1) and (e2, e3).  Otherwise a pair split of more
+    than eps (_pair_split) raises PairingFailure, and the planes are read
+    off P1 = I/2 + N/|N|_F, of the larger eigenvalue l1, and P2 = I - P1.
+    """
+    m = _rows(matrix)
+    cols = list(zip(*m))
     # admission is looser than the 1e-9 unit-norm gate on quaternion factors:
     # factors at that boundary already give an orthogonality defect near 2e-9.
-    # A NaN passes every `>` test, so non-finite input counts as infinitely off.
-    defect = np.abs(m.T @ m - np.eye(4)).max() if np.isfinite(m).all() else math.inf
-    if defect > EPS_MATRIX or abs(np.linalg.det(m) - 1.0) > EPS_MATRIX:
+    if not _is_rotation(m, cols):
         raise ValueError("matrix is not a rotation (orthogonal, det +1) to tolerance")
 
-    # the only LAPACK call; m + m.T is symmetric bit for bit, as a_ij + a_ji == a_ji + a_ij
-    ascending, eigvecs = np.linalg.eigh(m + m.T)
-    eigvals = ascending.tolist()[::-1]
-    if eigvals[0] - eigvals[1] > eps or eigvals[2] - eigvals[3] > eps:
-        raise PairingFailure(
-            f"eigenvalues {ascending[::-1]} do not split into two near-equal pairs"
+    mean = (m[0][0] + m[1][1] + m[2][2] + m[3][3]) / 2.0  # tr S / 4
+    n = [[x + y for x, y in zip(row, col)] for row, col in zip(m, cols)]
+    for i in range(4):
+        n[i][i] -= mean
+    norm = math.sqrt(sum([x * x for row in n for x in row]))
+    isoclinic = norm <= eps
+    if isoclinic:
+        bases = _ISOCLINIC_BASES
+    else:
+        # N = 0 gets here only for eps < 0, which every split exceeds
+        split = _pair_split(n, norm) if norm > 0.0 else 0.0
+        if split > eps:
+            raise PairingFailure(
+                f"eigenvalues of M + M^T split by {split:.3e} within a pair, above eps = {eps:.1e}"
+            )
+        # norm * P1 = N + (norm/2) I and norm * P2 = (norm/2) I - N
+        q1 = [row[:] for row in n]
+        q2 = [[-x for x in row] for row in n]
+        for i in range(4):
+            q1[i][i] += norm / 2.0
+            q2[i][i] += norm / 2.0
+        bases = (_basis(q1, norm), _basis(q2, norm))
+
+    # |sin| = |A u| for A = (M - M^T)/2 keeps near-zero angles
+    # well-conditioned, where acos of the eigenvalue loses half the digits
+    a01, a02, a03 = (m[0][1] - m[1][0]) / 2.0, (m[0][2] - m[2][0]) / 2.0, (m[0][3] - m[3][0]) / 2.0
+    a12, a13, a23 = (m[1][2] - m[2][1]) / 2.0, (m[1][3] - m[3][1]) / 2.0, (m[2][3] - m[3][2]) / 2.0
+    out = []
+    for (u, w), pair_mean in zip(bases, (mean + norm / 2.0, mean - norm / 2.0)):
+        u0, u1, u2, u3 = u.components()
+        sine = math.hypot(
+            a01 * u1 + a02 * u2 + a03 * u3,
+            a12 * u2 + a13 * u3 - a01 * u0,
+            a23 * u3 - a02 * u0 - a12 * u1,
+            -a03 * u0 - a13 * u1 - a23 * u2,
         )
-    columns = eigvecs.T.tolist()[::-1]
-    # |sin| from the antisymmetric part keeps near-zero angles well-conditioned,
-    # where arccos of the eigenvalue loses half the digits
-    images = ((m - m.T) / 2.0 @ eigvecs).T.tolist()[::-1]
-
-    def plane_and_angle(i0: int) -> tuple[Plane, float]:
-        pair_mean = (eigvals[i0] + eigvals[i0 + 1]) / 2.0
-        angle = math.atan2(math.sqrt(sum(x * x for x in images[i0])), pair_mean / 2.0)
-        return Plane(Quaternion.of(*columns[i0]), Quaternion.of(*columns[i0 + 1])), angle
-
-    plane1, angle1 = plane_and_angle(0)
-    plane2, angle2 = plane_and_angle(2)
-    isoclinic = (eigvals[0] - eigvals[3]) <= eps
+        out.append((Plane(u, w), math.atan2(sine, pair_mean / 2.0)))
+    (plane1, angle1), (plane2, angle2) = out
     return OraclePlanes(plane1, angle1, plane2, angle2, isoclinic)

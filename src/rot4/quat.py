@@ -18,11 +18,12 @@ if TYPE_CHECKING:
     import numpy as np
 
 # Every tolerance of the package.  Tiers: pure-algebra identities hold to
-# rounding; unit-norm admission of user input is deliberately looser;
-# EPS_AXIS tells a factor +-1 and EPS_GIBBS a Gibbs-chart breakdown.  Then
-# the default classification tolerance, the oracle's matrix admission, the
-# seeded isoclinic margin, the default projector equality of planes, and
-# the relative singular-value cut of linalg4.rank.
+# rounding, and EPS_ALG is the bound the tests hold them to (no rot4 code
+# compares against it); unit-norm admission of user input is deliberately
+# looser; EPS_AXIS tells a factor +-1 and EPS_GIBBS a Gibbs-chart breakdown.
+# Then the default classification tolerance, the oracle's matrix admission,
+# the seeded isoclinic margin, the default projector equality of planes,
+# and the relative singular-value cut of linalg4.rank.
 EPS_ALG = 1e-12
 EPS_UNIT = 1e-9
 EPS_AXIS = 1e-9

@@ -82,11 +82,24 @@ def apply(r: Rotation4, x: Quaternion) -> Quaternion:
     return mul(mul(r.a, x), r.b)
 
 
+def _matrix_rows(r: Rotation4) -> list[list[float]]:
+    """Rows of M = L(a) R(b), the matrices of x -> a x and x -> x b: entry
+    (i, j) is row i of L(a) times column j of R(b), summed in that order."""
+    s, x1, x2, x3 = r.a.components()
+    t, y1, y2, y3 = r.b.components()
+    left = ((s, -x1, -x2, -x3), (x1, s, -x3, x2), (x2, x3, s, -x1), (x3, -x2, x1, s))
+    right_cols = ((t, y1, y2, y3), (-y1, t, -y3, y2), (-y2, y3, t, -y1), (-y3, -y2, y1, t))
+    return [
+        [l0 * c0 + l1 * c1 + l2 * c2 + l3 * c3 for c0, c1, c2, c3 in right_cols]
+        for l0, l1, l2, l3 in left
+    ]
+
+
 def to_matrix(r: Rotation4) -> np.ndarray:
     """4x4 matrix M with M @ [s, x1, x2, x3] = components of apply(r, x)."""
-    from .oracle import left_mult_matrix, right_mult_matrix
+    import numpy as np
 
-    return left_mult_matrix(r.a) @ right_mult_matrix(r.b)
+    return np.array(_matrix_rows(r))
 
 
 @dataclass(frozen=True)
