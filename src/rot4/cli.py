@@ -221,14 +221,14 @@ def _formula_entries(kind) -> tuple[list[tuple[Plane | None, float]], bool]:
 
 
 def build_verify_report(r: Rotation4, eps: float = DEFAULT_EPS) -> dict:
-    """Compare classify's planes/angles with the matrix-eigendecomposition
-    route on the same rotation."""
+    """Compare classify's planes/angles with the matrix oracle, which reads
+    them off M + M^T and M - M^T of the same rotation in floats."""
     from .oracle import planes_from_matrix
 
     kind = classify(r, eps)
     formula, planes_free = _formula_entries(kind)
-    # eps governs the comparison verdict; eigenvalue pairing never needs to be
-    # stricter than the default, or exact pairs would fail at rounding level
+    # eps governs the comparison verdict; the oracle's pairing test never needs
+    # to be stricter than the default, or exact pairs would fail at rounding level
     oracle = planes_from_matrix(_matrix_rows(r), max(eps, DEFAULT_EPS))
     oracle_entries = [(oracle.plane1, oracle.angle1), (oracle.plane2, oracle.angle2)]
 

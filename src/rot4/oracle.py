@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import TYPE_CHECKING
 
 from .errors import PairingFailure
@@ -61,10 +62,11 @@ def right_mult_matrix(b: Quaternion) -> np.ndarray:
 class OraclePlanes:
     """Invariant planes and angles recovered from a rotation matrix.
 
-    Angles are unsigned, in [0, pi].  When the two angles coincide the
-    planes are not unique; isoclinic is then set and the reported planes
-    are the fixed split (e0, e1), (e2, e3), which need not be invariant, so
-    only the angles are meaningful.
+    Angles are unsigned, in [0, pi].  isoclinic is set when the cosines of
+    the two angles agree to eps, so that the planes are not told apart to
+    that tolerance; the planes are still read off the matrix, but when N is
+    rounding noise they are the fixed split (e0, e1), (e2, e3), which need
+    not be invariant.  Either way only the angles are meaningful then.
     """
 
     plane1: Plane
@@ -75,14 +77,22 @@ class OraclePlanes:
 
 
 def _rows(matrix) -> list[list[float]]:
-    """The 4x4 matrix (nested sequences or an array) as rows of floats."""
+    """The 4x4 matrix (nested sequences or an array) as rows of floats.
+    Every entry must be a real number: float() would also take an array of
+    one element, which would let a 4x4x1 array through."""
     try:
-        rows = [[float(x) for x in row] for row in matrix]
+        rows = [[x if type(x) is float else _real(x) for x in row] for row in matrix]
     except TypeError:
         rows = None
     if rows is None or len(rows) != 4 or any(len(row) != 4 for row in rows):
         raise ValueError("expected a 4x4 matrix")
     return rows
+
+
+def _real(x) -> float:
+    if not isinstance(x, Real):
+        raise TypeError(f"not a real number: {x!r}")
+    return float(x)
 
 
 def _is_rotation(m: list[list[float]], cols: list[tuple[float, ...]]) -> bool:
@@ -124,29 +134,48 @@ def _pair_split(n: list[list[float]], norm: float) -> float:
     return math.sqrt(2.0 * r_sq) / norm
 
 
-def _basis(q: list[list[float]], norm: float) -> tuple[Quaternion, Quaternion]:
-    """An orthonormal (u, w) of the plane whose projector P is q / norm: u is
-    the column of P at its largest diagonal entry, normalised, and w the
-    column of P - u u^T at its largest diagonal entry, with u projected out
-    once more and normalised.  A column at the largest diagonal entry has
-    squared norm that entry, at least 1/2 for P and 1/4 for P - u u^T, as
-    their traces are 2 and 1."""
-    diag = [q[0][0], q[1][1], q[2][2], q[3][3]]
-    u0, u1, u2, u3 = q[diag.index(max(diag))]
-    scale = 1.0 / math.sqrt(u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3)
+def _basis(p: list[list[float]]) -> tuple[Quaternion, Quaternion] | None:
+    """An orthonormal (u, w) of the plane whose projector is P: u is the
+    column of P at its largest diagonal entry, normalised, and w the column
+    of P - u u^T at its largest diagonal entry, with u projected out once
+    more and normalised.  For a projector those columns have squared norm
+    at least 1/2 and 1/4, as the traces are 2 and 1.  None when they fall
+    below 1/4 and 1/8: P is then no projector, which happens only when N is
+    rounding noise."""
+    diag = [p[0][0], p[1][1], p[2][2], p[3][3]]
+    u0, u1, u2, u3 = p[diag.index(max(diag))]
+    u_sq = u0 * u0 + u1 * u1 + u2 * u2 + u3 * u3
+    if not u_sq >= 0.25:
+        return None
+    scale = 1.0 / math.sqrt(u_sq)
     u0, u1, u2, u3 = u0 * scale, u1 * scale, u2 * scale, u3 * scale
-    rest = [d - norm * x * x for d, x in zip(diag, (u0, u1, u2, u3))]
+    rest = [d - x * x for d, x in zip(diag, (u0, u1, u2, u3))]
     j = rest.index(max(rest))
-    w0, w1, w2, w3 = q[j]
-    uj = norm * (u0, u1, u2, u3)[j]
+    w0, w1, w2, w3 = p[j]
+    uj = (u0, u1, u2, u3)[j]
     w0, w1, w2, w3 = w0 - u0 * uj, w1 - u1 * uj, w2 - u2 * uj, w3 - u3 * uj
     along = w0 * u0 + w1 * u1 + w2 * u2 + w3 * u3
     w0, w1, w2, w3 = w0 - u0 * along, w1 - u1 * along, w2 - u2 * along, w3 - u3 * along
-    scale = 1.0 / math.sqrt(w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3)
+    w_sq = w0 * w0 + w1 * w1 + w2 * w2 + w3 * w3
+    if not w_sq >= 0.125:
+        return None
+    scale = 1.0 / math.sqrt(w_sq)
     return _quat(u0, u1, u2, u3), _quat(w0 * scale, w1 * scale, w2 * scale, w3 * scale)
 
 
-_ISOCLINIC_BASES = (
+def _bases(n: list[list[float]], norm: float):
+    """The bases of the planes of P1 = I/2 + N/|N|_F and P2 = I - P1, or
+    None when either is no projector."""
+    p1 = [[x / norm for x in row] for row in n]
+    p2 = [[-x for x in row] for row in p1]
+    for i in range(4):
+        p1[i][i] += 0.5
+        p2[i][i] += 0.5
+    basis1, basis2 = _basis(p1), _basis(p2)
+    return None if basis1 is None or basis2 is None else (basis1, basis2)
+
+
+_FIXED_SPLIT = (
     (_quat(1.0, 0.0, 0.0, 0.0), _quat(0.0, 1.0, 0.0, 0.0)),
     (_quat(0.0, 0.0, 1.0, 0.0), _quat(0.0, 0.0, 0.0, 1.0)),
 )
@@ -157,10 +186,14 @@ def planes_from_matrix(matrix, eps: float = DEFAULT_EPS) -> OraclePlanes:
 
     Takes nested sequences or an array, and raises ValueError unless they
     form a 4x4 matrix that is finite, orthogonal and of determinant 1 to
-    EPS_MATRIX.  The rotation is isoclinic when |N|_F = l1 - l2 <= eps; its
-    planes are then (e0, e1) and (e2, e3).  Otherwise a pair split of more
-    than eps (_pair_split) raises PairingFailure, and the planes are read
-    off P1 = I/2 + N/|N|_F, of the larger eigenvalue l1, and P2 = I - P1.
+    EPS_MATRIX.  The rotation is isoclinic when |N|_F = l1 - l2 <= eps.
+    Otherwise a pair split of more than eps (_pair_split) raises
+    PairingFailure.  The planes are read off P1 = I/2 + N/|N|_F, of the
+    larger eigenvalue l1, and P2 = I - P1, isoclinic or not: a small |N|_F
+    still tells the planes apart, to u/|N|_F as an eigensolver would, and
+    near angle 0 or pi two angles whose cosines agree within eps may differ
+    by sqrt(eps).  Only when N is rounding noise, so that P1 is no
+    projector (_basis), are the planes the fixed split (e0, e1), (e2, e3).
     """
     m = _rows(matrix)
     cols = list(zip(*m))
@@ -173,24 +206,20 @@ def planes_from_matrix(matrix, eps: float = DEFAULT_EPS) -> OraclePlanes:
     n = [[x + y for x, y in zip(row, col)] for row, col in zip(m, cols)]
     for i in range(4):
         n[i][i] -= mean
-    norm = math.sqrt(sum([x * x for row in n for x in row]))
+    norm = math.hypot(*[x for row in n for x in row])
     isoclinic = norm <= eps
-    if isoclinic:
-        bases = _ISOCLINIC_BASES
-    else:
-        # N = 0 gets here only for eps < 0, which every split exceeds
+    if not isoclinic:
         split = _pair_split(n, norm) if norm > 0.0 else 0.0
         if split > eps:
             raise PairingFailure(
                 f"eigenvalues of M + M^T split by {split:.3e} within a pair, above eps = {eps:.1e}"
             )
-        # norm * P1 = N + (norm/2) I and norm * P2 = (norm/2) I - N
-        q1 = [row[:] for row in n]
-        q2 = [[-x for x in row] for row in n]
-        for i in range(4):
-            q1[i][i] += norm / 2.0
-            q2[i][i] += norm / 2.0
-        bases = (_basis(q1, norm), _basis(q2, norm))
+    bases = _bases(n, norm) if norm > 0.0 else None
+    if bases is None:
+        if not isoclinic:
+            # |N|_F > eps, yet N is too far from paired to give planes
+            raise PairingFailure(f"planes of M + M^T not resolved at eps = {eps:.1e}")
+        bases = _FIXED_SPLIT
 
     # |sin| = |A u| for A = (M - M^T)/2 keeps near-zero angles
     # well-conditioned, where acos of the eigenvalue loses half the digits
