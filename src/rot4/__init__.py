@@ -7,9 +7,8 @@ independent matrix oracle for cross-checking all of it, which reads the
 invariant planes off M + M^T in plain floats, without an eigensolver.
 
 Only rot4.linalg4 computes with numpy arrays.  It and the functions that
-return arrays (to_matrix, left_mult_matrix, right_mult_matrix and the
-as_array and projector conversions) import numpy on first use, so
-`import rot4` does not import numpy.  The oracle loads on first use too,
+return arrays (to_matrix, left_mult_matrix and right_mult_matrix) import
+numpy on first use, so `import rot4` does not import numpy.  The oracle loads on first use too,
 keeping its import time off the commands that never call it: its names
 below resolve through the module __getattr__.
 """
@@ -33,7 +32,6 @@ from .errors import (
 )
 from .plane import (
     Plane,
-    plane_from_span,
     planes_orthogonal,
     projector_distance,
     same_plane,
@@ -49,7 +47,6 @@ from .quat import (
     J,
     K,
     ONE,
-    PolarForm,
     Quaternion,
     Vec3,
     conj,
@@ -59,7 +56,6 @@ from .quat import (
     norm,
     norm_sq,
     normalized,
-    polar,
     pure,
     rodrigues_compose,
     unit_from_gibbs,
@@ -76,7 +72,6 @@ from .rotation import (
     apply,
     classify,
     from_reflections,
-    invariant_planes,
     plane_rotation_angle,
     reflect,
     simple_to_reflections,
@@ -105,7 +100,6 @@ __all__ = [
     "OraclePlanes",
     "PairingFailure",
     "Plane",
-    "PolarForm",
     "Quaternion",
     "ReflectionNormal",
     "RightIsoclinic",
@@ -125,18 +119,15 @@ __all__ = [
     "dot4",
     "from_reflections",
     "gibbs_from_unit",
-    "invariant_planes",
     "is_composition_simple",
     "left_mult_matrix",
     "mul",
     "norm",
     "norm_sq",
     "normalized",
-    "plane_from_span",
     "plane_rotation_angle",
     "planes_from_matrix",
     "planes_orthogonal",
-    "polar",
     "projector_distance",
     "pure",
     "reflect",

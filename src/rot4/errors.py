@@ -19,8 +19,8 @@ class GibbsSingular(Rot4Error):
 
 
 class DegenerateAxis(Rot4Error):
-    """An axis or plane cannot be recovered because the defining vector
-    (or span) is degenerate."""
+    """composed_planes_from_gibbs got a vanishing Gibbs vector, so the
+    axis it would read the planes from is undefined."""
 
 
 class PairingFailure(Rot4Error):

@@ -8,15 +8,9 @@ rotation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .errors import DegenerateAxis
-from .quat import EPS_AXIS, EPS_PLANE, EPS_UNIT, Quaternion, dot4, norm_sq
-
-if TYPE_CHECKING:
-    import numpy as np
+from .quat import EPS_PLANE, EPS_UNIT, Quaternion, dot4, norm_sq
 
 
 @dataclass(frozen=True)
@@ -34,43 +28,16 @@ class Plane:
         ):
             raise ValueError("plane basis is not orthonormal")
 
-    def projector(self) -> np.ndarray:
-        """Symmetric rank-2 idempotent u*u^T + w*w^T."""
-        import numpy as np
-
-        return np.array(_projector_rows(self))
-
-    def contains(self, x: Quaternion, eps: float = EPS_PLANE) -> bool:
-        """True when x lies in the plane up to a projection residual of eps."""
-        xs = x.components()
-        return all(
-            abs(sum(p * c for p, c in zip(row, xs)) - xi) <= eps
-            for row, xi in zip(_projector_rows(self), xs)
-        )
-
     def flipped(self) -> "Plane":
         """Same plane with reversed orientation."""
         return Plane(self.u, -self.w)
 
 
 def _projector_rows(plane: Plane) -> list[list[float]]:
-    """Rows of the projector, entry (i, j) = u_i*u_j + w_i*w_j: the floats
-    numpy's outer(u, u) + outer(w, w) gives, bit for bit."""
+    """Rows of the projector, entry (i, j) = u_i*u_j + w_i*w_j: bit for bit
+    the floats of outer(u, u) + outer(w, w)."""
     us, ws = plane.u.components(), plane.w.components()
     return [[ui * uj + wi * wj for uj, wj in zip(us, ws)] for ui, wi in zip(us, ws)]
-
-
-def plane_from_span(v1: Quaternion, v2: Quaternion, eps: float = EPS_AXIS) -> Plane:
-    """Orthonormalize the spanning pair (v1 first) via Gram-Schmidt."""
-    n1 = math.sqrt(norm_sq(v1))
-    if n1 <= eps:
-        raise DegenerateAxis("first spanning vector is (near-)zero")
-    u = v1 / n1
-    w = v2 - u * dot4(v2, u)
-    n2 = math.sqrt(norm_sq(w))
-    if n2 <= eps:
-        raise DegenerateAxis("spanning vectors are (near-)collinear")
-    return Plane(u, w / n2)
 
 
 def projector_distance(p1: Plane, p2: Plane) -> float:

@@ -1,4 +1,4 @@
-"""Quaternion arithmetic with polar and Gibbs (tangent-vector) forms.
+"""Quaternion arithmetic, the Gibbs (tangent-vector) form, and every tolerance.
 
 A quaternion x = s + x1*i + x2*j + x3*k is stored as a scalar part plus a
 3-vector part.  Its four components double as coordinates of a point of
@@ -10,12 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import GibbsSingular, NotUnit
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Every tolerance of the package.  Tiers: pure-algebra identities hold to
 # rounding, and EPS_ALG is the bound the tests hold them to (no rot4 code
@@ -81,11 +77,6 @@ class Vec3:
     def components(self) -> tuple[float, float, float]:
         return (self.x1, self.x2, self.x3)
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.components())
-
     def __add__(self, other: "Vec3") -> "Vec3":
         return _vec(self.x1 + other.x1, self.x2 + other.x2, self.x3 + other.x3)
 
@@ -140,11 +131,6 @@ class Quaternion:
 
     def components(self) -> tuple[float, float, float, float]:
         return (self.s, self.v.x1, self.v.x2, self.v.x3)
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.components())
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
         v, w = self.v, other.v
@@ -247,33 +233,6 @@ def require_unit(x: Quaternion, what: str = "quaternion") -> None:
     """Raise NotUnit unless |x| = 1 within the admission tolerance."""
     if abs(norm_sq(x) - 1.0) > EPS_UNIT:
         raise NotUnit(f"{what} has norm_sq {norm_sq(x)!r}, expected 1")
-
-
-@dataclass(frozen=True)
-class PolarForm:
-    """Polar data of a unit quaternion: cos(half_angle) + axis*sin(half_angle).
-
-    half_angle lies in [0, pi].  When the vector part vanishes the axis is
-    arbitrary; it is then reported as i with axis_degenerate set, so callers
-    never mistake the placeholder for a real axis.
-    """
-
-    half_angle: float
-    axis: Vec3
-    axis_degenerate: bool = False
-
-    def to_quaternion(self) -> Quaternion:
-        sine, axis = math.sin(self.half_angle), self.axis
-        return _quat(math.cos(self.half_angle), axis.x1 * sine, axis.x2 * sine, axis.x3 * sine)
-
-
-def polar(a: Quaternion) -> PolarForm:
-    """Polar form of a unit quaternion."""
-    require_unit(a)
-    vnorm = a.v.norm()
-    if vnorm <= EPS_AXIS:
-        return PolarForm(0.0 if a.s > 0.0 else math.pi, Vec3(1.0, 0.0, 0.0), True)
-    return PolarForm(math.atan2(vnorm, a.s), a.v / vnorm)
 
 
 def gibbs_from_unit(a: Quaternion) -> Vec3:

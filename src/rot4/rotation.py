@@ -12,6 +12,8 @@ Conventions fixed here once and used everywhere:
 * All reported rotation angles lie in [0, pi]; each reported plane has its
   basis oriented so the in-plane turn is counterclockwise relative to
   (u, w).  This removes the double ambiguity plane-orientation x angle-sign.
+  A simple rotation's fixed plane does not turn and keeps the basis
+  (u, p u) it is built with.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .quat import (
     J,
     K,
     Quaternion,
-    Vec3,
     conj,
     dot4,
     mul,
@@ -163,8 +164,9 @@ class RightIsoclinic:
 class Double:
     """Two orthogonal planes turn by distinct angles.
 
-    With factor polar half-angles ha and hb, plane1 carries ha + hb and
-    plane2 carries ha - hb, each reduced to [0, pi]."""
+    Write the factors as a = cos(ha) + p sin(ha) and b = cos(hb) + q sin(hb)
+    with unit axes p, q and half-angles ha, hb in [0, pi].  plane1 carries
+    ha + hb and plane2 carries ha - hb, each reduced to [0, pi]."""
 
     plane1: Plane
     angle1: float
@@ -198,20 +200,6 @@ def plane_rotation_angle(r: Rotation4, invariant: Plane) -> tuple[Plane, float]:
 _BASIS = (ONE, I, J, K)
 
 
-def invariant_planes(p: Vec3, q: Vec3) -> tuple[Plane, Plane]:
-    """The two orthogonal invariant planes of x -> a x b from the unit axes
-    p (of a) and q (of b): the +1 and -1 eigenspaces of the symmetric
-    involution T x = p x q, holding p - q, 1 + pq and p + q, 1 - pq.  Each u
-    comes from _eigenvectors; its partner p u is orthogonal to u and in the
-    plane, as x -> p x commutes with T.  No axis threshold is involved.  The
-    plane holding more of 1 comes first; which carries which angle is
-    classify's concern.
-    """
-    pp, pq = pure(p), pure(q)
-    plus, minus = (Plane(u, mul(pp, u)) for u in _eigenvectors(pp, pq, 1.0, -1.0))
-    return (minus, plus) if p.dot(q) > 0.0 else (plus, minus)
-
-
 def _eigenvectors(p: Quaternion, q: Quaternion, *signs: float) -> list[Quaternion]:
     """For each s = +-1 in signs, a unit u of the s-eigenspace of T x = p x q
     for pure unit p, q: column k of 2P = I + sT, twice the projector, at its
@@ -230,17 +218,25 @@ def _eigenvectors(p: Quaternion, q: Quaternion, *signs: float) -> list[Quaternio
 
 
 def _axis(x: Quaternion) -> Quaternion:
-    """pure(polar(x).axis) without polar's unit check or angle, for |V(x)| > EPS_AXIS."""
+    """The unit axis V(x)/|V(x)| as a pure quaternion, for |V(x)| > EPS_AXIS."""
     return pure(x.v / x.v.norm())
 
 
-def _measured_planes(r: Rotation4) -> tuple[tuple[Plane, float], tuple[Plane, float]]:
-    """Both invariant planes of r, each measured by plane_rotation_angle, the
-    -1 eigenspace of x -> p x q first.  There p x = x q, so r turns it by
-    x -> x e^{q(ha+hb)}: it carries the reduced half-angle sum, the +1
-    eigenspace the reduced difference."""
+def _eigenplanes(r: Rotation4) -> tuple[Plane, Plane]:
+    """Both invariant planes of r as built, (u, p u) for the unit u of
+    _eigenvectors and the unit axes p, q: the -1 eigenspace of x -> p x q
+    first, then the +1 eigenspace.  p u is orthogonal to u and in the same
+    eigenspace, as x -> p x commutes with x -> p x q."""
     p, q = _axis(r.a), _axis(r.b)
     first, second = (Plane(u, mul(p, u)) for u in _eigenvectors(p, q, -1.0, 1.0))
+    return first, second
+
+
+def _measured_planes(r: Rotation4) -> tuple[tuple[Plane, float], tuple[Plane, float]]:
+    """Both planes of _eigenplanes, each measured by plane_rotation_angle.
+    On the first p x = x q, so r turns it by x -> x e^{q(ha+hb)}: it carries
+    the reduced half-angle sum, the second the reduced difference."""
+    first, second = _eigenplanes(r)
     return plane_rotation_angle(r, first), plane_rotation_angle(r, second)
 
 
@@ -266,7 +262,9 @@ def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
     x -> p x q for the unit axes p, q first, which carries the half-angle
     sum, then the +1 eigenspace.  Each angle is measured by applying r
     inside its plane.  The first plane is plane1 of a Double and the
-    rotation plane of a Simple, whose other plane is the fixed one.
+    rotation plane of a Simple.  A Simple's fixed plane is reported as
+    built, (u, p u), and not measured: its turn is rounding noise, whose
+    sign would pick the orientation.
     """
     a, b = r.a, r.b
     kind = _kind(r, eps)
@@ -277,9 +275,11 @@ def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
     if kind is LeftIsoclinic:
         c = -1.0 if a.v.norm() <= EPS_AXIS else math.copysign(1.0, b.s) * a.s
         return LeftIsoclinic(math.acos(_clamp(c)))
-    (p1, a1), (p2, a2) = _measured_planes(r)
     if kind is Simple:
-        return Simple(a1, fixed_plane=p2, rotation_plane=p1)
+        turning, fixed = _eigenplanes(r)
+        rotation_plane, angle = plane_rotation_angle(r, turning)
+        return Simple(angle, fixed_plane=fixed, rotation_plane=rotation_plane)
+    (p1, a1), (p2, a2) = _measured_planes(r)
     return Double(plane1=p1, angle1=a1, plane2=p2, angle2=a2)
 
 

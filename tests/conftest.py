@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rot4 import Quaternion, Vec3
+from rot4 import Plane, Quaternion, Vec3
 
 
 def rand_unit_quat(rng) -> Quaternion:
@@ -21,6 +21,12 @@ def comp_diff(x: Quaternion, y: Quaternion) -> float:
 
 def comp_diff_up_to_sign(x: Quaternion, y: Quaternion) -> float:
     return min(comp_diff(x, y), comp_diff(x, -y))
+
+
+def numpy_projector(plane: Plane) -> np.ndarray:
+    """The plane's projector outer(u, u) + outer(w, w), computed by numpy."""
+    u, w = np.array(plane.u.components()), np.array(plane.w.components())
+    return np.outer(u, u) + np.outer(w, w)
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from rot4 import (
     GibbsSingular,
     Identity,
     ONE,
+    Plane,
     Quaternion,
     ReflectionNormal,
     Rotation4,
@@ -33,9 +34,8 @@ from rot4 import (
     gibbs_from_unit,
     is_composition_simple,
     mul,
-    plane_from_span,
+    normalized,
     planes_from_matrix,
-    polar,
     projector_distance,
     pure,
     rodrigues_compose,
@@ -43,7 +43,7 @@ from rot4 import (
     to_matrix,
     unit_from_gibbs,
 )
-from conftest import comp_diff, rand_unit_quat, rand_unit_vec3
+from conftest import comp_diff, numpy_projector, rand_unit_quat, rand_unit_vec3
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -100,12 +100,16 @@ def test_03_golden_planes():
     with report(3, "golden fixed planes of f and g (projector <= 1e-10)"):
         kind_f = classify(GOLDEN_F)
         assert isinstance(kind_f, Simple)
-        span_f = plane_from_span(Quaternion.of(0, 1, -1, 0), Quaternion.of(1, 0, 0, 1))
+        span_f = Plane(
+            normalized(Quaternion.of(0, 1, -1, 0)), normalized(Quaternion.of(1, 0, 0, 1))
+        )
         assert projector_distance(kind_f.fixed_plane, span_f) <= 1e-10
 
         kind_g = classify(GOLDEN_G)
         assert isinstance(kind_g, Simple)
-        span_g = plane_from_span(Quaternion.of(0, 0, 1, -1), Quaternion.of(1, 1, 0, 0))
+        span_g = Plane(
+            normalized(Quaternion.of(0, 0, 1, -1)), normalized(Quaternion.of(1, 1, 0, 0))
+        )
         assert projector_distance(kind_g.fixed_plane, span_g) <= 1e-10
 
 
@@ -142,7 +146,8 @@ def test_05_determinant_identity():
 def _normal_orthogonal_to(rng, v: Quaternion) -> ReflectionNormal:
     while True:
         cand = rng.standard_normal(4)
-        cand -= (cand @ v.as_array()) * v.as_array()
+        vs = np.array(v.components())
+        cand -= (cand @ vs) * vs
         n = np.linalg.norm(cand)
         if n > 1e-6:
             return ReflectionNormal(Quaternion.from_array(cand / n))
@@ -243,15 +248,14 @@ def test_08_clifford_translation_property():
         rng = np.random.default_rng(8)
         for _ in range(100):
             a = rand_unit_quat(rng)
-            p = polar(a).axis
+            p = a.v / a.v.norm()
             for _ in range(100):
                 x = rand_unit_quat(rng)
                 ax = mul(a, x)
                 assert abs(dot4(ax, x) - a.s) <= 1e-10
             x = rand_unit_quat(rng)
-            plane = plane_from_span(x, mul(pure(p), x))
-            proj = plane.projector()
-            image = mul(a, x).as_array()
+            proj = numpy_projector(Plane(x, mul(pure(p), x)))
+            image = np.array(mul(a, x).components())
             assert np.abs(proj @ image - image).max() <= 1e-10
 
 

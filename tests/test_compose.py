@@ -11,6 +11,7 @@ from rot4 import (
     Identity,
     NotSimple,
     ONE,
+    Plane,
     Quaternion,
     ReflectionNormal,
     Rotation4,
@@ -27,7 +28,6 @@ from rot4 import (
     gibbs_from_unit,
     is_composition_simple,
     mul,
-    plane_from_span,
     planes_from_matrix,
     projector_distance,
     pure,
@@ -266,7 +266,7 @@ class TestComposedPlanes:
     def test_equal_gibbs_vectors_give_axis_plane(self):
         pair = GibbsPair(Vec3(1, 0, 0), Vec3(1, 0, 0), R2, R2)
         plane1, plane2, angle1, angle2 = composed_planes_from_gibbs(pair)
-        axis_plane = plane_from_span(ONE, Quaternion.of(0, 1, 0, 0))
+        axis_plane = Plane(ONE, Quaternion.of(0, 1, 0, 0))
         assert same_plane(plane1, axis_plane, 1e-12)
         assert abs(angle1 - math.pi / 2) <= 1e-12
         assert angle2 <= 1e-12

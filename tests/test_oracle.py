@@ -35,7 +35,7 @@ from rot4 import (
 from rot4.cli import build_verify_report
 
 import exact
-from conftest import rand_unit_quat, rand_unit_vec3
+from conftest import numpy_projector, rand_unit_quat, rand_unit_vec3
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -54,8 +54,9 @@ class TestMultMatrices:
         for _ in range(200):
             a = Quaternion.from_array(rng.standard_normal(4))
             x = Quaternion.from_array(rng.standard_normal(4))
-            assert np.abs(left_mult_matrix(a) @ x.as_array() - mul(a, x).as_array()).max() <= 1e-12
-            assert np.abs(right_mult_matrix(a) @ x.as_array() - mul(x, a).as_array()).max() <= 1e-12
+            xs = np.array(x.components())
+            assert np.abs(left_mult_matrix(a) @ xs - mul(a, x).components()).max() <= 1e-12
+            assert np.abs(right_mult_matrix(a) @ xs - mul(x, a).components()).max() <= 1e-12
 
     def test_left_and_right_commute(self, rng):
         for _ in range(100):
@@ -108,8 +109,8 @@ class TestPlanesFromMatrix:
             if not result.isoclinic:
                 assert planes_orthogonal(result.plane1, result.plane2, 1e-9)
             for plane in (result.plane1, result.plane2):
-                proj = plane.projector()
-                for vec in (plane.u.as_array(), plane.w.as_array()):
+                proj = numpy_projector(plane)
+                for vec in (np.array(plane.u.components()), np.array(plane.w.components())):
                     image = matrix @ vec
                     assert np.abs(proj @ image - image).max() <= 1e-9
 
@@ -527,3 +528,13 @@ class TestPublicSurface:
         with pytest.raises(AttributeError, match="no_such_name"):
             rot4.no_such_name
         assert not hasattr(rot4, "planes_from_array")
+
+    def test_removed_names(self):
+        for name in ("plane_from_span", "invariant_planes", "polar", "PolarForm"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(rot4, name)
+            assert name not in rot4.__all__
+            assert name not in dir(rot4)
+        for cls in (Plane, Vec3, Quaternion):
+            for attr in ("projector", "contains", "as_array"):
+                assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"

@@ -14,7 +14,6 @@ from rot4 import (
     I,
     J,
     K,
-    NotUnit,
     ONE,
     Quaternion,
     Rotation4,
@@ -24,9 +23,7 @@ from rot4 import (
     gibbs_from_unit,
     mul,
     norm_sq,
-    plane_from_span,
     planes_from_matrix,
-    polar,
     pure,
     rodrigues_compose,
     to_matrix,
@@ -119,42 +116,6 @@ class TestDot4:
             assert dot4(x, y) == dot4(y, x)
         x = rand_unit_quat(rng)
         assert abs(dot4(x, x) - norm_sq(x)) < 1e-15
-
-
-class TestPolar:
-    def test_quarter_turn(self):
-        form = polar(Quaternion.of(R2, R2, 0, 0))
-        assert abs(form.half_angle - math.pi / 4) < 1e-15
-        assert comp_diff(Quaternion(0, form.axis), I) < 1e-15
-        assert not form.axis_degenerate
-
-    def test_degenerate(self):
-        form = polar(ONE)
-        assert form.half_angle == 0.0
-        assert form.axis_degenerate
-        form = polar(-ONE)
-        assert form.half_angle == math.pi
-        assert form.axis_degenerate
-
-    def test_third_turn(self):
-        form = polar(Quaternion.of(0.5, 0.5, 0.5, -0.5))
-        assert abs(form.half_angle - math.pi / 3) < 1e-15
-        s3 = 1.0 / math.sqrt(3.0)
-        assert comp_diff(Quaternion(0, form.axis), Quaternion.of(0, s3, s3, -s3)) < 1e-15
-
-    def test_round_trip(self, rng):
-        for _ in range(500):
-            a = rand_unit_quat(rng)
-            if a.v.norm() <= 10e-9:
-                continue
-            form = polar(a)
-            assert comp_diff_up_to_sign(form.to_quaternion(), a) <= 1e-9
-            # reconstruction is sign-exact: half_angle in [0, pi] keeps sin >= 0
-            assert comp_diff(form.to_quaternion(), a) <= 1e-9
-
-    def test_rejects_non_unit(self):
-        with pytest.raises(NotUnit):
-            polar(Quaternion.of(1, 1, 0, 0))
 
 
 class TestPure:
@@ -254,11 +215,6 @@ class TestConstructors:
             pytest.param(lambda: _HUGE + _HUGE, True, id="sum-overflow"),
             pytest.param(lambda: Vec3(1, 2, 3) * np.float64(2.0), False, id="numpy-factor"),
             pytest.param(lambda: Quaternion(np.float64(1)), False, id="numpy-scalar"),
-            pytest.param(
-                lambda: plane_from_span(Quaternion.of(1, 1, 0, 0), Quaternion.of(0, 1, 1, 0)),
-                False,
-                id="plane-from-span",
-            ),
             pytest.param(
                 lambda: planes_from_matrix(to_matrix(_SIMPLE)), False, id="planes-from-matrix"
             ),

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rot4 import (
     DEFAULT_EPS,
     EPS_AXIS,
-    DegenerateAxis,
     Double,
     I,
     Identity,
@@ -30,13 +29,11 @@ from rot4 import (
     conj,
     dot4,
     from_reflections,
-    invariant_planes,
     is_composition_simple,
     left_mult_matrix,
     mul,
-    plane_from_span,
+    normalized,
     planes_orthogonal,
-    polar,
     projector_distance,
     pure,
     reflect,
@@ -45,8 +42,9 @@ from rot4 import (
     to_matrix,
 )
 import rot4.rotation as rotation_module
-from rot4.cli import build_verify_report
-from conftest import comp_diff, rand_unit_quat, rand_unit_vec3
+from rot4.cli import build_verify_report, random_rotation
+from rot4.plane import _projector_rows
+from conftest import comp_diff, numpy_projector, rand_unit_quat, rand_unit_vec3
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -56,6 +54,11 @@ GOLDEN_G = Rotation4(Quaternion.of(R2, 0, R2, 0), Quaternion.of(R2, 0, 0, R2))
 
 def rand_rotation(rng) -> Rotation4:
     return Rotation4(rand_unit_quat(rng), rand_unit_quat(rng))
+
+
+def _span(x, y) -> Plane:
+    """The plane of the orthogonal pair x, y, each normalized."""
+    return Plane(normalized(Quaternion.of(*x)), normalized(Quaternion.of(*y)))
 
 
 def rand_simple(rng) -> Rotation4:
@@ -170,7 +173,7 @@ class TestClassify:
     def test_golden_simple_fixed_plane(self):
         kind = classify(GOLDEN_F)
         assert isinstance(kind, Simple)
-        expected = plane_from_span(Quaternion.of(0, 1, -1, 0), Quaternion.of(1, 0, 0, 1))
+        expected = _span((0, 1, -1, 0), (1, 0, 0, 1))
         assert projector_distance(kind.fixed_plane, expected) <= 1e-10
         assert abs(kind.angle - math.pi / 2) < 1e-12
 
@@ -203,9 +206,9 @@ class TestClassify:
                 continue
             assert planes_orthogonal(kind.plane1, kind.plane2, 1e-9)
             for plane in (kind.plane1, kind.plane2):
-                proj = plane.projector()
+                proj = numpy_projector(plane)
                 for basis_vec in (plane.u, plane.w):
-                    image = apply(r, basis_vec).as_array()
+                    image = np.array(apply(r, basis_vec).components())
                     assert np.abs(proj @ image - image).max() <= 1e-9
 
     def test_angle_matches_vector_turn_inside_plane(self, rng):
@@ -228,6 +231,20 @@ class TestClassify:
             for basis_vec in (kind.fixed_plane.u, kind.fixed_plane.w):
                 assert comp_diff(apply(r, basis_vec), basis_vec) <= 1e-9
 
+    def test_simple_fixed_plane_as_built(self):
+        # The fixed plane is (u, p u) for the +1 eigenvector u of x -> p x q,
+        # never flipped by the sign of its rounding-noise turn; the rotation
+        # plane stays counterclockwise.
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            r = random_rotation(rng, "simple")
+            kind = classify(r)
+            p, q = (pure(x.v / x.v.norm()) for x in (r.a, r.b))
+            (u,) = rotation_module._eigenvectors(p, q, 1.0)
+            assert kind.fixed_plane == Plane(u, mul(p, u))
+            turning = kind.rotation_plane
+            assert dot4(apply(r, turning.u), turning.w) >= 0.0
+
     def test_left_isoclinic_turns_everything_equally(self, rng):
         a = rand_unit_quat(rng)
         r = Rotation4(a, ONE)
@@ -238,47 +255,47 @@ class TestClassify:
             assert abs(dot4(apply(r, x), x) - math.cos(kind.angle)) <= 1e-10
 
     def test_left_translation_invariant_plane(self, rng):
-        # x -> a x maps Sp{x, px} into itself, p the polar axis of a
+        # x -> a x maps Sp{x, px} into itself, p the unit axis of a
         for _ in range(100):
             a = rand_unit_quat(rng)
-            p = polar(a).axis
+            p = a.v / a.v.norm()
             x = rand_unit_quat(rng)
-            px = mul(pure(p), x)
-            plane = plane_from_span(x, px)
-            image = mul(a, x).as_array()
-            proj = plane.projector()
+            image = np.array(mul(a, x).components())
+            proj = numpy_projector(Plane(x, mul(pure(p), x)))
             assert np.abs(proj @ image - image).max() <= 1e-10
+
+
+def _classify_planes(p: Vec3, q: Vec3) -> tuple[Plane, Plane]:
+    """classify's planes of a double rotation with the unit axes p (of a)
+    and q (of b): the -1 eigenspace of x -> p x q first."""
+    a = Quaternion(math.cos(0.3), p * math.sin(0.3))
+    b = Quaternion(math.cos(1.1), q * math.sin(1.1))
+    kind = classify(Rotation4(a, b))
+    assert isinstance(kind, Double)
+    return kind.plane1, kind.plane2
 
 
 class TestInvariantPlanes:
     def test_generic_spans(self):
-        pi1, pi2 = invariant_planes(Vec3(1, 0, 0), Vec3(0, 1, 0))
-        assert projector_distance(
-            pi1, plane_from_span(Quaternion.of(0, 1, -1, 0), Quaternion.of(1, 0, 0, 1))
-        ) <= 1e-12
-        assert projector_distance(
-            pi2, plane_from_span(Quaternion.of(0, 1, 1, 0), Quaternion.of(1, 0, 0, -1))
-        ) <= 1e-12
+        pi1, pi2 = _classify_planes(Vec3(1, 0, 0), Vec3(0, 1, 0))
+        assert projector_distance(pi1, _span((0, 1, 1, 0), (1, 0, 0, -1))) <= 1e-12
+        assert projector_distance(pi2, _span((0, 1, -1, 0), (1, 0, 0, 1))) <= 1e-12
 
     def test_degenerate_equal_axes(self):
-        lam1, lam2 = invariant_planes(Vec3(1, 0, 0), Vec3(1, 0, 0))
-        assert projector_distance(lam1, plane_from_span(ONE, I)) <= 1e-12
+        lam1, lam2 = _classify_planes(Vec3(1, 0, 0), Vec3(1, 0, 0))
+        assert projector_distance(lam1, Plane(ONE, I)) <= 1e-12
         assert projector_distance(lam2, Plane(J, K)) <= 1e-12
 
     def test_second_golden_rotation(self):
-        pi1, pi2 = invariant_planes(Vec3(0, 1, 0), Vec3(0, 0, 1))
-        assert projector_distance(
-            pi1, plane_from_span(Quaternion.of(0, 0, 1, -1), Quaternion.of(1, 1, 0, 0))
-        ) <= 1e-12
-        assert projector_distance(
-            pi2, plane_from_span(Quaternion.of(0, 0, 1, 1), Quaternion.of(1, -1, 0, 0))
-        ) <= 1e-12
+        pi1, pi2 = _classify_planes(Vec3(0, 1, 0), Vec3(0, 0, 1))
+        assert projector_distance(pi1, _span((0, 0, 1, 1), (1, -1, 0, 0))) <= 1e-12
+        assert projector_distance(pi2, _span((0, 0, 1, -1), (1, 1, 0, 0))) <= 1e-12
 
     def test_planes_mutually_orthogonal(self, rng):
         for _ in range(100):
             p = rand_unit_vec3(rng)
             q = rand_unit_vec3(rng)
-            pi1, pi2 = invariant_planes(p, q)
+            pi1, pi2 = _classify_planes(p, q)
             assert planes_orthogonal(pi1, pi2, 1e-9)
 
     def test_degenerate_images_stay_in_axis_plane(self, rng):
@@ -289,9 +306,10 @@ class TestInvariantPlanes:
             a = Quaternion(math.cos(alpha), p * math.sin(alpha))
             b = Quaternion(math.cos(beta), (p * sign) * math.sin(beta))
             r = Rotation4(a, b)
-            axis_plane = plane_from_span(ONE, pure(p))
-            assert axis_plane.contains(apply(r, ONE), 1e-12)
-            assert axis_plane.contains(apply(r, pure(p)), 1e-12)
+            proj = numpy_projector(Plane(ONE, pure(p)))
+            for x in (ONE, pure(p)):
+                image = np.array(apply(r, x).components())
+                assert np.abs(proj @ image - image).max() <= 1e-12
 
 
 _COORD = st.floats(-1.0, 1.0)
@@ -299,34 +317,36 @@ _VEC = st.tuples(_COORD, _COORD, _COORD)
 _VEC4 = st.tuples(_COORD, _COORD, _COORD, _COORD)
 
 
-def _numpy_projector(plane: Plane) -> np.ndarray:
-    u, w = plane.u.as_array(), plane.w.as_array()
-    return np.outer(u, u) + np.outer(w, w)
+def _plane(x_raw, p_raw) -> Plane:
+    """The plane (x, p x) for the unit x along x_raw and the pure unit p
+    along p_raw: every plane is one of these."""
+    x = np.array(x_raw)
+    assume(np.linalg.norm(x) >= 0.1)
+    x = Quaternion.from_array(x / np.linalg.norm(x))
+    return Plane(x, mul(pure(_unit3(p_raw)), x))
 
 
 class TestProjector:
-    """Projector entries are computed in floats; they must equal numpy's
-    outer(u, u) + outer(w, w) exactly, not to a tolerance."""
+    """Projector entries are computed in floats; _projector_rows and
+    projector_distance must equal numpy's outer(u, u) + outer(w, w)
+    exactly, not to a tolerance."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(v1=_VEC4, v2=_VEC4, v3=_VEC4, v4=_VEC4)
-    def test_equal_to_numpy_outer_products(self, v1, v2, v3, v4):
-        try:
-            p1 = plane_from_span(Quaternion.of(*v1), Quaternion.of(*v2))
-            p2 = plane_from_span(Quaternion.of(*v3), Quaternion.of(*v4))
-        except (DegenerateAxis, ValueError):  # a degenerate span, or rounding past orthonormality
-            assume(False)
-        proj = p1.projector()
-        assert proj.dtype == np.float64 and proj.shape == (4, 4)
-        assert (proj == _numpy_projector(p1)).all()
-        expected = float(np.abs(_numpy_projector(p1) - _numpy_projector(p2)).max())
-        assert projector_distance(p1, p2) == expected
+    @given(x1=_VEC4, p1=_VEC, x2=_VEC4, p2=_VEC)
+    def test_equal_to_numpy_outer_products(self, x1, p1, x2, p2):
+        plane1, plane2 = _plane(x1, p1), _plane(x2, p2)
+        rows = _projector_rows(plane1)
+        assert all(type(c) is float for row in rows for c in row)
+        assert np.array(rows).shape == (4, 4)
+        assert (np.array(rows) == numpy_projector(plane1)).all()
+        expected = float(np.abs(numpy_projector(plane1) - numpy_projector(plane2)).max())
+        assert projector_distance(plane1, plane2) == expected
 
 
 def _reference_planes(p: Vec3, q: Vec3) -> tuple[Plane, Plane]:
-    """invariant_planes' construction written with numpy matrices: u is
+    """classify's plane construction written with numpy matrices: u is
     column k of I + sT, T = L(p) R(q), at the first largest diagonal entry of
-    sT, and w = L(p) u; the plane holding more of 1 first."""
+    sT, and w = L(p) u; the -1 eigenspace first."""
     lp = left_mult_matrix(pure(p))
     t = lp @ right_mult_matrix(pure(q))
     diag = np.diag(t)
@@ -337,7 +357,7 @@ def _reference_planes(p: Vec3, q: Vec3) -> tuple[Plane, Plane]:
         u /= np.linalg.norm(u)
         planes.append(Plane(Quaternion.from_array(u), Quaternion.from_array(lp @ u)))
     plus, minus = planes
-    return (minus, plus) if p.dot(q) > 0.0 else (plus, minus)
+    return minus, plus
 
 
 class TestInvariantPlanesReference:
@@ -364,7 +384,7 @@ class TestInvariantPlanesReference:
             q = p + gap * d / np.linalg.norm(d)
         q *= sign / np.linalg.norm(q)
         p, q = Vec3(*p), Vec3(*q)
-        got, want = invariant_planes(p, q), _reference_planes(p, q)
+        got, want = _classify_planes(p, q), _reference_planes(p, q)
         for g, w in zip(got, want):
             assert projector_distance(g, w) <= 2e-15
 
@@ -402,6 +422,13 @@ class TestNearlyParallelAxes:
         assert report["ok"], report
 
 
+def _axis_and_half_angle(x: Quaternion) -> tuple[Quaternion, float]:
+    """The pure unit axis p and the half-angle h in [0, pi] of the unit x =
+    cos(h) + p sin(h), for V(x) != 0."""
+    vn = x.v.norm()
+    return pure(x.v / vn), math.atan2(vn, x.s)
+
+
 class TestNearlyIsoclinic:
     """Doubles whose left factor has |V(a)| of 2e-9, 1e-8 or 1e-7, just above
     EPS_AXIS: the sum and difference angles differ by only about 2|V(a)|.
@@ -425,10 +452,10 @@ class TestNearlyIsoclinic:
         )
         kind = classify(r)
         assert isinstance(kind, Double)
-        pa, pb = polar(r.a), polar(r.b)
+        (pa, ha), (pb, hb) = (_axis_and_half_angle(x) for x in (r.a, r.b))
         u = kind.plane1.u
-        assert comp_diff(mul(mul(pure(pa.axis), u), pure(pb.axis)), -u) <= 1e-12
-        half_sum = pa.half_angle + pb.half_angle
+        assert comp_diff(mul(mul(pa, u), pb), -u) <= 1e-12
+        half_sum = ha + hb
         reduced = half_sum if half_sum <= math.pi else 2.0 * math.pi - half_sum
         assert abs(kind.angle1 - reduced) <= 1e-12
 
@@ -441,7 +468,8 @@ class TestToMatrix:
         for _ in range(100):
             r = rand_rotation(rng)
             x = Quaternion.from_array(rng.standard_normal(4))
-            assert np.abs(to_matrix(r) @ x.as_array() - apply(r, x).as_array()).max() <= 1e-12
+            image = np.array(apply(r, x).components())
+            assert np.abs(to_matrix(r) @ np.array(x.components()) - image).max() <= 1e-12
 
     def test_det_plus_one(self, rng):
         for _ in range(20):
@@ -510,7 +538,7 @@ def _refuse(*args, **kwargs):
 
 
 def _refuse_planes(mp: pytest.MonkeyPatch) -> None:
-    for name in ("classify", "_measured_planes", "invariant_planes", "plane_rotation_angle"):
+    for name in ("classify", "_eigenplanes", "_measured_planes", "plane_rotation_angle"):
         mp.setattr(rotation_module, name, _refuse)
 
 
@@ -529,19 +557,8 @@ _EPS = st.sampled_from([1e-12, 1e-8, 1e-6])
 
 
 class TestAxis:
-    """_axis is pure(polar(x).axis) bit for bit, and classify and the split
-    reach it only with |V(x)| > EPS_AXIS, so it never divides by zero."""
-
-    @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(x_raw=_VEC4, scale=st.sampled_from([1.0, 1e-3, 2e-9]))
-    def test_equals_polar_axis(self, x_raw, scale):
-        v = np.array(x_raw)
-        assume(np.linalg.norm(v[1:]) >= 0.1)
-        v[1:] *= scale / np.linalg.norm(v[1:])
-        v[0] = math.copysign(math.sqrt(1.0 - scale * scale), v[0])
-        x = Quaternion.from_array(v)
-        got, want = rotation_module._axis(x), pure(polar(x).axis)
-        assert [c.hex() for c in got.components()] == [c.hex() for c in want.components()]
+    """classify and the split reach _axis only with |V(x)| > EPS_AXIS, so it
+    never divides by zero."""
 
     def test_reached_only_above_eps_axis(self, monkeypatch):
         axis, reached = rotation_module._axis, []
@@ -626,7 +643,8 @@ class TestSplitMatchesClassify:
     def test_axes_near_plus_minus_p(self, p_raw, d_raw, gap, sign, alpha, ds, eps):
         p = _unit3(p_raw)
         d = np.array(d_raw)
-        d -= (d @ p.as_array()) * p.as_array()
+        ps = np.array(p.components())
+        d -= (d @ ps) * ps
         d_axis = _unit3(d)
         q = _unit3((p * sign + d_axis * gap).components())
         sa = math.cos(alpha)
