@@ -6,11 +6,11 @@ Gibbs chart, the simplicity criterion for composed simple rotations, and an
 independent matrix oracle for cross-checking all of it, which reads the
 invariant planes off M + M^T in plain floats, without an eigensolver.
 
-Only rot4.linalg4 computes with numpy arrays.  It and the functions that
-return arrays (to_matrix, left_mult_matrix and right_mult_matrix) import
-numpy on first use, so `import rot4` does not import numpy.  The oracle loads on first use too,
-keeping its import time off the commands that never call it: its names
-below resolve through the module __getattr__.
+Everything computes in plain floats.  Only the functions that return
+arrays (to_matrix, left_mult_matrix and right_mult_matrix) import numpy, on
+first use, so `import rot4` does not import numpy.  The oracle loads on first
+use too, keeping its import time off the commands that never call it: its
+names below resolve through the module __getattr__.
 """
 
 from .compose import (

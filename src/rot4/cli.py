@@ -298,10 +298,8 @@ def cmd_verify(args) -> int:
 
 
 def _random_unit(rng) -> Quaternion:
-    import numpy as np
-
     vec = rng.standard_normal(4)
-    return Quaternion.from_array(vec / np.linalg.norm(vec))
+    return Quaternion.from_array(vec / math.sqrt(vec.dot(vec)))
 
 
 def random_rotation(rng, kind: str, eps: float = DEFAULT_EPS) -> Rotation4:

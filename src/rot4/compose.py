@@ -10,6 +10,7 @@ dependent, equivalently whether the fixed planes intersect nontrivially.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DegenerateAxis, GibbsSingular, NotSimple
@@ -18,8 +19,10 @@ from .quat import (
     EPS_AXIS,
     EPS_GIBBS,
     EPS_UNIT,
+    PIVOT_TOL,
     Quaternion,
     Vec3,
+    _det4,
     _gibbs_rule,
     conj,
     mul,
@@ -27,7 +30,11 @@ from .quat import (
 )
 from .rotation import (
     DEFAULT_EPS,
+    Identity,
     Rotation4,
+    Simple,
+    _axis,
+    _kind,
     _measured_planes,
     simple_to_reflections,
 )
@@ -133,10 +140,24 @@ class SimplicityReport:
     is_simple: bool
 
 
-def _normals_matrix_scalar_last(*normals) -> list[list[float]]:
-    """Rows of the matrix whose columns are the normals, scalar last."""
-    columns = [(n.q.v.x1, n.q.v.x2, n.q.v.x3, n.q.s) for n in normals]
-    return [list(row) for row in zip(*columns)]
+def _intersection_dim(f: Rotation4, g: Rotation4, eps: float, y: Quaternion, u: Quaternion) -> int:
+    """Dimension of the intersection of the fixed planes of f and g, whose
+    first normals are y and u: 2 when either is the identity, which fixes
+    all of E4.  Else, for the unit axes q of f.b and p of g.a, f's fixed
+    plane is {y k : k pure, k.q = 0}, and (u, p u) is an orthonormal basis
+    of g's rotation plane.  Up to an isometry, x1 = V(conj(y) u) x q and
+    x2 = V(conj(y) p u) x q are its parts in f's fixed plane, so the singular
+    values s1, s2 of [x1 x2] are the sines of the principal angles of the
+    fixed planes: s1^2 + s2^2 = |x1|^2 + |x2|^2, s1 s2 = |x1 x x2|.  Counts
+    those at or below PIVOT_TOL."""
+    if _kind(f, eps) is Identity or _kind(g, eps) is Identity:
+        return 2
+    q, yc = _axis(f.b).v, conj(y)
+    x1, x2 = mul(yc, u).v.cross(q), mul(mul(yc, _axis(g.a)), u).v.cross(q)
+    total, area = x1.norm_sq() + x2.norm_sq(), x1.cross(x2).norm()
+    s1 = math.sqrt((total + math.sqrt(max(0.0, total * total - 4.0 * area * area))) / 2.0)
+    s2 = area / s1 if s1 > 0.0 else 0.0
+    return (s1 <= PIVOT_TOL) + (s2 <= PIVOT_TOL)
 
 
 def is_composition_simple(
@@ -146,11 +167,10 @@ def is_composition_simple(
 
     Splits f and g with simple_to_reflections and computes all three routes
     on the pair the normals realise, (f, g) itself when both are exactly
-    simple: the scalar residual of its factors, the determinant of the
-    stacked reflection normals, and the dimension of the intersection of the
-    two fixed planes (nullity of the 4x4 matrix of the four normals)."""
-    from .linalg4 import det, rank
-
+    simple, in plain floats: the scalar residual of its factors, the
+    determinant of the stacked reflection normals (quat._det4), and the
+    dimension of the intersection of the two fixed planes
+    (_intersection_dim)."""
     normals = []
     for name, rot in (("f", f), ("g", g)):
         try:
@@ -162,11 +182,11 @@ def is_composition_simple(
     a, b = mul(z, conj(y)), mul(conj(y), z)
     c, d = mul(w, conj(u)), mul(conj(u), w)
     s_condition = c.v.dot(a.v) - b.v.dot(d.v)
-    m = _normals_matrix_scalar_last(*normals)
+    columns = [(n.v.x1, n.v.x2, n.v.x3, n.s) for n in (y, z, u, w)]  # scalar last
     return SimplicityReport(
         s_condition=s_condition,
-        det_normals=det(m),
-        intersection_dim=4 - rank(m),
+        det_normals=_det4(zip(*columns)),
+        intersection_dim=_intersection_dim(f, g, eps, y, u),
         is_simple=abs(s_condition) <= eps,
     )
 
@@ -179,11 +199,14 @@ def composed_planes_from_gibbs(h: GibbsPair) -> tuple[Plane, Plane, float, float
     the unit axes p, q, and each angle is measured on the rotation itself.
     Returns (plane1, plane2, angle1, angle2) with plane1 carrying the reduced
     half-angle sum and plane2 the reduced difference, in classify's order.
+    When the rebuilt rotation is simple at DEFAULT_EPS, plane2 is its fixed
+    plane as built and angle2 is 0.0, as classify reports them.
     """
     if h.p_tilde.norm() <= EPS_AXIS or h.q_tilde.norm() <= EPS_AXIS:
         raise DegenerateAxis(
             "a Gibbs vector vanishes; the rotation is isoclinic-like and its "
             "planes are not unique"
         )
-    (p1, a1), (p2, a2) = _measured_planes(h.to_rotation())
+    r = h.to_rotation()
+    (p1, a1), (p2, a2) = _measured_planes(r, _kind(r, DEFAULT_EPS) is Simple)
     return p1, p2, a1, a2

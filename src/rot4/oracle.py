@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from .errors import PairingFailure
 from .plane import Plane
-from .quat import DEFAULT_EPS, EPS_MATRIX, Quaternion, _quat
+from .quat import DEFAULT_EPS, EPS_MATRIX, Quaternion, _det4, _quat
 
 if TYPE_CHECKING:
     import numpy as np
@@ -105,17 +105,7 @@ def _is_rotation(m: list[list[float]], cols: list[tuple[float, ...]]) -> bool:
         for j, (b0, b1, b2, b3) in enumerate(cols[i:], i):
             if abs(a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 - (i == j)) > EPS_MATRIX:
                 return False
-    # Laplace expansion along the 2x2 minors of rows 0, 1 and rows 2, 3
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
-    det = (
-        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
-        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
-        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
-        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
-        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
-        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
-    )
-    return abs(det - 1.0) <= EPS_MATRIX
+    return abs(_det4(m) - 1.0) <= EPS_MATRIX
 
 
 def _pair_split(n: list[list[float]], norm: float) -> float:

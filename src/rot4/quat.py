@@ -19,7 +19,7 @@ from .errors import GibbsSingular, NotUnit
 # looser; EPS_AXIS tells a factor +-1 and EPS_GIBBS a Gibbs-chart breakdown.
 # Then the default classification tolerance, the oracle's matrix admission,
 # the seeded isoclinic margin, the default projector equality of planes,
-# and the relative singular-value cut of linalg4.rank.
+# and the cut at which a sine of a principal angle of two planes is zero.
 EPS_ALG = 1e-12
 EPS_UNIT = 1e-9
 EPS_AXIS = 1e-9
@@ -215,6 +215,19 @@ def norm_sq(x: Quaternion) -> float:
 
 def norm(x: Quaternion) -> float:
     return math.sqrt(norm_sq(x))
+
+
+def _det4(rows) -> float:
+    """4x4 determinant, by Laplace expansion along the 2x2 minors of rows 0, 1."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    return (
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+    )
 
 
 def dot4(x: Quaternion, y: Quaternion) -> float:

@@ -232,12 +232,14 @@ def _eigenplanes(r: Rotation4) -> tuple[Plane, Plane]:
     return first, second
 
 
-def _measured_planes(r: Rotation4) -> tuple[tuple[Plane, float], tuple[Plane, float]]:
+def _measured_planes(r: Rotation4, simple: bool) -> tuple[tuple[Plane, float], ...]:
     """Both planes of _eigenplanes, each measured by plane_rotation_angle.
     On the first p x = x q, so r turns it by x -> x e^{q(ha+hb)}: it carries
-    the reduced half-angle sum, the second the reduced difference."""
+    the reduced half-angle sum, the second the reduced difference.  For a
+    simple r the second, its fixed plane, is kept as built with angle 0.0."""
     first, second = _eigenplanes(r)
-    return plane_rotation_angle(r, first), plane_rotation_angle(r, second)
+    measured = plane_rotation_angle(r, first)
+    return measured, (second, 0.0) if simple else plane_rotation_angle(r, second)
 
 
 def _kind(r: Rotation4, eps: float) -> type:
@@ -275,11 +277,9 @@ def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
     if kind is LeftIsoclinic:
         c = -1.0 if a.v.norm() <= EPS_AXIS else math.copysign(1.0, b.s) * a.s
         return LeftIsoclinic(math.acos(_clamp(c)))
+    (p1, a1), (p2, a2) = _measured_planes(r, kind is Simple)
     if kind is Simple:
-        turning, fixed = _eigenplanes(r)
-        rotation_plane, angle = plane_rotation_angle(r, turning)
-        return Simple(angle, fixed_plane=fixed, rotation_plane=rotation_plane)
-    (p1, a1), (p2, a2) = _measured_planes(r)
+        return Simple(a1, fixed_plane=p2, rotation_plane=p1)
     return Double(plane1=p1, angle1=a1, plane2=p2, angle2=a2)
 
 

@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rot4 import (
     DegenerateAxis,
@@ -33,9 +36,12 @@ from rot4 import (
     pure,
     rodrigues_compose,
     same_plane,
+    simple_to_reflections,
     to_matrix,
     unit_from_gibbs,
 )
+from rot4.cli import random_rotation
+from rot4.quat import PIVOT_TOL
 from conftest import comp_diff, rand_unit_quat, rand_unit_vec3
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -155,6 +161,123 @@ class TestSimplicity:
                 break
         with pytest.raises(NotSimple):
             is_composition_simple(r, rand_simple(rng))
+
+    def test_identity_fixes_all_of_e4(self, rng):
+        # the identity's fixed plane is all of E4, so it meets any fixed
+        # plane in that plane; a turn of 1e-10 is the identity at EPS_AXIS
+        identity, g = Rotation4.identity(), rand_simple(rng)
+        y = _unit(rng.standard_normal(4))
+        tiny = _from_normals(y, np.cos(5e-11) * y + np.sin(5e-11) * _perp(rng, y))
+        assert isinstance(classify(tiny), Identity)
+        for f, h in ((identity, identity), (identity, g), (g, identity), (tiny, g)):
+            assert is_composition_simple(f, h).intersection_dim == 2
+
+
+def _unit(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _perp(rng, *vs) -> np.ndarray:
+    """A random unit vector orthogonal to the unit vectors vs."""
+    x = rng.standard_normal(4)
+    for v in vs:
+        x -= (x @ v) * v
+    return _unit(x)
+
+
+def _from_normals(y, z) -> Rotation4:
+    return from_reflections(
+        ReflectionNormal(Quaternion.from_array(y)), ReflectionNormal(Quaternion.from_array(z))
+    )
+
+
+def _split_normals(f: Rotation4, g: Rotation4) -> np.ndarray:
+    """The normals y, z, u, w that is_composition_simple splits f and g
+    into, as the rows of an array, scalar last."""
+    normals = simple_to_reflections(f) + simple_to_reflections(g)
+    return np.array([[*n.q.v.components(), n.q.s] for n in normals])
+
+
+def _principal_sines(normals: np.ndarray) -> np.ndarray:
+    """Sines of the principal angles between the fixed planes, the
+    orthogonal complements of span(y, z) and of span(u, w): the singular
+    values of an orthonormal basis of the first projected onto span(u, w)."""
+    fixed_f = np.linalg.svd(normals[:2])[2][2:]
+    span_g = np.linalg.qr(normals[2:].T)[0]
+    return np.linalg.svd(fixed_f @ span_g, compute_uv=False)
+
+
+def _stacked_dim(f: Rotation4, g: Rotation4) -> int:
+    """The nullity of the stacked normals at PIVOT_TOL, by numpy's SVD."""
+    values = np.linalg.svd(_split_normals(f, g), compute_uv=False)
+    return 4 - int((values > PIVOT_TOL).sum())
+
+
+def _shared_tilted(rng, t: float) -> tuple[Rotation4, Rotation4]:
+    """Simple f and g whose four normals are orthogonal to one unit v, with
+    g's second normal then tilted towards v by t."""
+    v = _unit(rng.standard_normal(4))
+    y, z, u, w = (_perp(rng, v) for _ in range(4))
+    return _from_normals(y, z), _from_normals(u, _unit(w + t * v))
+
+
+def _small_turn(rng, t: float) -> tuple[Rotation4, Rotation4]:
+    """A simple f turning by t and a generic simple g."""
+    y = _unit(rng.standard_normal(4))
+    f = _from_normals(y, np.cos(t / 2) * y + np.sin(t / 2) * _perp(rng, y))
+    return f, _from_normals(_unit(rng.standard_normal(4)), _unit(rng.standard_normal(4)))
+
+
+_COORD = st.floats(-1.0, 1.0)
+_VEC4 = st.tuples(_COORD, _COORD, _COORD, _COORD)
+
+
+class TestIntersectionDim:
+    """intersection_dim counts the principal sines between the two fixed
+    planes at or below PIVOT_TOL; det_normals is the determinant of the
+    stacked normals."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(v_raw=_VEC4, raws=st.tuples(_VEC4, _VEC4, _VEC4, _VEC4), log_t=st.floats(-12.0, -6.0))
+    def test_matches_numpy_on_tilted_shared_lines(self, v_raw, raws, log_t):
+        assume(np.linalg.norm(v_raw) >= 0.1)
+        v = _unit(v_raw)
+        projected = [np.array(raw) - (np.array(raw) @ v) * v for raw in raws]
+        assume(min(np.linalg.norm(x) for x in projected) >= 0.1)
+        y, z, u, w = (_unit(x) for x in projected)
+        assume(abs(y @ z) <= 0.99 and abs(u @ w) <= 0.99)
+        f, g = _from_normals(y, z), _from_normals(u, _unit(w + 10.0**log_t * v))
+        report = is_composition_simple(f, g)
+        normals = _split_normals(f, g)
+        sines = _principal_sines(normals)
+        assume(np.abs(sines - PIVOT_TOL).min() > 1e-14)
+        assert report.intersection_dim == int((sines <= PIVOT_TOL).sum())
+        assert abs(report.det_normals - np.linalg.det(normals)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "make, t, count, changed",
+        [
+            (_shared_tilted, 1e-9, 400, 28),
+            (_shared_tilted, 1e-10, 400, 130),
+            (_small_turn, 2.5e-9, 300, 29),
+        ],
+        ids=["tilt-1e-9", "tilt-1e-10", "turn-2.5e-9"],
+    )
+    def test_band_against_stacked_normals(self, make, t, count, changed):
+        """The nullity of the stacked normals at PIVOT_TOL also reads 0 or 1
+        here, but their singular values are not the principal sines.  Near
+        the cut the two differ, always as the stacked normals' 1 against 0.
+        With f turning by 2.5e-9 the stacked normals are ill-conditioned,
+        while f's fixed plane is well defined and meets g's only at 0."""
+        rng = np.random.default_rng(7)
+        pairs = Counter()
+        for _ in range(count):
+            f, g = make(rng, t)
+            dim = is_composition_simple(f, g).intersection_dim
+            assert dim == int((_principal_sines(_split_normals(f, g)) <= PIVOT_TOL).sum())
+            pairs[_stacked_dim(f, g), dim] += 1
+        assert {k: n for k, n in pairs.items() if k[0] != k[1]} == {(1, 0): changed}
 
 
 class TestComposeGibbs:
@@ -295,3 +418,15 @@ class TestComposedPlanes:
         pair = GibbsPair(Vec3(), Vec3(1, 0, 0), 1.0, R2)
         with pytest.raises(DegenerateAxis):
             composed_planes_from_gibbs(pair)
+
+    def test_simple_fixed_plane_as_built(self):
+        # the fixed plane and its angle 0.0 as classify reports them, not
+        # oriented or measured by the rounding noise of its turn
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            pair = GibbsPair.from_rotation(random_rotation(rng, "simple"))
+            kind = classify(pair.to_rotation())
+            assert isinstance(kind, Simple)
+            plane1, plane2, angle1, angle2 = composed_planes_from_gibbs(pair)
+            assert (plane1, angle1) == (kind.rotation_plane, kind.angle)
+            assert (plane2, angle2) == (kind.fixed_plane, 0.0)
