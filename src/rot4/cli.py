@@ -10,7 +10,6 @@ the requested operation), 2 malformed input, 3 non-unit factors without
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -200,7 +199,7 @@ def cmd_compose(args) -> int:
             report = is_composition_simple(f, g, args.eps)
         except NotSimple as exc:
             raise _CliError(EXIT_MALFORMED, f"--check-simple: {exc}") from exc
-        out["simplicity"] = dataclasses.asdict(report)
+        out["simplicity"] = {name: getattr(report, name) for name in report.__match_args__}
     print(json.dumps(out))
     return EXIT_OK
 

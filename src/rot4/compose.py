@@ -11,7 +11,6 @@ dependent, equivalently whether the fixed planes intersect nontrivially.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateAxis, GibbsSingular, NotSimple
 from .plane import Plane
@@ -24,6 +23,8 @@ from .quat import (
     Vec3,
     _det4,
     _gibbs_rule,
+    _set,
+    _Value,
     conj,
     mul,
     normalized,
@@ -48,8 +49,7 @@ def compose(g: Rotation4, f: Rotation4) -> Rotation4:
     return Rotation4(normalized(mul(g.a, f.a)), normalized(mul(f.b, g.b)))
 
 
-@dataclass(frozen=True)
-class GibbsPair:
+class GibbsPair(_Value):
     """Gibbs-chart data of a rotation written as
     cos_alpha * (1 + p_tilde) x (1 + q_tilde) * cos_beta.
 
@@ -57,22 +57,21 @@ class GibbsPair:
     ha, hb; the chart exists only while both cosines are nonzero.
     """
 
-    p_tilde: Vec3
-    q_tilde: Vec3
-    cos_alpha: float
-    cos_beta: float
+    __slots__ = ("p_tilde", "q_tilde", "cos_alpha", "cos_beta")
 
-    def __post_init__(self):
-        for cos_val, tilde, side in (
-            (self.cos_alpha, self.p_tilde, "left"),
-            (self.cos_beta, self.q_tilde, "right"),
-        ):
+    def __init__(self, p_tilde: Vec3, q_tilde: Vec3, cos_alpha: float, cos_beta: float):
+        for cos_val, tilde, side in ((cos_alpha, p_tilde, "left"), (cos_beta, q_tilde, "right")):
             scale = 1.0 + tilde.norm_sq()
-            if abs(cos_val * cos_val * scale - 1.0) > EPS_UNIT * scale:
+            # "not <=" fails a NaN cosine, which every ">" comparison lets through
+            if not abs(cos_val * cos_val * scale - 1.0) <= EPS_UNIT * scale:
                 raise ValueError(
                     f"{side} data is inconsistent: cos^2*(1+|g|^2) = "
                     f"{cos_val * cos_val * scale!r}, expected 1"
                 )
+        _set(self, "p_tilde", p_tilde)
+        _set(self, "q_tilde", q_tilde)
+        _set(self, "cos_alpha", cos_alpha)
+        _set(self, "cos_beta", cos_beta)
 
     @classmethod
     def from_rotation(cls, r: Rotation4) -> "GibbsPair":
@@ -121,8 +120,7 @@ def compose_left_clifford(
     return p, cos1 * cos2 * den
 
 
-@dataclass(frozen=True)
-class SimplicityReport:
+class SimplicityReport(_Value):
     """Three equivalent verdicts on whether a composition of two simple
     rotations is itself simple, taken on the pair that the normals y, z of f
     and u, w of g realise: a = z conj(y), b = conj(y) z, c = w conj(u),
@@ -134,10 +132,7 @@ class SimplicityReport:
     that identity holds with the minus sign), and it vanishes exactly when
     the two fixed planes intersect nontrivially (intersection_dim >= 1)."""
 
-    s_condition: float
-    det_normals: float
-    intersection_dim: int
-    is_simple: bool
+    __slots__ = ("s_condition", "det_normals", "intersection_dim", "is_simple")
 
 
 def _intersection_dim(f: Rotation4, g: Rotation4, eps: float, y: Quaternion, u: Quaternion) -> int:
@@ -183,12 +178,8 @@ def is_composition_simple(
     c, d = mul(w, conj(u)), mul(conj(u), w)
     s_condition = c.v.dot(a.v) - b.v.dot(d.v)
     columns = [(n.v.x1, n.v.x2, n.v.x3, n.s) for n in (y, z, u, w)]  # scalar last
-    return SimplicityReport(
-        s_condition=s_condition,
-        det_normals=_det4(zip(*columns)),
-        intersection_dim=_intersection_dim(f, g, eps, y, u),
-        is_simple=abs(s_condition) <= eps,
-    )
+    det_normals, dim = _det4(zip(*columns)), _intersection_dim(f, g, eps, y, u)
+    return SimplicityReport(s_condition, det_normals, dim, abs(s_condition) <= eps)
 
 
 def composed_planes_from_gibbs(h: GibbsPair) -> tuple[Plane, Plane, float, float]:

@@ -16,13 +16,12 @@ of the package are consulted, so this module can arbitrate them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Real
 from typing import TYPE_CHECKING
 
 from .errors import PairingFailure
 from .plane import Plane
-from .quat import DEFAULT_EPS, EPS_MATRIX, Quaternion, _det4, _quat
+from .quat import DEFAULT_EPS, EPS_MATRIX, Quaternion, _det4, _quat, _Value
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,8 +57,7 @@ def right_mult_matrix(b: Quaternion) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class OraclePlanes:
+class OraclePlanes(_Value):
     """Invariant planes and angles recovered from a rotation matrix.
 
     Angles are unsigned, in [0, pi].  isoclinic is set when the cosines of
@@ -69,11 +67,7 @@ class OraclePlanes:
     not be invariant.  Either way only the angles are meaningful then.
     """
 
-    plane1: Plane
-    angle1: float
-    plane2: Plane
-    angle2: float
-    isoclinic: bool
+    __slots__ = ("plane1", "angle1", "plane2", "angle2", "isoclinic")
 
 
 def _rows(matrix) -> list[list[float]]:

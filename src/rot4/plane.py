@@ -8,25 +8,23 @@ rotation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .quat import EPS_PLANE, EPS_UNIT, Quaternion, dot4, norm_sq
+from .quat import EPS_PLANE, EPS_UNIT, Quaternion, _set, _Value, dot4, norm_sq
 
 
-@dataclass(frozen=True)
-class Plane:
+class Plane(_Value):
     """Plane spanned by the orthonormal pair (u, w)."""
 
-    u: Quaternion
-    w: Quaternion
+    __slots__ = ("u", "w")
 
-    def __post_init__(self):
+    def __init__(self, u: Quaternion, w: Quaternion):
         if (
-            abs(norm_sq(self.u) - 1.0) > EPS_UNIT
-            or abs(norm_sq(self.w) - 1.0) > EPS_UNIT
-            or abs(dot4(self.u, self.w)) > EPS_UNIT
+            abs(norm_sq(u) - 1.0) > EPS_UNIT
+            or abs(norm_sq(w) - 1.0) > EPS_UNIT
+            or abs(dot4(u, w)) > EPS_UNIT
         ):
             raise ValueError("plane basis is not orthonormal")
+        _set(self, "u", u)
+        _set(self, "w", w)
 
     def flipped(self) -> "Plane":
         """Same plane with reversed orientation."""

@@ -9,7 +9,6 @@ this package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import GibbsSingular, NotUnit
 
@@ -42,16 +41,55 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-# init=False keeps the hand-written validating constructors; _vec and _quat
-# build arithmetic results through _new/_set and skip them.  Equality, hash,
-# repr, immutability, __match_args__, copy and pickle come from dataclasses.
-@dataclass(frozen=True, slots=True, init=False)
-class Vec3:
+class _Value:
+    """Immutable value over __slots__, the fields in order: equality and hash
+    by exact class, then the tuple of fields; __reduce__ rebuilds through the
+    constructor, so copy and pickle validate again."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = names = cls.__slots__
+        if "__init__" not in vars(cls):
+            # compiled once per class, as collections.namedtuple builds __new__:
+            # a loop over the fields would double the cost of a construction
+            body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+            namespace = {"_set": _set}
+            exec(f"def __init__({', '.join(('self',) + names)}):{body or ' pass'}", namespace)
+            cls.__init__ = namespace["__init__"]
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# Every value of the package is a _Value.  _vec, _quat and pure build
+# arithmetic results through _new/_set and skip the validating constructors.
+class Vec3(_Value):
     """3-vector: the vector part of a quaternion, an axis, or a Gibbs vector."""
 
-    x1: float
-    x2: float
-    x3: float
+    __slots__ = ("x1", "x2", "x3")
 
     def __init__(self, x1: float = 0.0, x2: float = 0.0, x3: float = 0.0):
         _set(self, "x1", _finite("x1", x1))
@@ -109,15 +147,15 @@ def _vec(x1: float, x2: float, x3: float) -> Vec3:
     return Vec3(x1, x2, x3)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Quaternion:
+class Quaternion(_Value):
     """Quaternion s + v, with v the 3-vector part."""
 
-    s: float
-    v: Vec3
+    __slots__ = ("s", "v")
 
     def __init__(self, s: float = 0.0, v: Vec3 = Vec3()):
         _set(self, "s", _finite("s", s))
+        if not isinstance(v, Vec3):
+            raise TypeError(f"v must be a Vec3, got {type(v).__name__}")
         _set(self, "v", v)
 
     @classmethod

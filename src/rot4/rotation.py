@@ -19,7 +19,6 @@ Conventions fixed here once and used everywhere:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from .errors import NotSimple, NotUnit
@@ -33,6 +32,8 @@ from .quat import (
     J,
     K,
     Quaternion,
+    _set,
+    _Value,
     conj,
     dot4,
     mul,
@@ -54,8 +55,7 @@ def _leading_negative(q: Quaternion) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class Rotation4:
+class Rotation4(_Value):
     """The rotation x -> a x b for unit quaternions a, b.
 
     Construction validates both norms and canonicalizes the pair's common
@@ -63,15 +63,15 @@ class Rotation4:
     whenever the factors match bit-for-bit.
     """
 
-    a: Quaternion
-    b: Quaternion
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        require_unit(self.a, "left factor")
-        require_unit(self.b, "right factor")
-        if _leading_negative(self.a):
-            object.__setattr__(self, "a", -self.a)
-            object.__setattr__(self, "b", -self.b)
+    def __init__(self, a: Quaternion, b: Quaternion):
+        require_unit(a, "left factor")
+        require_unit(b, "right factor")
+        if _leading_negative(a):
+            a, b = -a, -b
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     @classmethod
     def identity(cls) -> "Rotation4":
@@ -103,14 +103,14 @@ def to_matrix(r: Rotation4) -> np.ndarray:
     return np.array(_matrix_rows(r))
 
 
-@dataclass(frozen=True)
-class ReflectionNormal:
+class ReflectionNormal(_Value):
     """Unit normal q of the hyperplane reflection x -> -q conj(x) q."""
 
-    q: Quaternion
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        require_unit(self.q, "reflection normal")
+    def __init__(self, q: Quaternion):
+        require_unit(q, "reflection normal")
+        _set(self, "q", q)
 
 
 def reflect(n: ReflectionNormal, x: Quaternion) -> Quaternion:
@@ -132,46 +132,36 @@ def from_reflections(first: ReflectionNormal, second: ReflectionNormal) -> Rotat
 # --- classification -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Identity:
-    pass
+class Identity(_Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Simple:
+class Simple(_Value):
     """One plane is pointwise fixed, the orthogonal one turns by `angle`."""
 
-    angle: float
-    fixed_plane: Plane
-    rotation_plane: Plane
+    __slots__ = ("angle", "fixed_plane", "rotation_plane")
 
 
-@dataclass(frozen=True)
-class LeftIsoclinic:
+class LeftIsoclinic(_Value):
     """x -> a x: every vector turns by the same angle, cos(angle) = S(a)."""
 
-    angle: float
+    __slots__ = ("angle",)
 
 
-@dataclass(frozen=True)
-class RightIsoclinic:
+class RightIsoclinic(_Value):
     """x -> x b: every vector turns by the same angle, cos(angle) = S(b)."""
 
-    angle: float
+    __slots__ = ("angle",)
 
 
-@dataclass(frozen=True)
-class Double:
+class Double(_Value):
     """Two orthogonal planes turn by distinct angles.
 
     Write the factors as a = cos(ha) + p sin(ha) and b = cos(hb) + q sin(hb)
     with unit axes p, q and half-angles ha, hb in [0, pi].  plane1 carries
     ha + hb and plane2 carries ha - hb, each reduced to [0, pi]."""
 
-    plane1: Plane
-    angle1: float
-    plane2: Plane
-    angle2: float
+    __slots__ = ("plane1", "angle1", "plane2", "angle2")
 
 
 RotationKind = Union[Identity, Simple, LeftIsoclinic, RightIsoclinic, Double]
@@ -279,8 +269,8 @@ def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
         return LeftIsoclinic(math.acos(_clamp(c)))
     (p1, a1), (p2, a2) = _measured_planes(r, kind is Simple)
     if kind is Simple:
-        return Simple(a1, fixed_plane=p2, rotation_plane=p1)
-    return Double(plane1=p1, angle1=a1, plane2=p2, angle2=a2)
+        return Simple(a1, p2, p1)
+    return Double(p1, a1, p2, a2)
 
 
 def simple_to_reflections(

@@ -338,6 +338,12 @@ class TestComposeGibbs:
         with pytest.raises(ValueError):
             GibbsPair(Vec3(1, 0, 0), Vec3(), 0.9, 1.0)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_pair_rejects_nan_cosine(self, side):
+        cosines = (float("nan"), 1.0) if side == "left" else (1.0, float("nan"))
+        with pytest.raises(ValueError, match=f"{side} data is inconsistent"):
+            GibbsPair(Vec3(), Vec3(), *cosines)
+
 
 class TestComposeLeftClifford:
     def test_identity_neutral(self, rng):

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import pickle
 
@@ -10,14 +9,25 @@ from hypothesis import strategies as st
 
 from rot4 import (
     EPS_ALG,
+    Double,
+    GibbsPair,
     GibbsSingular,
     I,
+    Identity,
     J,
     K,
+    LeftIsoclinic,
     ONE,
+    OraclePlanes,
+    Plane,
     Quaternion,
+    ReflectionNormal,
+    RightIsoclinic,
     Rotation4,
+    Simple,
+    SimplicityReport,
     Vec3,
+    classify,
     conj,
     dot4,
     gibbs_from_unit,
@@ -228,6 +238,11 @@ class TestConstructors:
             for x in _floats_of(make()):
                 assert type(x) is float and math.isfinite(x)
 
+    @pytest.mark.parametrize("v", [(0.0, 0.0, 0.0), None, ONE], ids=["tuple", "none", "quaternion"])
+    def test_vector_part_must_be_vec3(self, v):
+        with pytest.raises(TypeError, match="v must be a Vec3"):
+            Quaternion(1.0, v)
+
     def test_operator_sugar_matches_functions(self, rng):
         x = rand_unit_quat(rng)
         y = rand_unit_quat(rng)
@@ -264,18 +279,13 @@ class TestValueSemantics:
         assert Quaternion().components() == (0.0, 0.0, 0.0, 0.0)
         assert Quaternion(1.0) == ONE
 
-    def test_dataclass_fields(self):
-        assert [f.name for f in dataclasses.fields(Vec3)] == ["x1", "x2", "x3"]
-        assert [f.name for f in dataclasses.fields(Quaternion)] == ["s", "v"]
-        with pytest.raises(dataclasses.FrozenInstanceError):
+    def test_match_args_and_frozen(self):
+        assert Vec3.__match_args__ == ("x1", "x2", "x3")
+        assert Quaternion.__match_args__ == ("s", "v")
+        with pytest.raises(AttributeError, match="cannot assign to field 's'"):
             ONE.s = 2.0
-
-    def test_replace_validates(self):
-        assert dataclasses.replace(ONE, s=0.0) == Quaternion()
-        with pytest.raises(ValueError, match="s must be finite"):
-            dataclasses.replace(ONE, s=float("nan"))
-        with pytest.raises(ValueError, match="x2 must be finite"):
-            dataclasses.replace(Vec3(), x2=float("inf"))
+        with pytest.raises(AttributeError, match="cannot assign to field 'x3'"):
+            ONE.v.x3 = 2.0
 
     def test_copy_pickle_and_match(self):
         x = Quaternion.of(0.5, 0.5, 0.5, -0.5)
@@ -284,3 +294,155 @@ class TestValueSemantics:
         match x:
             case Quaternion(s, Vec3(x1, x2, x3)):
                 assert (s, x1, x2, x3) == x.components()
+
+
+# One value of every other value class, with the repr the frozen dataclasses
+# that these classes replaced gave it.
+_PLANE_R = (
+    "Plane(u=Quaternion(s=1.0, v=Vec3(x1=0.0, x2=0.0, x3=0.0)), "
+    "w=Quaternion(s=0.0, v=Vec3(x1=1.0, x2=0.0, x3=0.0)))"
+)
+_PLANE2_R = (
+    "Plane(u=Quaternion(s=0.0, v=Vec3(x1=0.0, x2=1.0, x3=0.0)), "
+    "w=Quaternion(s=0.0, v=Vec3(x1=0.0, x2=0.0, x3=1.0)))"
+)
+_ONE_R = "Quaternion(s=1.0, v=Vec3(x1=0.0, x2=0.0, x3=0.0))"
+_ZERO3_R = "Vec3(x1=0.0, x2=0.0, x3=0.0)"
+_P, _Q = Plane(ONE, I), Plane(J, K)
+_VALUES = [
+    (_P, _PLANE_R),
+    (Rotation4(ONE, ONE), f"Rotation4(a={_ONE_R}, b={_ONE_R})"),
+    (
+        ReflectionNormal(J),
+        "ReflectionNormal(q=Quaternion(s=0.0, v=Vec3(x1=0.0, x2=1.0, x3=0.0)))",
+    ),
+    (Identity(), "Identity()"),
+    (
+        Simple(0.5, _P, _Q),
+        f"Simple(angle=0.5, fixed_plane={_PLANE_R}, rotation_plane={_PLANE2_R})",
+    ),
+    (LeftIsoclinic(0.5), "LeftIsoclinic(angle=0.5)"),
+    (RightIsoclinic(0.5), "RightIsoclinic(angle=0.5)"),
+    (
+        Double(_P, 0.25, _Q, 0.75),
+        f"Double(plane1={_PLANE_R}, angle1=0.25, plane2={_PLANE2_R}, angle2=0.75)",
+    ),
+    (
+        GibbsPair(Vec3(), Vec3(), 1.0, 1.0),
+        f"GibbsPair(p_tilde={_ZERO3_R}, q_tilde={_ZERO3_R}, cos_alpha=1.0, cos_beta=1.0)",
+    ),
+    (
+        SimplicityReport(0.0, 0.0, 1, True),
+        "SimplicityReport(s_condition=0.0, det_normals=0.0, intersection_dim=1, is_simple=True)",
+    ),
+    (
+        OraclePlanes(_P, 0.25, _Q, 0.75, False),
+        f"OraclePlanes(plane1={_PLANE_R}, angle1=0.25, plane2={_PLANE2_R}, angle2=0.75, "
+        "isoclinic=False)",
+    ),
+]
+_IDS = [type(value).__name__ for value, _ in _VALUES]
+
+
+class TestValueClasses:
+    """Value semantics of every value class besides Vec3 and Quaternion."""
+
+    @pytest.mark.parametrize("value, text", _VALUES, ids=_IDS)
+    def test_repr(self, value, text):
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("value, text", _VALUES, ids=_IDS)
+    def test_equality_hash_and_rebuild(self, value, text):
+        fields = [getattr(value, name) for name in type(value).__match_args__]
+        twin = type(value)(*fields)
+        assert twin == value and hash(twin) == hash(value) and twin is not value
+        assert value != fields and len({value, twin}) == 1
+
+    def test_equality_by_class(self):
+        assert LeftIsoclinic(0.5) != RightIsoclinic(0.5)
+        assert Identity() == Identity() and hash(Identity()) == hash(Identity())
+        assert Double(_P, 0.25, _Q, 0.75) != Double(_P, 0.25, _Q, 0.5)
+        assert Double(_P, 0.25, _Q, 0.75) != OraclePlanes(_P, 0.25, _Q, 0.75, False)
+
+    @pytest.mark.parametrize("value, text", _VALUES, ids=_IDS)
+    def test_frozen(self, value, text):
+        for name in (*type(value).__match_args__, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0.0)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("value, text", _VALUES, ids=_IDS)
+    def test_copy_and_pickle(self, value, text):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value
+
+    def test_pickle_keeps_the_canonical_sign(self):
+        a, b = Quaternion.of(0.6, -0.8, 0, 0), Quaternion.of(0, 0, 0.6, 0.8)
+        r = Rotation4(-a, -b)
+        assert r.a == a and r.b == b
+        for twin in (copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert twin.a == a and twin.b == b
+
+    def test_unpickling_validates(self):
+        bad = object.__new__(Plane)
+        object.__setattr__(bad, "u", ONE)
+        object.__setattr__(bad, "w", ONE)
+        data = pickle.dumps(bad)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            pickle.loads(data)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            copy.deepcopy(bad)
+
+    def test_positional_match(self):
+        match classify(Rotation4(Quaternion.of(R2, R2, 0, 0), Quaternion.of(R2, 0, R2, 0))):
+            case Simple(angle, Plane(u, w), Plane()):
+                assert angle == pytest.approx(math.pi / 2)
+                assert abs(dot4(u, w)) <= EPS_ALG
+            case _:
+                pytest.fail("not matched as Simple")
+        match Double(_P, 0.25, _Q, 0.75):
+            case Double(p1, a1, p2, a2):
+                assert (p1, a1, p2, a2) == (_P, 0.25, _Q, 0.75)
+        match OraclePlanes(_P, 0.25, _Q, 0.75, False):
+            case OraclePlanes(_, _, _, _, isoclinic):
+                assert isoclinic is False
+        assert Simple.__match_args__ == ("angle", "fixed_plane", "rotation_plane")
+        assert SimplicityReport.__match_args__ == (
+            "s_condition",
+            "det_normals",
+            "intersection_dim",
+            "is_simple",
+        )
+
+    def test_keyword_construction(self):
+        assert Simple(angle=0.5, fixed_plane=_P, rotation_plane=_Q) == Simple(0.5, _P, _Q)
+        assert Double(_P, 0.25, angle2=0.75, plane2=_Q) == Double(_P, 0.25, _Q, 0.75)
+        assert LeftIsoclinic(angle=0.5) == LeftIsoclinic(0.5)
+        assert SimplicityReport(
+            s_condition=0.0, det_normals=0.0, intersection_dim=1, is_simple=True
+        ) == SimplicityReport(0.0, 0.0, 1, True)
+        assert Plane(w=I, u=ONE) == _P
+        assert Rotation4(a=ONE, b=ONE) == Rotation4.identity()
+        assert ReflectionNormal(q=J) == ReflectionNormal(J)
+        assert GibbsPair(
+            p_tilde=Vec3(), q_tilde=Vec3(), cos_alpha=1.0, cos_beta=1.0
+        ) == GibbsPair(Vec3(), Vec3(), 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: Simple(0.5, _P), id="too-few"),
+            pytest.param(lambda: LeftIsoclinic(0.5, 0.6), id="too-many"),
+            pytest.param(lambda: Identity(0.5), id="identity-argument"),
+            pytest.param(lambda: LeftIsoclinic(theta=0.5), id="unknown-field"),
+            pytest.param(lambda: Simple(0.5, _P, _Q, angle=0.5), id="repeated-field"),
+            pytest.param(lambda: Plane(ONE), id="plane-too-few"),
+            pytest.param(lambda: Rotation4(ONE, ONE, ONE), id="rotation-too-many"),
+            pytest.param(lambda: GibbsPair(Vec3(), Vec3(), 1.0, cos=1.0), id="gibbs-unknown"),
+        ],
+    )
+    def test_wrong_arguments(self, make):
+        with pytest.raises(TypeError):
+            make()
