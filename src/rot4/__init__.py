@@ -6,11 +6,10 @@ Gibbs chart, the simplicity criterion for composed simple rotations, and an
 independent matrix oracle for cross-checking all of it, which reads the
 invariant planes off M + M^T in plain floats, without an eigensolver.
 
-Everything computes in plain floats.  Only the functions that return
-arrays (to_matrix, left_mult_matrix and right_mult_matrix) import numpy, on
-first use, so `import rot4` does not import numpy.  The oracle loads on first
-use too, keeping its import time off the commands that never call it: its
-names below resolve through the module __getattr__.
+Everything computes in plain floats with the standard library alone:
+to_matrix returns the matrix as rows of floats.  The oracle loads on first
+use, keeping its import time off the commands that never call it: its names
+below resolve through the module __getattr__.
 """
 
 from .compose import (
@@ -120,7 +119,6 @@ __all__ = [
     "from_reflections",
     "gibbs_from_unit",
     "is_composition_simple",
-    "left_mult_matrix",
     "mul",
     "norm",
     "norm_sq",
@@ -131,7 +129,6 @@ __all__ = [
     "projector_distance",
     "pure",
     "reflect",
-    "right_mult_matrix",
     "rodrigues_compose",
     "same_plane",
     "simple_to_reflections",
@@ -141,12 +138,7 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-_ORACLE_NAMES = (
-    "OraclePlanes",
-    "left_mult_matrix",
-    "planes_from_matrix",
-    "right_mult_matrix",
-)
+_ORACLE_NAMES = ("OraclePlanes", "planes_from_matrix")
 
 
 def __getattr__(name: str):

@@ -29,10 +29,10 @@ from .rotation import (
     Simple,
     _kind,
     _leading_negative,
-    _matrix_rows,
     classify,
     from_reflections,
     simple_to_reflections,
+    to_matrix,
 )
 
 EXIT_OK = 0
@@ -56,7 +56,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_MALFORMED, f"cannot read {path}: {exc}") from exc
 
 
@@ -228,7 +228,7 @@ def build_verify_report(r: Rotation4, eps: float = DEFAULT_EPS) -> dict:
     formula, planes_free = _formula_entries(kind)
     # eps governs the comparison verdict; the oracle's pairing test never needs
     # to be stricter than the default, or exact pairs would fail at rounding level
-    oracle = planes_from_matrix(_matrix_rows(r), max(eps, DEFAULT_EPS))
+    oracle = planes_from_matrix(to_matrix(r), max(eps, DEFAULT_EPS))
     oracle_entries = [(oracle.plane1, oracle.angle1), (oracle.plane2, oracle.angle2)]
 
     # two possible pairings; take the one with the smaller total angle gap
@@ -297,12 +297,15 @@ def cmd_verify(args) -> int:
 
 
 def _random_unit(rng) -> Quaternion:
-    vec = rng.standard_normal(4)
-    return Quaternion.from_array(vec / math.sqrt(vec.dot(vec)))
+    """A uniform random unit quaternion: four Gaussian draws, normalised."""
+    s, x1, x2, x3 = (rng.gauss(0.0, 1.0) for _ in range(4))
+    norm = math.sqrt(s * s + x1 * x1 + x2 * x2 + x3 * x3)
+    return Quaternion.of(s / norm, x1 / norm, x2 / norm, x3 / norm)
 
 
 def random_rotation(rng, kind: str, eps: float = DEFAULT_EPS) -> Rotation4:
-    """Deterministic (per rng state) rotation of the requested kind."""
+    """Deterministic (per state of the random.Random rng) rotation of the
+    requested kind."""
     for _ in range(1000):
         if kind == "any":
             return Rotation4(_random_unit(rng), _random_unit(rng))
@@ -331,10 +334,9 @@ def random_rotation(rng, kind: str, eps: float = DEFAULT_EPS) -> Rotation4:
 
 
 def cmd_random(args) -> int:
-    import numpy as np
+    import random
 
-    rng = np.random.default_rng(args.seed)
-    r = random_rotation(rng, args.kind, args.eps)
+    r = random_rotation(random.Random(args.seed), args.kind, args.eps)
     print(json.dumps(doc_of_rotation(r)))
     return EXIT_OK
 
@@ -359,6 +361,21 @@ def cmd_reflections(args) -> int:
 # --- entry point -----------------------------------------------------------
 
 
+def _non_negative(convert):
+    """An argparse type: convert(text), refused unless finite and >= 0.
+    It keeps convert's name, so malformed text still reads "invalid float
+    value"."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not 0 <= value < math.inf:  # false for NaN too
+            raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rot4",
@@ -370,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, docs):
         for name, help_text in docs:
             p.add_argument(name, help=help_text)
-        p.add_argument("--eps", type=float, default=DEFAULT_EPS, help="tolerance")
+        p.add_argument("--eps", type=_non_negative(float), default=DEFAULT_EPS, help="tolerance")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(
             "--normalize",
@@ -406,13 +423,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_random = sub.add_parser("random", help="emit a seeded random rotation document")
-    p_random.add_argument("--seed", type=int, default=0)
+    p_random.add_argument("--seed", type=_non_negative(int), default=0)
     p_random.add_argument(
         "--kind",
         choices=["any", "simple", "double", "left-isoclinic", "right-isoclinic"],
         default="any",
     )
-    p_random.add_argument("--eps", type=float, default=DEFAULT_EPS)
+    p_random.add_argument("--eps", type=_non_negative(float), default=DEFAULT_EPS)
     p_random.add_argument("--json", action="store_true")
     p_random.set_defaults(func=cmd_random)
 

@@ -17,44 +17,10 @@ from __future__ import annotations
 
 import math
 from numbers import Real
-from typing import TYPE_CHECKING
 
 from .errors import PairingFailure
 from .plane import Plane
 from .quat import DEFAULT_EPS, EPS_MATRIX, Quaternion, _det4, _quat, _Value
-
-if TYPE_CHECKING:
-    import numpy as np
-
-
-def left_mult_matrix(a: Quaternion) -> np.ndarray:
-    """Matrix of x -> a x in the basis (1, i, j, k)."""
-    import numpy as np
-
-    s, x1, x2, x3 = a.components()
-    return np.array(
-        [
-            [s, -x1, -x2, -x3],
-            [x1, s, -x3, x2],
-            [x2, x3, s, -x1],
-            [x3, -x2, x1, s],
-        ]
-    )
-
-
-def right_mult_matrix(b: Quaternion) -> np.ndarray:
-    """Matrix of x -> x b in the basis (1, i, j, k)."""
-    import numpy as np
-
-    s, x1, x2, x3 = b.components()
-    return np.array(
-        [
-            [s, -x1, -x2, -x3],
-            [x1, s, x3, -x2],
-            [x2, -x3, s, x1],
-            [x3, x2, -x1, s],
-        ]
-    )
 
 
 class OraclePlanes(_Value):

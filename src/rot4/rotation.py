@@ -19,7 +19,6 @@ Conventions fixed here once and used everywhere:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Union
 
 from .errors import NotSimple, NotUnit
 from .plane import Plane
@@ -41,10 +40,6 @@ from .quat import (
     pure,
     require_unit,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
-
 
 def _leading_negative(q: Quaternion) -> bool:
     """Whether the first component of q whose magnitude exceeds EPS_AXIS is
@@ -83,9 +78,11 @@ def apply(r: Rotation4, x: Quaternion) -> Quaternion:
     return mul(mul(r.a, x), r.b)
 
 
-def _matrix_rows(r: Rotation4) -> list[list[float]]:
-    """Rows of M = L(a) R(b), the matrices of x -> a x and x -> x b: entry
-    (i, j) is row i of L(a) times column j of R(b), summed in that order."""
+def to_matrix(r: Rotation4) -> list[list[float]]:
+    """Rows of the 4x4 matrix M with M @ [s, x1, x2, x3] = components of
+    apply(r, x): M = L(a) R(b), the matrices of x -> a x and x -> x b, whose
+    entry (i, j) is row i of L(a) times column j of R(b), summed in that
+    order.  np.array(to_matrix(r)) gives it as an array."""
     s, x1, x2, x3 = r.a.components()
     t, y1, y2, y3 = r.b.components()
     left = ((s, -x1, -x2, -x3), (x1, s, -x3, x2), (x2, x3, s, -x1), (x3, -x2, x1, s))
@@ -94,13 +91,6 @@ def _matrix_rows(r: Rotation4) -> list[list[float]]:
         [l0 * c0 + l1 * c1 + l2 * c2 + l3 * c3 for c0, c1, c2, c3 in right_cols]
         for l0, l1, l2, l3 in left
     ]
-
-
-def to_matrix(r: Rotation4) -> np.ndarray:
-    """4x4 matrix M with M @ [s, x1, x2, x3] = components of apply(r, x)."""
-    import numpy as np
-
-    return np.array(_matrix_rows(r))
 
 
 class ReflectionNormal(_Value):
@@ -164,7 +154,7 @@ class Double(_Value):
     __slots__ = ("plane1", "angle1", "plane2", "angle2")
 
 
-RotationKind = Union[Identity, Simple, LeftIsoclinic, RightIsoclinic, Double]
+RotationKind = Identity | Simple | LeftIsoclinic | RightIsoclinic | Double
 
 
 def _clamp(x: float) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rot4 import Plane, Quaternion, Vec3
+from rot4 import ONE, Plane, Quaternion, Rotation4, Vec3, to_matrix
 
 
 def rand_unit_quat(rng) -> Quaternion:
@@ -27,6 +27,21 @@ def numpy_projector(plane: Plane) -> np.ndarray:
     """The plane's projector outer(u, u) + outer(w, w), computed by numpy."""
     u, w = np.array(plane.u.components()), np.array(plane.w.components())
     return np.outer(u, u) + np.outer(w, w)
+
+
+def matrix_of(r: Rotation4) -> np.ndarray:
+    """The rows of to_matrix(r) as an array."""
+    return np.array(to_matrix(r))
+
+
+def left_matrix(a: Quaternion) -> np.ndarray:
+    """L(a), the matrix of x -> a x, for a unit a."""
+    return matrix_of(Rotation4(a, ONE))
+
+
+def right_matrix(b: Quaternion) -> np.ndarray:
+    """R(b), the matrix of x -> x b, for a unit b."""
+    return matrix_of(Rotation4(ONE, b))
 
 
 @pytest.fixture

@@ -43,7 +43,7 @@ from rot4 import (
     to_matrix,
     unit_from_gibbs,
 )
-from conftest import comp_diff, numpy_projector, rand_unit_quat, rand_unit_vec3
+from conftest import comp_diff, matrix_of, numpy_projector, rand_unit_quat, rand_unit_vec3
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -120,7 +120,7 @@ def test_04_matrix_homomorphism():
         worst = 0.0
         for _ in range(10_000):
             f, g = rand_rotation(rng), rand_rotation(rng)
-            diff = np.abs(to_matrix(compose(g, f)) - to_matrix(g) @ to_matrix(f)).max()
+            diff = np.abs(matrix_of(compose(g, f)) - matrix_of(g) @ matrix_of(f)).max()
             worst = max(worst, diff)
         elapsed = time.perf_counter() - start
         assert worst <= 1e-12, f"worst entry difference {worst:.3e}"

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -42,7 +43,7 @@ from rot4 import (
 )
 from rot4.cli import random_rotation
 from rot4.quat import PIVOT_TOL
-from conftest import comp_diff, rand_unit_quat, rand_unit_vec3
+from conftest import comp_diff, matrix_of, rand_unit_quat, rand_unit_vec3
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -89,8 +90,8 @@ class TestCompose:
     def test_matrix_homomorphism(self, rng):
         for _ in range(500):
             f, g = rand_rotation(rng), rand_rotation(rng)
-            lhs = to_matrix(compose(g, f))
-            rhs = to_matrix(g) @ to_matrix(f)
+            lhs = matrix_of(compose(g, f))
+            rhs = matrix_of(g) @ matrix_of(f)
             assert np.abs(lhs - rhs).max() <= 1e-12
 
     def test_angles_independent_of_order(self, rng):
@@ -428,7 +429,7 @@ class TestComposedPlanes:
     def test_simple_fixed_plane_as_built(self):
         # the fixed plane and its angle 0.0 as classify reports them, not
         # oriented or measured by the rounding noise of its turn
-        rng = np.random.default_rng(1)
+        rng = random.Random(1)
         for _ in range(2000):
             pair = GibbsPair.from_rotation(random_rotation(rng, "simple"))
             kind = classify(pair.to_rotation())

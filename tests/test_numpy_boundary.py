@@ -1,59 +1,42 @@
-"""src/rot4 imports numpy only where it computes with arrays.
+"""rot4 imports only the standard library.
 
-The functions that return arrays (to_matrix, left_mult_matrix and
-right_mult_matrix) and the random generator (cmd_random) import numpy in
-their bodies; type annotations may name it under
-TYPE_CHECKING.  Every other import of numpy, or of one of its submodules,
-would put numpy's start-up cost on a path that does not need it.  The check
-walks each module's syntax tree with the standard library, so it sees
-import statements only.
+No module of src/rot4 imports numpy: the check walks each module's syntax
+tree with the standard library, so it sees import statements anywhere, in
+function bodies included.  A fresh interpreter then shows that importing the
+package, its CLI and its oracle loads neither numpy nor typing.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rot4"
-ALLOWED = {"to_matrix", "left_mult_matrix", "right_mult_matrix", "cmd_random"}
 
 
-def _numpy_imports(tree: ast.Module) -> list[tuple[str | None, int]]:
-    """(place, line) of each import of numpy: place is the innermost
-    enclosing function's name, "TYPE_CHECKING" inside an
-    `if TYPE_CHECKING:` block, and None at module level."""
+def _numpy_imports(tree: ast.Module) -> list[int]:
+    """The line of each import of numpy, or of one of its submodules."""
     found = []
-
-    def visit(node: ast.AST, place: str | None):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and not node.level:
             modules = [node.module]
         else:
-            modules = []
+            continue
         if any(m == "numpy" or m.startswith("numpy.") for m in modules):
-            found.append((place, node.lineno))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            place = node.name
-        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
-            for child in node.body:
-                visit(child, "TYPE_CHECKING")
-            for child in node.orelse:
-                visit(child, place)
-            return
-        for child in ast.iter_child_nodes(node):
-            visit(child, place)
-
-    visit(tree, None)
-    return found
+            found.append(node.lineno)
+    return sorted(found)
 
 
-def test_numpy_only_where_arrays_are_used():
-    misplaced = {}
+def test_no_module_imports_numpy():
+    found = {}
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for place, line in _numpy_imports(tree):
-            if place not in ALLOWED and place != "TYPE_CHECKING":
-                misplaced.setdefault(path.stem, []).append((place, line))
-    assert not misplaced, f"numpy imported outside {sorted(ALLOWED)}: {misplaced}"
+        lines = _numpy_imports(ast.parse(path.read_text(), filename=str(path)))
+        if lines:
+            found[path.stem] = lines
+    assert not found, f"numpy imported at: {found}"
 
 
 def test_catches_a_misplaced_import():
@@ -64,7 +47,24 @@ def test_catches_a_misplaced_import():
         "def to_matrix(r):\n    import numpy as np\n"
         "    def inner():\n        from numpy.linalg import svd\n"
         "def rank(m):\n    from numpy import linalg\n"
+        "from . import numpy_free\n"
     )
-    assert _numpy_imports(tree) == [
-        (None, 1), ("TYPE_CHECKING", 4), ("to_matrix", 6), ("inner", 8), ("rank", 10)
-    ]
+    assert _numpy_imports(tree) == [1, 4, 6, 8, 10]
+
+
+def test_start_up_loads_no_numpy_or_typing():
+    # -S skips site, whose start-up hooks may import either module
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import sys, rot4, rot4.cli, rot4.oracle\n"
+            "print(sorted(m for m in ('numpy', 'typing') if m in sys.modules))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -30,21 +31,27 @@ from rot4 import (
     dot4,
     from_reflections,
     is_composition_simple,
-    left_mult_matrix,
     mul,
     normalized,
     planes_orthogonal,
     projector_distance,
     pure,
     reflect,
-    right_mult_matrix,
     simple_to_reflections,
     to_matrix,
 )
 import rot4.rotation as rotation_module
 from rot4.cli import build_verify_report, random_rotation
 from rot4.plane import _projector_rows
-from conftest import comp_diff, numpy_projector, rand_unit_quat, rand_unit_vec3
+from conftest import (
+    comp_diff,
+    left_matrix,
+    matrix_of,
+    numpy_projector,
+    rand_unit_quat,
+    rand_unit_vec3,
+    right_matrix,
+)
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -235,7 +242,7 @@ class TestClassify:
         # The fixed plane is (u, p u) for the +1 eigenvector u of x -> p x q,
         # never flipped by the sign of its rounding-noise turn; the rotation
         # plane stays counterclockwise.
-        rng = np.random.default_rng(1)
+        rng = random.Random(1)
         for _ in range(2000):
             r = random_rotation(rng, "simple")
             kind = classify(r)
@@ -347,8 +354,8 @@ def _reference_planes(p: Vec3, q: Vec3) -> tuple[Plane, Plane]:
     """classify's plane construction written with numpy matrices: u is
     column k of I + sT, T = L(p) R(q), at the first largest diagonal entry of
     sT, and w = L(p) u; the -1 eigenspace first."""
-    lp = left_mult_matrix(pure(p))
-    t = lp @ right_mult_matrix(pure(q))
+    lp = left_matrix(pure(p))
+    t = lp @ right_matrix(pure(q))
     diag = np.diag(t)
     planes = []
     for sign, k in ((1.0, int(np.argmax(diag))), (-1.0, int(np.argmin(diag)))):
@@ -462,19 +469,28 @@ class TestNearlyIsoclinic:
 
 class TestToMatrix:
     def test_identity(self):
-        assert np.abs(to_matrix(Rotation4.identity()) - np.eye(4)).max() == 0.0
+        rows = to_matrix(Rotation4.identity())
+        assert all(type(x) is float for row in rows for x in row)
+        assert np.abs(np.array(rows) - np.eye(4)).max() == 0.0
 
     def test_action_matches_apply(self, rng):
         for _ in range(100):
             r = rand_rotation(rng)
             x = Quaternion.from_array(rng.standard_normal(4))
             image = np.array(apply(r, x).components())
-            assert np.abs(to_matrix(r) @ np.array(x.components()) - image).max() <= 1e-12
+            assert np.abs(matrix_of(r) @ np.array(x.components()) - image).max() <= 1e-12
 
     def test_det_plus_one(self, rng):
         for _ in range(20):
             m = to_matrix(rand_rotation(rng))
             assert abs(cofactor_det4(m) - 1.0) <= 1e-12
+
+    def test_simple_rotation_kernel_is_a_plane(self, rng):
+        # x -> a x - x b vanishes on a plane exactly when S(a) = S(b)
+        for _ in range(50):
+            r = rand_simple(rng)
+            kernel_map = left_matrix(r.a) - right_matrix(r.b)
+            assert np.linalg.matrix_rank(kernel_map, tol=1e-10) == 2
 
 
 class TestSimpleToReflections:
