@@ -17,7 +17,6 @@ from .compose import (
     SimplicityReport,
     compose,
     compose_gibbs,
-    compose_left_clifford,
     composed_planes_from_gibbs,
     is_composition_simple,
 )
@@ -31,16 +30,12 @@ from .errors import (
 )
 from .plane import (
     Plane,
-    planes_orthogonal,
     projector_distance,
-    same_plane,
 )
 from .quat import (
     DEFAULT_EPS,
-    EPS_ALG,
     EPS_AXIS,
     EPS_GIBBS,
-    EPS_PLANE,
     EPS_UNIT,
     I,
     J,
@@ -81,10 +76,8 @@ __all__ = [
     "DEFAULT_EPS",
     "DegenerateAxis",
     "Double",
-    "EPS_ALG",
     "EPS_AXIS",
     "EPS_GIBBS",
-    "EPS_PLANE",
     "EPS_UNIT",
     "GibbsPair",
     "GibbsSingular",
@@ -112,7 +105,6 @@ __all__ = [
     "classify",
     "compose",
     "compose_gibbs",
-    "compose_left_clifford",
     "composed_planes_from_gibbs",
     "conj",
     "dot4",
@@ -125,12 +117,10 @@ __all__ = [
     "normalized",
     "plane_rotation_angle",
     "planes_from_matrix",
-    "planes_orthogonal",
     "projector_distance",
     "pure",
     "reflect",
     "rodrigues_compose",
-    "same_plane",
     "simple_to_reflections",
     "to_matrix",
     "unit_from_gibbs",

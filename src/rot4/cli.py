@@ -387,7 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, docs):
         for name, help_text in docs:
             p.add_argument(name, help=help_text)
-        p.add_argument("--eps", type=_non_negative(float), default=DEFAULT_EPS, help="tolerance")
+        eps_help = "tolerance, finite and >= 0; a negative value must be written --eps=-1e-3"
+        p.add_argument("--eps", type=_non_negative(float), default=DEFAULT_EPS, help=eps_help)
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument(
             "--normalize",

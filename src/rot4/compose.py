@@ -21,23 +21,23 @@ from .quat import (
     PIVOT_TOL,
     Quaternion,
     Vec3,
+    _cross3,
     _det4,
     _gibbs_rule,
+    _mul4,
+    _quat,
     _set,
+    _unit4,
     _Value,
-    conj,
-    mul,
     normalized,
 )
 from .rotation import (
     DEFAULT_EPS,
-    Identity,
     Rotation4,
     Simple,
-    _axis,
     _kind,
     _measured_planes,
-    simple_to_reflections,
+    _split,
 )
 
 
@@ -46,7 +46,8 @@ def compose(g: Rotation4, f: Rotation4) -> Rotation4:
 
     The factor products are renormalized: inputs admitted at the unit-norm
     tolerance would otherwise drift past it when multiplied."""
-    return Rotation4(normalized(mul(g.a, f.a)), normalized(mul(f.b, g.b)))
+    a = _unit4(_mul4(g.a.components(), f.a.components()))
+    return Rotation4(_quat(*a), _quat(*_unit4(_mul4(f.b.components(), g.b.components()))))
 
 
 class GibbsPair(_Value):
@@ -111,15 +112,6 @@ def compose_gibbs(f: GibbsPair, g: GibbsPair) -> GibbsPair:
     return GibbsPair(p, q, cos_a, cos_b)
 
 
-def compose_left_clifford(
-    g1: Vec3, cos1: float, g2: Vec3, cos2: float
-) -> tuple[Vec3, float]:
-    """Compose two left turns x -> a x (first) and x -> b x (second) in the
-    Gibbs chart; returns the data of x -> (ba) x."""
-    p, den = _gibbs_rule(g1, g2, "composed cosine vanishes (denominator is zero)")
-    return p, cos1 * cos2 * den
-
-
 class SimplicityReport(_Value):
     """Three equivalent verdicts on whether a composition of two simple
     rotations is itself simple, taken on the pair that the normals y, z of f
@@ -135,21 +127,23 @@ class SimplicityReport(_Value):
     __slots__ = ("s_condition", "det_normals", "intersection_dim", "is_simple")
 
 
-def _intersection_dim(f: Rotation4, g: Rotation4, eps: float, y: Quaternion, u: Quaternion) -> int:
-    """Dimension of the intersection of the fixed planes of f and g, whose
-    first normals are y and u: 2 when either is the identity, which fixes
-    all of E4.  Else, for the unit axes q of f.b and p of g.a, f's fixed
-    plane is {y k : k pure, k.q = 0}, and (u, p u) is an orthonormal basis
-    of g's rotation plane.  Up to an isometry, x1 = V(conj(y) u) x q and
+def _intersection_dim(y: tuple, u: tuple, q: tuple, p: tuple) -> int:
+    """Dimension of the intersection of the fixed planes of two simple
+    rotations f and g, from the first normals y of f and u of g and the unit
+    axes q of f.b and p of g.a, all component tuples.  f's fixed plane is
+    {y k : k pure, k.q = 0}, and (u, p u) is an orthonormal basis of g's
+    rotation plane.  Up to an isometry, x1 = V(conj(y) u) x q and
     x2 = V(conj(y) p u) x q are its parts in f's fixed plane, so the singular
     values s1, s2 of [x1 x2] are the sines of the principal angles of the
     fixed planes: s1^2 + s2^2 = |x1|^2 + |x2|^2, s1 s2 = |x1 x x2|.  Counts
     those at or below PIVOT_TOL."""
-    if _kind(f, eps) is Identity or _kind(g, eps) is Identity:
-        return 2
-    q, yc = _axis(f.b).v, conj(y)
-    x1, x2 = mul(yc, u).v.cross(q), mul(mul(yc, _axis(g.a)), u).v.cross(q)
-    total, area = x1.norm_sq() + x2.norm_sq(), x1.cross(x2).norm()
+    yc, qv = (y[0], -y[1], -y[2], -y[3]), q[1:]
+    x1 = _cross3(_mul4(yc, u)[1:], qv)
+    x2 = _cross3(_mul4(_mul4(yc, p), u)[1:], qv)
+    (a1, a2, a3), (b1, b2, b3) = x1, x2
+    total = (a1 * a1 + a2 * a2 + a3 * a3) + (b1 * b1 + b2 * b2 + b3 * b3)
+    c1, c2, c3 = _cross3(x1, x2)
+    area = math.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
     s1 = math.sqrt((total + math.sqrt(max(0.0, total * total - 4.0 * area * area))) / 2.0)
     s2 = area / s1 if s1 > 0.0 else 0.0
     return (s1 <= PIVOT_TOL) + (s2 <= PIVOT_TOL)
@@ -160,26 +154,30 @@ def is_composition_simple(
 ) -> SimplicityReport:
     """Decide whether 'f followed by g' is simple, for simple f and g.
 
-    Splits f and g with simple_to_reflections and computes all three routes
-    on the pair the normals realise, (f, g) itself when both are exactly
-    simple, in plain floats: the scalar residual of its factors, the
+    Splits f and g as simple_to_reflections does and computes all three
+    routes on the pair the normals realise, (f, g) itself when both are
+    exactly simple, in plain floats: the scalar residual of its factors, the
     determinant of the stacked reflection normals (quat._det4), and the
     dimension of the intersection of the two fixed planes
-    (_intersection_dim)."""
-    normals = []
+    (_intersection_dim), 2 when either is the identity, which fixes all of
+    E4."""
+    splits = []
     for name, rot in (("f", f), ("g", g)):
         try:
-            normals += simple_to_reflections(rot, eps)
+            splits.append(_split(rot, eps))
         except NotSimple as exc:
             exc.args = (f"{name} is not a simple rotation: {exc}",)
             raise  # in place, so the traceback still ends in the split
-    y, z, u, w = (n.q for n in normals)
-    a, b = mul(z, conj(y)), mul(conj(y), z)
-    c, d = mul(w, conj(u)), mul(conj(u), w)
-    s_condition = c.v.dot(a.v) - b.v.dot(d.v)
-    columns = [(n.v.x1, n.v.x2, n.v.x3, n.s) for n in (y, z, u, w)]  # scalar last
-    det_normals, dim = _det4(zip(*columns)), _intersection_dim(f, g, eps, y, u)
-    return SimplicityReport(s_condition, det_normals, dim, abs(s_condition) <= eps)
+    (_, q, y, z), (p, _, u, w) = splits
+    yc, uc = (y[0], -y[1], -y[2], -y[3]), (u[0], -u[1], -u[2], -u[3])
+    _, a1, a2, a3 = _mul4(z, yc)
+    _, b1, b2, b3 = _mul4(yc, z)
+    _, c1, c2, c3 = _mul4(w, uc)
+    _, d1, d2, d3 = _mul4(uc, w)
+    s_condition = (c1 * a1 + c2 * a2 + c3 * a3) - (b1 * d1 + b2 * d2 + b3 * d3)
+    columns = [(n[1], n[2], n[3], n[0]) for n in (y, z, u, w)]  # scalar last
+    dim = 2 if q is None or p is None else _intersection_dim(y, u, q, p)
+    return SimplicityReport(s_condition, _det4(zip(*columns)), dim, abs(s_condition) <= eps)
 
 
 def composed_planes_from_gibbs(h: GibbsPair) -> tuple[Plane, Plane, float, float]:

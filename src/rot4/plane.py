@@ -8,7 +8,7 @@ rotation.
 
 from __future__ import annotations
 
-from .quat import EPS_PLANE, EPS_UNIT, Quaternion, _set, _Value, dot4, norm_sq
+from .quat import EPS_UNIT, Quaternion, _dot4, _set, _Value
 
 
 class Plane(_Value):
@@ -17,10 +17,11 @@ class Plane(_Value):
     __slots__ = ("u", "w")
 
     def __init__(self, u: Quaternion, w: Quaternion):
+        us, ws = u.components(), w.components()
         if (
-            abs(norm_sq(u) - 1.0) > EPS_UNIT
-            or abs(norm_sq(w) - 1.0) > EPS_UNIT
-            or abs(dot4(u, w)) > EPS_UNIT
+            abs(_dot4(us, us) - 1.0) > EPS_UNIT
+            or abs(_dot4(ws, ws) - 1.0) > EPS_UNIT
+            or abs(_dot4(us, ws)) > EPS_UNIT
         ):
             raise ValueError("plane basis is not orthonormal")
         _set(self, "u", u)
@@ -48,17 +49,3 @@ def projector_distance(p1: Plane, p2: Plane) -> float:
         for uj, wj, xj, yj in rows[i:]
     )
 
-
-def same_plane(p1: Plane, p2: Plane, eps: float = EPS_PLANE) -> bool:
-    return projector_distance(p1, p2) <= eps
-
-
-def planes_orthogonal(p1: Plane, p2: Plane, eps: float = EPS_PLANE) -> bool:
-    """True when every basis vector of p1 is orthogonal to every one of p2."""
-    dots = (
-        dot4(p1.u, p2.u),
-        dot4(p1.u, p2.w),
-        dot4(p1.w, p2.u),
-        dot4(p1.w, p2.w),
-    )
-    return max(abs(d) for d in dots) <= eps

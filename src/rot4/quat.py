@@ -12,21 +12,18 @@ import math
 
 from .errors import GibbsSingular, NotUnit
 
-# Every tolerance of the package.  Tiers: pure-algebra identities hold to
-# rounding, and EPS_ALG is the bound the tests hold them to (no rot4 code
-# compares against it); unit-norm admission of user input is deliberately
-# looser; EPS_AXIS tells a factor +-1 and EPS_GIBBS a Gibbs-chart breakdown.
-# Then the default classification tolerance, the oracle's matrix admission,
-# the seeded isoclinic margin, the default projector equality of planes,
-# and the cut at which a sine of a principal angle of two planes is zero.
-EPS_ALG = 1e-12
+# Every tolerance of the package.  Tiers: unit-norm admission of user input
+# is deliberately looser than rounding; EPS_AXIS tells a factor +-1 and
+# EPS_GIBBS a Gibbs-chart breakdown.  Then the default classification
+# tolerance, the oracle's matrix admission, the seeded isoclinic margin, and
+# the cut at which a sine of a principal angle of two planes is zero.  The
+# bounds the tests hold algebra and planes to live with the tests.
 EPS_UNIT = 1e-9
 EPS_AXIS = 1e-9
 EPS_GIBBS = 1e-9
 DEFAULT_EPS = 1e-8
 EPS_MATRIX = 1e-8
 RANDOM_AXIS_MARGIN = 1e-6
-EPS_PLANE = 1e-8
 PIVOT_TOL = 1e-10
 
 
@@ -86,6 +83,9 @@ class _Value:
 
 # Every value of the package is a _Value.  _vec, _quat and pure build
 # arithmetic results through _new/_set and skip the validating constructors.
+# The hot paths compute on plain float tuples, a quaternion as
+# (s, x1, x2, x3), through the kernels _mul4, _dot4, _unit4 and _cross3, and
+# build a value only for what they return.
 class Vec3(_Value):
     """3-vector: the vector part of a quaternion, an axis, or a Gibbs vector."""
 
@@ -100,11 +100,7 @@ class Vec3(_Value):
         return self.x1 * other.x1 + self.x2 * other.x2 + self.x3 * other.x3
 
     def cross(self, other: "Vec3") -> "Vec3":
-        return _vec(
-            self.x2 * other.x3 - self.x3 * other.x2,
-            self.x3 * other.x1 - self.x1 * other.x3,
-            self.x1 * other.x2 - self.x2 * other.x1,
-        )
+        return _vec(*_cross3(self.components(), other.components()))
 
     def norm_sq(self) -> float:
         return self.dot(self)
@@ -225,19 +221,44 @@ def pure(v: Vec3) -> Quaternion:
     return q
 
 
-def mul(x: Quaternion, y: Quaternion) -> Quaternion:
-    """Quaternion product: scalar s1*s2 - v1.v2, vector s1*v2 + s2*v1 + v1 x v2,
-    each component summed in that order."""
-    s1, v1 = x.s, x.v
-    s2, v2 = y.s, y.v
-    a1, a2, a3 = v1.x1, v1.x2, v1.x3
-    b1, b2, b3 = v2.x1, v2.x2, v2.x3
-    return _quat(
+def _mul4(x: tuple, y: tuple) -> tuple:
+    """Quaternion product of component tuples: scalar s1*s2 - v1.v2, vector
+    s1*v2 + s2*v1 + v1 x v2, each component summed in that order."""
+    s1, a1, a2, a3 = x
+    s2, b1, b2, b3 = y
+    return (
         s1 * s2 - (a1 * b1 + a2 * b2 + a3 * b3),
         b1 * s1 + a1 * s2 + (a2 * b3 - a3 * b2),
         b2 * s1 + a2 * s2 + (a3 * b1 - a1 * b3),
         b3 * s1 + a3 * s2 + (a1 * b2 - a2 * b1),
     )
+
+
+def _cross3(x: tuple, y: tuple) -> tuple:
+    """Cross product of 3-component tuples."""
+    x1, x2, x3 = x
+    y1, y2, y3 = y
+    return (x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1)
+
+
+def _dot4(x: tuple, y: tuple) -> float:
+    """Scalar product of component tuples: s*t, then plus the vector parts'."""
+    return x[0] * y[0] + (x[1] * y[1] + x[2] * y[2] + x[3] * y[3])
+
+
+def _unit4(x: tuple) -> tuple:
+    """x scaled by 1/|x|, refused when |x| <= EPS_AXIS."""
+    s, x1, x2, x3 = x
+    n = math.sqrt(s * s + (x1 * x1 + x2 * x2 + x3 * x3))
+    if n <= EPS_AXIS:
+        raise ValueError("cannot normalize a (near-)zero quaternion")
+    f = 1.0 / n
+    return (s * f, x1 * f, x2 * f, x3 * f)
+
+
+def mul(x: Quaternion, y: Quaternion) -> Quaternion:
+    """Quaternion product, by _mul4."""
+    return _quat(*_mul4(x.components(), y.components()))
 
 
 def conj(x: Quaternion) -> Quaternion:
@@ -248,7 +269,8 @@ def conj(x: Quaternion) -> Quaternion:
 
 def norm_sq(x: Quaternion) -> float:
     """Squared norm, the sum of the four squared components."""
-    return x.s * x.s + x.v.norm_sq()
+    c = x.components()
+    return _dot4(c, c)
 
 
 def norm(x: Quaternion) -> float:
@@ -270,14 +292,11 @@ def _det4(rows) -> float:
 
 def dot4(x: Quaternion, y: Quaternion) -> float:
     """Euclidean scalar product of the two 4-component points."""
-    return x.s * y.s + x.v.dot(y.v)
+    return _dot4(x.components(), y.components())
 
 
 def normalized(x: Quaternion) -> Quaternion:
-    n = norm(x)
-    if n <= EPS_AXIS:
-        raise ValueError("cannot normalize a (near-)zero quaternion")
-    return x / n
+    return _quat(*_unit4(x.components()))
 
 
 def require_unit(x: Quaternion, what: str = "quaternion") -> None:
@@ -312,7 +331,10 @@ def _gibbs_rule(g1: Vec3, g2: Vec3, singular: str) -> tuple[Vec3, float]:
     den = 1.0 - g2.dot(g1)
     if abs(den) <= EPS_GIBBS:
         raise GibbsSingular(singular)
-    return (g2 + g1 + g2.cross(g1)) / den, den
+    a, b = g1.components(), g2.components()
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = a, b, _cross3(b, a)
+    f = 1.0 / den
+    return _vec((b1 + a1 + c1) * f, (b2 + a2 + c2) * f, (b3 + a3 + c3) * f), den
 
 
 def rodrigues_compose(g1: Vec3, g2: Vec3) -> Vec3:

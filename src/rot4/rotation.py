@@ -27,17 +27,16 @@ from .quat import (
     EPS_AXIS,
     EPS_UNIT,
     ONE,
-    I,
-    J,
-    K,
     Quaternion,
+    _dot4,
+    _mul4,
+    _quat,
     _set,
+    _unit4,
     _Value,
     conj,
-    dot4,
     mul,
     normalized,
-    pure,
     require_unit,
 )
 
@@ -161,6 +160,15 @@ def _clamp(x: float) -> float:
     return min(1.0, max(-1.0, x))
 
 
+def _turn(a: tuple, b: tuple, u: tuple, w: tuple) -> tuple[bool, float]:
+    """How x -> a x b turns its invariant plane (u, w), all component
+    tuples: whether the basis must flip, to (u, -w), so that the turn is
+    counterclockwise, and the angle in [0, pi], read off the image of u."""
+    fu = _mul4(_mul4(a, u), b)
+    c, s = _dot4(fu, u), _dot4(fu, w)
+    return s < 0.0, math.atan2(-s if s < 0.0 else s, c)
+
+
 def plane_rotation_angle(r: Rotation4, invariant: Plane) -> tuple[Plane, float]:
     """Turning angle of r inside one of its invariant planes.
 
@@ -168,58 +176,66 @@ def plane_rotation_angle(r: Rotation4, invariant: Plane) -> tuple[Plane, float]:
     relative to (u, w), together with the angle in [0, pi].  Only meaningful
     when `invariant` really is invariant under r.
     """
-    fu = apply(r, invariant.u)
-    c = dot4(fu, invariant.u)
-    s = dot4(fu, invariant.w)
-    if s < 0.0:
-        invariant = invariant.flipped()
-        s = -s
-    return invariant, math.atan2(s, c)
+    flip, angle = _turn(
+        r.a.components(), r.b.components(), invariant.u.components(), invariant.w.components()
+    )
+    return (invariant.flipped() if flip else invariant), angle
 
 
-_BASIS = (ONE, I, J, K)
+_BASIS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
 
-def _eigenvectors(p: Quaternion, q: Quaternion, *signs: float) -> list[Quaternion]:
+def _eigenvectors(p: tuple, q: tuple, *signs: float) -> list[tuple]:
     """For each s = +-1 in signs, a unit u of the s-eigenspace of T x = p x q
-    for pure unit p, q: column k of 2P = I + sT, twice the projector, at its
-    first largest diagonal entry, so |u|^2 = 4 P_kk >= 2 as trace P = 2.
-    Column k of T is p e_k q, and its diagonal is (-p.q, p.q - 2 p_i q_i)."""
-    pv, qv = p.v, q.v
-    if abs(pv.norm() - 1.0) > EPS_UNIT or abs(qv.norm() - 1.0) > EPS_UNIT:
+    for pure unit p, q (component tuples): column k of 2P = I + sT, twice
+    the projector, at its first largest diagonal entry, so |u|^2 = 4 P_kk >= 2
+    as trace P = 2.  Column k of T is p e_k q, and its diagonal is
+    (-p.q, p.q - 2 p_i q_i)."""
+    _, p1, p2, p3 = p
+    _, q1, q2, q3 = q
+    if (
+        abs(math.sqrt(p1 * p1 + p2 * p2 + p3 * p3) - 1.0) > EPS_UNIT
+        or abs(math.sqrt(q1 * q1 + q2 * q2 + q3 * q3) - 1.0) > EPS_UNIT
+    ):
         raise NotUnit("axes must be unit 3-vectors")
-    d = pv.dot(qv)
-    diag = (-d, d - 2.0 * pv.x1 * qv.x1, d - 2.0 * pv.x2 * qv.x2, d - 2.0 * pv.x3 * qv.x3)
+    d = p1 * q1 + p2 * q2 + p3 * q3
+    diag = (-d, d - 2.0 * p1 * q1, d - 2.0 * p2 * q2, d - 2.0 * p3 * q3)
     us = []
     for s in signs:
-        k = diag.index(max(diag) if s > 0.0 else min(diag))
-        us.append(normalized(mul(mul(p, _BASIS[k]), q) * s + _BASIS[k]))
+        e = _BASIS[diag.index(max(diag) if s > 0.0 else min(diag))]
+        t0, t1, t2, t3 = _mul4(_mul4(p, e), q)
+        us.append(_unit4((t0 * s + e[0], t1 * s + e[1], t2 * s + e[2], t3 * s + e[3])))
     return us
 
 
-def _axis(x: Quaternion) -> Quaternion:
-    """The unit axis V(x)/|V(x)| as a pure quaternion, for |V(x)| > EPS_AXIS."""
-    return pure(x.v / x.v.norm())
-
-
-def _eigenplanes(r: Rotation4) -> tuple[Plane, Plane]:
-    """Both invariant planes of r as built, (u, p u) for the unit u of
-    _eigenvectors and the unit axes p, q: the -1 eigenspace of x -> p x q
-    first, then the +1 eigenspace.  p u is orthogonal to u and in the same
-    eigenspace, as x -> p x commutes with x -> p x q."""
-    p, q = _axis(r.a), _axis(r.b)
-    first, second = (Plane(u, mul(p, u)) for u in _eigenvectors(p, q, -1.0, 1.0))
-    return first, second
+def _axis(x: tuple) -> tuple:
+    """The unit axis V(x)/|V(x)| as a pure component tuple, for |V(x)| > EPS_AXIS."""
+    _, x1, x2, x3 = x
+    f = 1.0 / math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    return (0.0, x1 * f, x2 * f, x3 * f)
 
 
 def _measured_planes(r: Rotation4, simple: bool) -> tuple[tuple[Plane, float], ...]:
-    """Both planes of _eigenplanes, each measured by plane_rotation_angle.
-    On the first p x = x q, so r turns it by x -> x e^{q(ha+hb)}: it carries
-    the reduced half-angle sum, the second the reduced difference.  For a
-    simple r the second, its fixed plane, is kept as built with angle 0.0."""
-    first, second = _eigenplanes(r)
-    measured = plane_rotation_angle(r, first)
-    return measured, (second, 0.0) if simple else plane_rotation_angle(r, second)
+    """Both invariant planes of r with their angles, in floats until each
+    plane is built: (u, p u) for the unit u of _eigenvectors and the unit
+    axes p, q, the -1 eigenspace of x -> p x q first, then the +1
+    eigenspace.  p u is orthogonal to u and in the same eigenspace, as
+    x -> p x commutes with x -> p x q.  Each plane is oriented and measured
+    by _turn.  On the first p x = x q, so r turns it by x -> x e^{q(ha+hb)}:
+    it carries the reduced half-angle sum, the second the reduced
+    difference.  For a simple r the second, its fixed plane, is kept as
+    built with angle 0.0."""
+    a, b = r.a.components(), r.b.components()
+    p = _axis(a)
+    measured = []
+    for u, turns in zip(_eigenvectors(p, _axis(b), -1.0, 1.0), (True, not simple)):
+        w, angle = _mul4(p, u), 0.0
+        if turns:
+            flip, angle = _turn(a, b, u, w)
+            if flip:
+                w = (-w[0], -w[1], -w[2], -w[3])
+        measured.append((Plane(_quat(*u), _quat(*w)), angle))
+    return tuple(measured)
 
 
 def _kind(r: Rotation4, eps: float) -> type:
@@ -276,12 +292,21 @@ def simple_to_reflections(
     b' = S(a) + |V(a)| q: from_reflections(y, z) is (a, b'), r itself when
     S(a) = S(b), else the simple rotation with a's angle and b's axis.
     """
+    _, _, y, z = _split(r, eps)
+    return ReflectionNormal(_quat(*y)), ReflectionNormal(_quat(*z))
+
+
+def _split(r: Rotation4, eps: float) -> tuple:
+    """simple_to_reflections in floats: (p, q, y, z) with the unit axes p, q
+    of a and b, None for the identity, and the normals y, z, all component
+    tuples.  Raises NotSimple on every kind but Simple and Identity."""
     kind = _kind(r, eps)
+    a = r.a.components()
     if kind is Identity:
-        y = ONE
+        p, q, y = None, None, _BASIS[0]
     elif kind is Simple:
-        (y,) = _eigenvectors(_axis(r.a), _axis(r.b), -1.0)
+        p, q = _axis(a), _axis(r.b.components())
+        (y,) = _eigenvectors(p, q, -1.0)
     else:
         raise NotSimple(f"a {kind.__name__} rotation, not simple at eps = {eps:.1e}")
-    z = normalized(mul(r.a, y))
-    return ReflectionNormal(y), ReflectionNormal(z)
+    return p, q, y, _unit4(_mul4(a, y))

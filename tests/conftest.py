@@ -1,7 +1,28 @@
 import numpy as np
 import pytest
 
-from rot4 import ONE, Plane, Quaternion, Rotation4, Vec3, to_matrix
+from rot4 import ONE, Plane, Quaternion, Rotation4, Vec3, dot4, projector_distance, to_matrix
+
+# Bounds the tests hold rot4 to; no rot4 code compares against them.
+# Pure-algebra identities hold to rounding, within EPS_ALG.
+EPS_ALG = 1e-12
+# The default projector equality of planes.
+EPS_PLANE = 1e-8
+
+
+def same_plane(p1: Plane, p2: Plane, eps: float = EPS_PLANE) -> bool:
+    return projector_distance(p1, p2) <= eps
+
+
+def planes_orthogonal(p1: Plane, p2: Plane, eps: float = EPS_PLANE) -> bool:
+    """True when every basis vector of p1 is orthogonal to every one of p2."""
+    dots = (
+        dot4(p1.u, p2.u),
+        dot4(p1.u, p2.w),
+        dot4(p1.w, p2.u),
+        dot4(p1.w, p2.w),
+    )
+    return max(abs(d) for d in dots) <= eps
 
 
 def rand_unit_quat(rng) -> Quaternion:

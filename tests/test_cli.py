@@ -304,6 +304,23 @@ class TestArguments:
         assert exc.value.code == 2
         assert "error: argument --eps: must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["classify", "verify", "reflections", "compose"])
+    def test_negative_eps_form_is_documented(self, capsys, write_doc, command):
+        # argparse reads "-1e-3" after "--eps " as an option; the help names the
+        # form that reaches the range check, --eps=-1e-3
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "must be written --eps=-1e-3" in " ".join(capsys.readouterr().out.split())
+        docs = [write_doc(F_DOC)] * (2 if command == "compose" else 1)
+        for argv, message in (
+            (["--eps", "-1e-3"], "argument --eps: expected one argument"),
+            (["--eps=-1e-3"], "argument --eps: must be finite and >= 0, got '-1e-3'"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *docs, *argv])
+            assert exc.value.code == 2
+            assert f"error: {message}" in capsys.readouterr().err
+
     def test_eps_zero_and_malformed_text(self, capsys, write_doc):
         assert run(capsys, "classify", write_doc(F_DOC), "--eps", "0")[0] == 0
         with pytest.raises(SystemExit) as exc:

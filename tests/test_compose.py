@@ -25,7 +25,6 @@ from rot4 import (
     classify,
     compose,
     compose_gibbs,
-    compose_left_clifford,
     composed_planes_from_gibbs,
     conj,
     from_reflections,
@@ -36,14 +35,13 @@ from rot4 import (
     projector_distance,
     pure,
     rodrigues_compose,
-    same_plane,
     simple_to_reflections,
     to_matrix,
     unit_from_gibbs,
 )
 from rot4.cli import random_rotation
 from rot4.quat import PIVOT_TOL
-from conftest import comp_diff, matrix_of, rand_unit_quat, rand_unit_vec3
+from conftest import comp_diff, matrix_of, rand_unit_quat, rand_unit_vec3, same_plane
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -346,21 +344,31 @@ class TestComposeGibbs:
             GibbsPair(Vec3(), Vec3(), *cosines)
 
 
+def compose_left(g1: Vec3, cos1: float, g2: Vec3, cos2: float) -> tuple[Vec3, float]:
+    """The left side of compose_gibbs on two left turns x -> a x (first) and
+    x -> b x (second): the Gibbs vector and cosine of x -> (ba) x."""
+    h = compose_gibbs(GibbsPair(g1, Vec3(), cos1, 1.0), GibbsPair(g2, Vec3(), cos2, 1.0))
+    assert (h.q_tilde, h.cos_beta) == (Vec3(), 1.0)
+    return h.p_tilde, h.cos_alpha
+
+
 class TestComposeLeftClifford:
+    """compose_gibbs on left (Clifford) turns, whose right sides are 1."""
+
     def test_identity_neutral(self, rng):
         g1 = Vec3(*rng.standard_normal(3))
         cos1 = 1.0 / math.sqrt(1.0 + g1.norm_sq())
-        vec, cos_out = compose_left_clifford(g1, cos1, Vec3(), 1.0)
+        vec, cos_out = compose_left(g1, cos1, Vec3(), 1.0)
         assert comp_diff(pure(vec), pure(g1)) == 0.0
         assert cos_out == cos1
 
     def test_quarter_turns(self):
-        vec, cos_out = compose_left_clifford(Vec3(1, 0, 0), R2, Vec3(0, 1, 0), R2)
+        vec, cos_out = compose_left(Vec3(1, 0, 0), R2, Vec3(0, 1, 0), R2)
         assert comp_diff(pure(vec), Quaternion.of(0, 1, 1, -1)) <= 1e-15
         assert abs(cos_out - 0.5) <= 1e-15
 
     def test_inverse_pair(self):
-        vec, cos_out = compose_left_clifford(Vec3(1, 0, 0), R2, Vec3(-1, 0, 0), R2)
+        vec, cos_out = compose_left(Vec3(1, 0, 0), R2, Vec3(-1, 0, 0), R2)
         assert vec.components() == (0, 0, 0)
         assert abs(cos_out - 1.0) <= 1e-15
 
@@ -374,7 +382,7 @@ class TestComposeLeftClifford:
             done += 1
             a, b = unit_from_gibbs(g1), unit_from_gibbs(g2)
             cos1, cos2 = a.s, b.s
-            vec, cos_out = compose_left_clifford(g1, cos1, g2, cos2)
+            vec, cos_out = compose_left(g1, cos1, g2, cos2)
             product = mul(b, a)
             assert comp_diff(pure(vec), pure(gibbs_from_unit(product))) <= 1e-10
             assert abs(abs(cos_out) - abs(product.s)) <= 1e-12

@@ -1,0 +1,289 @@
+"""The float kernels against the object arithmetic they replace.
+
+classify, compose, compose_gibbs, simple_to_reflections and
+is_composition_simple compute on float tuples and build values only for
+their results.  The reference below computes the same formulas through
+Quaternion and Vec3 operators, one value per step, in the same summation
+order; every result must match it bit for bit, down to the sign of a zero,
+so reprs are compared.
+"""
+
+import importlib
+import math
+
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from rot4 import (
+    DEFAULT_EPS,
+    EPS_AXIS,
+    EPS_GIBBS,
+    EPS_UNIT,
+    ONE,
+    GibbsPair,
+    GibbsSingular,
+    I,
+    Identity,
+    J,
+    K,
+    LeftIsoclinic,
+    NotSimple,
+    NotUnit,
+    Plane,
+    Quaternion,
+    ReflectionNormal,
+    RightIsoclinic,
+    Rotation4,
+    Simple,
+    Double,
+    SimplicityReport,
+    Vec3,
+    classify,
+    compose,
+    compose_gibbs,
+    is_composition_simple,
+    mul,
+    normalized,
+    simple_to_reflections,
+)
+import rot4.quat as quat_module
+import rot4.rotation as rotation_module
+from rot4.quat import PIVOT_TOL, _det4
+
+# `import rot4.compose as ...` would bind the function rot4.compose
+compose_module = importlib.import_module("rot4.compose")
+R2 = 1.0 / math.sqrt(2.0)
+
+# --- the reference: one Quaternion or Vec3 per step ------------------------
+
+
+def ref_mul(x: Quaternion, y: Quaternion) -> Quaternion:
+    """s1 s2 - v1.v2 and s1 v2 + s2 v1 + v1 x v2, summed in that order."""
+    return Quaternion(x.s * y.s - x.v.dot(y.v), y.v * x.s + x.v * y.s + x.v.cross(y.v))
+
+
+def ref_normalized(x: Quaternion) -> Quaternion:
+    n = math.sqrt(x.s * x.s + x.v.norm_sq())
+    if n <= EPS_AXIS:
+        raise ValueError("cannot normalize a (near-)zero quaternion")
+    return x / n
+
+
+def ref_dot4(x: Quaternion, y: Quaternion) -> float:
+    return x.s * y.s + x.v.dot(y.v)
+
+
+def ref_conj(x: Quaternion) -> Quaternion:
+    return Quaternion(x.s, -x.v)
+
+
+def ref_axis(x: Quaternion) -> Quaternion:
+    return Quaternion(0.0, x.v / x.v.norm())
+
+
+def ref_eigenvectors(p: Quaternion, q: Quaternion, *signs: float) -> list[Quaternion]:
+    pv, qv = p.v, q.v
+    if abs(pv.norm() - 1.0) > EPS_UNIT or abs(qv.norm() - 1.0) > EPS_UNIT:
+        raise NotUnit("axes must be unit 3-vectors")
+    d = pv.dot(qv)
+    diag = (-d, d - 2.0 * pv.x1 * qv.x1, d - 2.0 * pv.x2 * qv.x2, d - 2.0 * pv.x3 * qv.x3)
+    us = []
+    for s in signs:
+        e = (ONE, I, J, K)[diag.index(max(diag) if s > 0.0 else min(diag))]
+        us.append(ref_normalized(ref_mul(ref_mul(p, e), q) * s + e))
+    return us
+
+
+def ref_plane_angle(r: Rotation4, plane: Plane) -> tuple[Plane, float]:
+    """The flip rule: orient the plane so that r turns u towards w."""
+    fu = ref_mul(ref_mul(r.a, plane.u), r.b)
+    c, s = ref_dot4(fu, plane.u), ref_dot4(fu, plane.w)
+    if s < 0.0:
+        plane, s = Plane(plane.u, -plane.w), -s
+    return plane, math.atan2(s, c)
+
+
+def ref_classify(r: Rotation4, eps: float):
+    kind = rotation_module._kind(r, eps)
+    a, b = r.a, r.b
+    if kind is Identity:
+        return Identity()
+    if kind is RightIsoclinic:
+        return RightIsoclinic(math.acos(min(1.0, max(-1.0, math.copysign(1.0, a.s) * b.s))))
+    if kind is LeftIsoclinic:
+        c = -1.0 if a.v.norm() <= EPS_AXIS else math.copysign(1.0, b.s) * a.s
+        return LeftIsoclinic(math.acos(min(1.0, max(-1.0, c))))
+    p, q = ref_axis(a), ref_axis(b)
+    first, second = (Plane(u, ref_mul(p, u)) for u in ref_eigenvectors(p, q, -1.0, 1.0))
+    p1, a1 = ref_plane_angle(r, first)
+    if kind is Simple:
+        return Simple(a1, second, p1)
+    p2, a2 = ref_plane_angle(r, second)
+    return Double(p1, a1, p2, a2)
+
+
+def ref_compose(g: Rotation4, f: Rotation4) -> Rotation4:
+    return Rotation4(ref_normalized(ref_mul(g.a, f.a)), ref_normalized(ref_mul(f.b, g.b)))
+
+
+def ref_gibbs_rule(g1: Vec3, g2: Vec3) -> tuple[Vec3, float]:
+    den = 1.0 - g2.dot(g1)
+    if abs(den) <= EPS_GIBBS:
+        raise GibbsSingular("denominator vanishes")
+    return (g2 + g1 + g2.cross(g1)) / den, den
+
+
+def ref_compose_gibbs(f: GibbsPair, g: GibbsPair) -> GibbsPair:
+    p, den_p = ref_gibbs_rule(f.p_tilde, g.p_tilde)
+    q, den_q = ref_gibbs_rule(g.q_tilde, f.q_tilde)
+    return GibbsPair(p, q, f.cos_alpha * g.cos_alpha * den_p, f.cos_beta * g.cos_beta * den_q)
+
+
+def ref_split(r: Rotation4, eps: float) -> tuple[Quaternion, Quaternion]:
+    kind = rotation_module._kind(r, eps)
+    if kind is Identity:
+        y = ONE
+    elif kind is Simple:
+        (y,) = ref_eigenvectors(ref_axis(r.a), ref_axis(r.b), -1.0)
+    else:
+        raise NotSimple(f"a {kind.__name__} rotation, not simple at eps = {eps:.1e}")
+    return y, ref_normalized(ref_mul(r.a, y))
+
+
+def ref_simplicity(f: Rotation4, g: Rotation4, eps: float) -> SimplicityReport:
+    (y, z), (u, w) = ref_split(f, eps), ref_split(g, eps)
+    a, b = ref_mul(z, ref_conj(y)), ref_mul(ref_conj(y), z)
+    c, d = ref_mul(w, ref_conj(u)), ref_mul(ref_conj(u), w)
+    s_condition = c.v.dot(a.v) - b.v.dot(d.v)
+    det = _det4(zip(*[(n.v.x1, n.v.x2, n.v.x3, n.s) for n in (y, z, u, w)]))
+    if rotation_module._kind(f, eps) is Identity or rotation_module._kind(g, eps) is Identity:
+        dim = 2
+    else:
+        q, yc = ref_axis(f.b).v, ref_conj(y)
+        x1 = ref_mul(yc, u).v.cross(q)
+        x2 = ref_mul(ref_mul(yc, ref_axis(g.a)), u).v.cross(q)
+        total, area = x1.norm_sq() + x2.norm_sq(), x1.cross(x2).norm()
+        s1 = math.sqrt((total + math.sqrt(max(0.0, total * total - 4.0 * area * area))) / 2.0)
+        s2 = area / s1 if s1 > 0.0 else 0.0
+        dim = (s1 <= PIVOT_TOL) + (s2 <= PIVOT_TOL)
+    return SimplicityReport(s_condition, det, dim, abs(s_condition) <= eps)
+
+
+def outcome(fn, *args) -> str:
+    """repr of the result, or the name of the refusal raised (the messages
+    are pinned where each refusal is tested)."""
+    try:
+        return repr(fn(*args))
+    except (NotSimple, GibbsSingular) as exc:
+        return type(exc).__name__
+
+
+# --- inputs ----------------------------------------------------------------
+
+# exact values and signed zeros, where a change of order shows in the sign
+# of a zero, and so in an angle of pi or -pi
+_COMP = st.sampled_from([-1.0, -R2, -0.5, -0.0, 0.0, 0.5, R2, 1.0]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _units(draw) -> Quaternion:
+    c = draw(st.tuples(_COMP, _COMP, _COMP, _COMP))
+    n = math.sqrt(sum(x * x for x in c))
+    assume(n >= 0.1)
+    return Quaternion.of(*(x / n for x in c))
+
+
+@st.composite
+def _rotations(draw) -> Rotation4:
+    """A generic pair, a simple one (b with a's scalar part), a near-simple
+    one, or a pair with a factor +-1 or within EPS_AXIS of it."""
+    a, b = draw(_units()), draw(_units())
+    mode = draw(st.sampled_from(["generic", "simple", "near-simple", "real", "near-real"]))
+    if mode in ("simple", "near-simple"):
+        gap = 0.0 if mode == "simple" else draw(st.sampled_from([1e-11, 5e-9, 2e-8]))
+        s = max(-1.0, min(1.0, a.s - gap))
+        assume(b.v.norm() >= 0.1)
+        b = Quaternion(s, b.v * (math.sqrt(1.0 - s * s) / b.v.norm()))
+    elif mode == "real":
+        b = Quaternion(draw(st.sampled_from([1.0, -1.0])))
+    elif mode == "near-real":
+        assume(b.v.norm() >= 0.1)
+        vn = draw(st.sampled_from([5e-10, 2e-9]))
+        b = Quaternion(math.sqrt(1.0 - vn * vn), b.v * (vn / b.v.norm()))
+    pair = (a, b) if draw(st.booleans()) else (b, a)
+    return Rotation4(*pair)
+
+
+_EPSILONS = st.sampled_from([1e-12, DEFAULT_EPS, 0.3])
+
+
+class TestMatchesObjectArithmetic:
+    def test_public_wrappers(self):
+        x, y = Quaternion.of(0.5, -0.5, 0.5, 0.5), Quaternion.of(R2, 0.0, -R2, 0.0)
+        for a, b in ((x, y), (y, x), (I, J), (ONE, -K)):
+            assert repr(mul(a, b)) == repr(ref_mul(a, b))
+            assert repr(normalized(a * 3.0 + b)) == repr(ref_normalized(a * 3.0 + b))
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(f=_rotations(), g=_rotations(), eps=_EPSILONS)
+    @example(  # the image of u has the component -0.0 along w, read by atan2 as -pi
+        f=Rotation4(Quaternion.of(0.0, 0.0, 0.0, -1.0), Quaternion.of(0.0, 0.0, R2, -R2)),
+        g=Rotation4(ONE, K),
+        eps=DEFAULT_EPS,
+    )
+    def test_results(self, f, g, eps):
+        assert outcome(classify, f, eps) == outcome(ref_classify, f, eps)
+        assert outcome(compose, g, f) == outcome(ref_compose, g, f)
+        got = outcome(simple_to_reflections, f, eps)
+        want = outcome(lambda: tuple(map(ReflectionNormal, ref_split(f, eps))))
+        assert got == want
+        assert outcome(is_composition_simple, f, g, eps) == outcome(ref_simplicity, f, g, eps)
+        if min(abs(f.a.s), abs(f.b.s), abs(g.a.s), abs(g.b.s)) > EPS_GIBBS:
+            gf, gg = GibbsPair.from_rotation(f), GibbsPair.from_rotation(g)
+            assert outcome(compose_gibbs, gf, gg) == outcome(ref_compose_gibbs, gf, gg)
+
+
+class TestAllocation:
+    """Only results are built: every Quaternion of the kernels' callers goes
+    through _quat, counted here in each module that imports it, as the
+    oracle's test counts _finite."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls, original = [], quat_module._quat
+
+        def counting(*components):
+            calls.append(components)
+            return original(*components)
+
+        for module in (quat_module, rotation_module, compose_module):
+            monkeypatch.setattr(module, "_quat", counting)
+        return calls
+
+    def test_classify_builds_its_four_plane_vectors(self, built):
+        r = Rotation4(Quaternion.of(0.5, 0.5, 0.5, -0.5), Quaternion.of(R2, R2, 0.0, 0.0))
+        kind = classify(r)
+        assert isinstance(kind, Double)
+        planes = (kind.plane1, kind.plane2)
+        assert built == [c for p in planes for c in (p.u.components(), p.w.components())]
+
+    def test_compose_builds_its_two_factors(self, built):
+        f = Rotation4(Quaternion.of(0.8, 0.6, 0.0, 0.0), Quaternion.of(0.8, 0.0, 0.0, -0.6))
+        h = compose(f, f)
+        assert built == [h.a.components(), h.b.components()]
+
+    def test_compose_negates_by_the_sign_rule(self, built):
+        # the product's leading component is negative: Rotation4 negates both
+        h = compose(Rotation4(K, K), Rotation4(K, ONE))
+        assert len(built) == 4
+        assert h == Rotation4(ONE, -K)
+
+    def test_split_and_simplicity(self, built):
+        f = Rotation4(Quaternion.of(R2, R2, 0.0, 0.0), Quaternion.of(R2, 0.0, R2, 0.0))
+        g = Rotation4(Quaternion.of(R2, 0.0, R2, 0.0), Quaternion.of(R2, 0.0, 0.0, R2))
+        ny, nz = simple_to_reflections(f)
+        assert built == [ny.q.components(), nz.q.components()]
+        built.clear()
+        is_composition_simple(f, g)
+        assert built == []

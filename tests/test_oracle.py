@@ -27,7 +27,6 @@ from rot4 import (
     mul,
     normalized,
     planes_from_matrix,
-    planes_orthogonal,
     projector_distance,
     to_matrix,
 )
@@ -38,6 +37,7 @@ from conftest import (
     left_matrix,
     matrix_of,
     numpy_projector,
+    planes_orthogonal,
     rand_unit_quat,
     rand_unit_vec3,
     right_matrix,
@@ -541,6 +541,11 @@ class TestPublicSurface:
             "PolarForm",
             "left_mult_matrix",
             "right_mult_matrix",
+            "compose_left_clifford",
+            "EPS_ALG",
+            "EPS_PLANE",
+            "same_plane",
+            "planes_orthogonal",
         ):
             with pytest.raises(AttributeError, match=name):
                 getattr(rot4, name)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rot4 import (
-    EPS_ALG,
     Double,
     GibbsPair,
     GibbsSingular,
@@ -40,7 +39,7 @@ from rot4 import (
     unit_from_gibbs,
 )
 import rot4.quat as quat_module
-from conftest import comp_diff, comp_diff_up_to_sign, rand_unit_quat
+from conftest import EPS_ALG, comp_diff, comp_diff_up_to_sign, rand_unit_quat
 
 R2 = 1.0 / math.sqrt(2.0)
 

@@ -33,7 +33,6 @@ from rot4 import (
     is_composition_simple,
     mul,
     normalized,
-    planes_orthogonal,
     projector_distance,
     pure,
     reflect,
@@ -48,6 +47,7 @@ from conftest import (
     left_matrix,
     matrix_of,
     numpy_projector,
+    planes_orthogonal,
     rand_unit_quat,
     rand_unit_vec3,
     right_matrix,
@@ -247,7 +247,8 @@ class TestClassify:
             r = random_rotation(rng, "simple")
             kind = classify(r)
             p, q = (pure(x.v / x.v.norm()) for x in (r.a, r.b))
-            (u,) = rotation_module._eigenvectors(p, q, 1.0)
+            (u,) = rotation_module._eigenvectors(p.components(), q.components(), 1.0)
+            u = Quaternion.of(*u)
             assert kind.fixed_plane == Plane(u, mul(p, u))
             turning = kind.rotation_plane
             assert dot4(apply(r, turning.u), turning.w) >= 0.0
@@ -554,7 +555,7 @@ def _refuse(*args, **kwargs):
 
 
 def _refuse_planes(mp: pytest.MonkeyPatch) -> None:
-    for name in ("classify", "_eigenplanes", "_measured_planes", "plane_rotation_angle"):
+    for name in ("classify", "_measured_planes", "_turn", "plane_rotation_angle", "Plane"):
         mp.setattr(rotation_module, name, _refuse)
 
 
@@ -580,7 +581,7 @@ class TestAxis:
         axis, reached = rotation_module._axis, []
 
         def guarded(x):
-            assert x.v.norm() > EPS_AXIS
+            assert math.hypot(*x[1:]) > EPS_AXIS
             reached.append(x)
             return axis(x)
 
