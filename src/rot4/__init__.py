@@ -66,7 +66,6 @@ from .rotation import (
     apply,
     classify,
     from_reflections,
-    plane_rotation_angle,
     reflect,
     simple_to_reflections,
     to_matrix,
@@ -115,7 +114,6 @@ __all__ = [
     "norm",
     "norm_sq",
     "normalized",
-    "plane_rotation_angle",
     "planes_from_matrix",
     "projector_distance",
     "pure",

@@ -336,7 +336,10 @@ def random_rotation(rng, kind: str, eps: float = DEFAULT_EPS) -> Rotation4:
 def cmd_random(args) -> int:
     import random
 
-    r = random_rotation(random.Random(args.seed), args.kind, args.eps)
+    try:
+        r = random_rotation(random.Random(args.seed), args.kind, args.eps)
+    except RuntimeError as exc:
+        raise _CliError(EXIT_DISCREPANCY, f"{exc} at eps = {args.eps:g}") from exc
     print(json.dumps(doc_of_rotation(r)))
     return EXIT_OK
 

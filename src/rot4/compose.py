@@ -35,8 +35,8 @@ from .rotation import (
     DEFAULT_EPS,
     Rotation4,
     Simple,
+    _invariant_planes,
     _kind,
-    _measured_planes,
     _split,
 )
 
@@ -185,7 +185,7 @@ def composed_planes_from_gibbs(h: GibbsPair) -> tuple[Plane, Plane, float, float
 
     Rebuilds the rotation from the stored vectors and cosines and hands it to
     classify's plane step: the planes are the eigenspaces of x -> p x q for
-    the unit axes p, q, and each angle is measured on the rotation itself.
+    the unit axes p, q, and the angles follow from the factor half-angles.
     Returns (plane1, plane2, angle1, angle2) with plane1 carrying the reduced
     half-angle sum and plane2 the reduced difference, in classify's order.
     When the rebuilt rotation is simple at DEFAULT_EPS, plane2 is its fixed
@@ -197,5 +197,5 @@ def composed_planes_from_gibbs(h: GibbsPair) -> tuple[Plane, Plane, float, float
             "planes are not unique"
         )
     r = h.to_rotation()
-    (p1, a1), (p2, a2) = _measured_planes(r, _kind(r, DEFAULT_EPS) is Simple)
+    (p1, a1), (p2, a2) = _invariant_planes(r, _kind(r, DEFAULT_EPS) is Simple)
     return p1, p2, a1, a2

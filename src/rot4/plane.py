@@ -27,10 +27,6 @@ class Plane(_Value):
         _set(self, "u", u)
         _set(self, "w", w)
 
-    def flipped(self) -> "Plane":
-        """Same plane with reversed orientation."""
-        return Plane(self.u, -self.w)
-
 
 def _projector_rows(plane: Plane) -> list[list[float]]:
     """Rows of the projector, entry (i, j) = u_i*u_j + w_i*w_j: bit for bit

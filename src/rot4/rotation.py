@@ -9,11 +9,12 @@ Conventions fixed here once and used everywhere:
 
 * (a, b) and (-a, -b) act identically; the stored representative makes the
   first component of `a` whose magnitude exceeds EPS_AXIS positive.
-* All reported rotation angles lie in [0, pi]; each reported plane has its
-  basis oriented so the in-plane turn is counterclockwise relative to
+* All reported rotation angles lie in [0, pi] and are computed from the
+  factor half-angles atan2(|V|, S), not measured; each reported plane has
+  its basis oriented so the in-plane turn is counterclockwise relative to
   (u, w).  This removes the double ambiguity plane-orientation x angle-sign.
-  A simple rotation's fixed plane does not turn and keeps the basis
-  (u, p u) it is built with.
+  A turn by exactly pi, and a simple rotation's fixed plane, which does
+  not turn, keep the basis (u, p u) they are built with.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .quat import (
     EPS_UNIT,
     ONE,
     Quaternion,
-    _dot4,
     _mul4,
     _quat,
     _set,
@@ -156,32 +156,6 @@ class Double(_Value):
 RotationKind = Identity | Simple | LeftIsoclinic | RightIsoclinic | Double
 
 
-def _clamp(x: float) -> float:
-    return min(1.0, max(-1.0, x))
-
-
-def _turn(a: tuple, b: tuple, u: tuple, w: tuple) -> tuple[bool, float]:
-    """How x -> a x b turns its invariant plane (u, w), all component
-    tuples: whether the basis must flip, to (u, -w), so that the turn is
-    counterclockwise, and the angle in [0, pi], read off the image of u."""
-    fu = _mul4(_mul4(a, u), b)
-    c, s = _dot4(fu, u), _dot4(fu, w)
-    return s < 0.0, math.atan2(-s if s < 0.0 else s, c)
-
-
-def plane_rotation_angle(r: Rotation4, invariant: Plane) -> tuple[Plane, float]:
-    """Turning angle of r inside one of its invariant planes.
-
-    Returns the plane, orientation-corrected so the turn is counterclockwise
-    relative to (u, w), together with the angle in [0, pi].  Only meaningful
-    when `invariant` really is invariant under r.
-    """
-    flip, angle = _turn(
-        r.a.components(), r.b.components(), invariant.u.components(), invariant.w.components()
-    )
-    return (invariant.flipped() if flip else invariant), angle
-
-
 _BASIS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
 
@@ -215,27 +189,34 @@ def _axis(x: tuple) -> tuple:
     return (0.0, x1 * f, x2 * f, x3 * f)
 
 
-def _measured_planes(r: Rotation4, simple: bool) -> tuple[tuple[Plane, float], ...]:
+def _half_angle(x: tuple) -> float:
+    """h in [0, pi] with x = cos(h) + sin(h) V(x)/|V(x)| for a unit x:
+    atan2(|V(x)|, S(x))."""
+    s, x1, x2, x3 = x
+    return math.atan2(math.sqrt(x1 * x1 + x2 * x2 + x3 * x3), s)
+
+
+def _invariant_planes(r: Rotation4, simple: bool) -> tuple[tuple[Plane, float], ...]:
     """Both invariant planes of r with their angles, in floats until each
     plane is built: (u, p u) for the unit u of _eigenvectors and the unit
     axes p, q, the -1 eigenspace of x -> p x q first, then the +1
     eigenspace.  p u is orthogonal to u and in the same eigenspace, as
-    x -> p x commutes with x -> p x q.  Each plane is oriented and measured
-    by _turn.  On the first p x = x q, so r turns it by x -> x e^{q(ha+hb)}:
-    it carries the reduced half-angle sum, the second the reduced
-    difference.  For a simple r the second, its fixed plane, is kept as
-    built with angle 0.0."""
+    x -> p x commutes with x -> p x q.  For a = e^{p ha}, b = e^{q hb}: on
+    the first p u = u q, so r turns (u, p u) by ha + hb; on the second
+    p u = -u q, so by ha - hb.  Each turn is reduced to [0, pi] by flipping
+    w, and a turn by exactly pi keeps (u, p u).  For a simple r the second,
+    its fixed plane, is kept as built with angle 0.0."""
     a, b = r.a.components(), r.b.components()
-    p = _axis(a)
-    measured = []
-    for u, turns in zip(_eigenvectors(p, _axis(b), -1.0, 1.0), (True, not simple)):
-        w, angle = _mul4(p, u), 0.0
-        if turns:
-            flip, angle = _turn(a, b, u, w)
-            if flip:
-                w = (-w[0], -w[1], -w[2], -w[3])
-        measured.append((Plane(_quat(*u), _quat(*w)), angle))
-    return tuple(measured)
+    ha, hb, p = _half_angle(a), _half_angle(b), _axis(a)
+    total = ha + hb
+    turns = [(total > math.pi, min(total, 2.0 * math.pi - total))]
+    turns.append((False, 0.0) if simple else (ha < hb, abs(ha - hb)))
+    planes = []
+    for u, (flip, angle) in zip(_eigenvectors(p, _axis(b), -1.0, 1.0), turns):
+        w = _mul4(p, u)
+        w = (-w[0], -w[1], -w[2], -w[3]) if flip else w
+        planes.append((Plane(_quat(*u), _quat(*w)), angle))
+    return tuple(planes)
 
 
 def _kind(r: Rotation4, eps: float) -> type:
@@ -258,22 +239,23 @@ def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
     The kind is _kind's decision, shared with simple_to_reflections.  Simple
     and Double take the planes in one order: the -1 eigenspace of
     x -> p x q for the unit axes p, q first, which carries the half-angle
-    sum, then the +1 eigenspace.  Each angle is measured by applying r
-    inside its plane.  The first plane is plane1 of a Double and the
-    rotation plane of a Simple.  A Simple's fixed plane is reported as
-    built, (u, p u), and not measured: its turn is rounding noise, whose
-    sign would pick the orientation.
+    sum, then the +1 eigenspace, which carries the difference.  Every angle
+    comes from the factor half-angles atan2(|V|, S) in closed form, the
+    isoclinic ones included; none is measured by applying r.  The first
+    plane is plane1 of a Double and the rotation plane of a Simple.  A
+    Simple's fixed plane is reported as built, (u, p u), with angle 0.0.
     """
     a, b = r.a, r.b
     kind = _kind(r, eps)
     if kind is Identity:
         return Identity()
     if kind is RightIsoclinic:
-        return RightIsoclinic(math.acos(_clamp(math.copysign(1.0, a.s) * b.s)))
+        return RightIsoclinic(math.atan2(b.v.norm(), math.copysign(1.0, a.s) * b.s))
     if kind is LeftIsoclinic:
-        c = -1.0 if a.v.norm() <= EPS_AXIS else math.copysign(1.0, b.s) * a.s
-        return LeftIsoclinic(math.acos(_clamp(c)))
-    (p1, a1), (p2, a2) = _measured_planes(r, kind is Simple)
+        if a.v.norm() <= EPS_AXIS:
+            return LeftIsoclinic(math.pi)  # x -> -x
+        return LeftIsoclinic(math.atan2(a.v.norm(), math.copysign(1.0, b.s) * a.s))
+    (p1, a1), (p2, a2) = _invariant_planes(r, kind is Simple)
     if kind is Simple:
         return Simple(a1, p2, p1)
     return Double(p1, a1, p2, a2)

@@ -293,6 +293,13 @@ class TestRandom:
         assert exc.value.code == 2
         assert "error: argument --seed: must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["2", "5"])
+    def test_unreachable_double_exits_1(self, capsys, eps):
+        # |S(a) - S(b)| <= 2, so at eps >= 2 every pair is Simple: no draw is a double
+        assert main(["random", "--kind", "double", "--eps", eps]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: failed to generate a double rotation at eps = {eps}\n")
+
 
 class TestArguments:
     @pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "-1", "-1e-300"])

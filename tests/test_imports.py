@@ -1,9 +1,11 @@
-"""Every name a rot4 module imports is used in that module.
+"""Every name a rot4 module imports is used in that module, and every
+module-level private name rot4 defines is read somewhere in rot4.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree with the standard library.  A name counts as used when it is
 read anywhere in the module, inside a string annotation included.
-__init__.py is left out: it imports names to re-export them.
+__init__.py is left out of the import check: it imports names to re-export
+them.
 """
 
 import ast
@@ -42,7 +44,7 @@ def _annotations(tree: ast.AST):
 
 def _used(tree: ast.AST) -> set[str]:
     """Names read in the tree, and in the strings of its annotations."""
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     for annotation in _annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -66,3 +68,67 @@ def test_catches_an_unused_import():
     )
     used = _used(tree)
     assert sorted(n for n in _imported(tree) if n not in used) == ["TYPE_CHECKING", "math"]
+
+
+def _private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Each module-level _name (not __dunder__) a def, class or assignment
+    binds, with the statement that binds it."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        defined.update((n, node) for n in names if n.startswith("_") and not n.startswith("__"))
+    return defined
+
+
+def _reads(statements: list[ast.stmt]) -> set[str]:
+    """Names the statements read: loaded names, attribute names, names
+    imported from another module and names in string annotations."""
+    read = set()
+    for statement in statements:
+        read |= _used(statement)
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return read
+
+
+def _orphans(modules: dict[str, ast.Module]) -> list[str]:
+    """module.name of each private definition read nowhere but in itself."""
+    orphans = []
+    for name, tree in modules.items():
+        for private, node in _private_definitions(tree).items():
+            elsewhere = [t.body for m, t in modules.items() if m != name]
+            own = [s for s in tree.body if s is not node]
+            if not any(private in _reads(body) for body in [own, *elsewhere]):
+                orphans.append(f"{name}.{private}")
+    return sorted(orphans)
+
+
+def test_every_private_definition_is_read():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert _orphans(modules) == []
+
+
+def test_catches_an_orphaned_private_helper():
+    modules = {
+        "rotation": ast.parse(
+            "import math\n\n_TOL = 1e-9\n\n"
+            "def _clamp(x):\n    return min(1.0, max(-1.0, x))\n\n"
+            "def _turn(c, s):\n    return _turn(c, -s) if s < 0.0 else math.atan2(s, c)\n\n"
+            "def _axis(x):\n    return x\n\n"
+            "def classify(x):\n    _unused = 0.0\n    return _axis(x) if abs(x) > _TOL else x\n"
+        ),
+        "compose": ast.parse(
+            "from .rotation import _TOL\n\ndef _helper(q: '_TOL'):\n    return q\n"
+        ),
+    }
+    assert _orphans(modules) == ["compose._helper", "rotation._clamp", "rotation._turn"]

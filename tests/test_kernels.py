@@ -70,10 +70,6 @@ def ref_normalized(x: Quaternion) -> Quaternion:
     return x / n
 
 
-def ref_dot4(x: Quaternion, y: Quaternion) -> float:
-    return x.s * y.s + x.v.dot(y.v)
-
-
 def ref_conj(x: Quaternion) -> Quaternion:
     return Quaternion(x.s, -x.v)
 
@@ -95,32 +91,39 @@ def ref_eigenvectors(p: Quaternion, q: Quaternion, *signs: float) -> list[Quater
     return us
 
 
-def ref_plane_angle(r: Rotation4, plane: Plane) -> tuple[Plane, float]:
-    """The flip rule: orient the plane so that r turns u towards w."""
-    fu = ref_mul(ref_mul(r.a, plane.u), r.b)
-    c, s = ref_dot4(fu, plane.u), ref_dot4(fu, plane.w)
-    if s < 0.0:
-        plane, s = Plane(plane.u, -plane.w), -s
-    return plane, math.atan2(s, c)
+def ref_half_angle(x: Quaternion) -> float:
+    """h in [0, pi] with x = cos(h) + sin(h) axis."""
+    return math.atan2(x.v.norm(), x.s)
+
+
+def ref_plane(u: Quaternion, p: Quaternion, flip: bool) -> Plane:
+    """(u, p u), or (u, -p u) when the turn is read the other way round."""
+    w = ref_mul(p, u)
+    return Plane(u, -w if flip else w)
 
 
 def ref_classify(r: Rotation4, eps: float):
+    """The planes turn by the half-angle sum and difference, each reduced to
+    [0, pi] by flipping w."""
     kind = rotation_module._kind(r, eps)
     a, b = r.a, r.b
     if kind is Identity:
         return Identity()
     if kind is RightIsoclinic:
-        return RightIsoclinic(math.acos(min(1.0, max(-1.0, math.copysign(1.0, a.s) * b.s))))
+        return RightIsoclinic(math.atan2(b.v.norm(), math.copysign(1.0, a.s) * b.s))
     if kind is LeftIsoclinic:
-        c = -1.0 if a.v.norm() <= EPS_AXIS else math.copysign(1.0, b.s) * a.s
-        return LeftIsoclinic(math.acos(min(1.0, max(-1.0, c))))
+        if a.v.norm() <= EPS_AXIS:
+            return LeftIsoclinic(math.pi)
+        return LeftIsoclinic(math.atan2(a.v.norm(), math.copysign(1.0, b.s) * a.s))
+    ha, hb = ref_half_angle(a), ref_half_angle(b)
     p, q = ref_axis(a), ref_axis(b)
-    first, second = (Plane(u, ref_mul(p, u)) for u in ref_eigenvectors(p, q, -1.0, 1.0))
-    p1, a1 = ref_plane_angle(r, first)
+    u1, u2 = ref_eigenvectors(p, q, -1.0, 1.0)
+    total = ha + hb
+    first = ref_plane(u1, p, total > math.pi)
+    angle1 = 2.0 * math.pi - total if total > math.pi else total
     if kind is Simple:
-        return Simple(a1, second, p1)
-    p2, a2 = ref_plane_angle(r, second)
-    return Double(p1, a1, p2, a2)
+        return Simple(angle1, ref_plane(u2, p, False), first)
+    return Double(first, angle1, ref_plane(u2, p, ha < hb), abs(ha - hb))
 
 
 def ref_compose(g: Rotation4, f: Rotation4) -> Rotation4:
@@ -182,7 +185,7 @@ def outcome(fn, *args) -> str:
 # --- inputs ----------------------------------------------------------------
 
 # exact values and signed zeros, where a change of order shows in the sign
-# of a zero, and so in an angle of pi or -pi
+# of a zero, and half-angles that sum to exactly pi
 _COMP = st.sampled_from([-1.0, -R2, -0.5, -0.0, 0.0, 0.5, R2, 1.0]) | st.floats(-1.0, 1.0)
 
 
@@ -227,7 +230,8 @@ class TestMatchesObjectArithmetic:
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(f=_rotations(), g=_rotations(), eps=_EPSILONS)
-    @example(  # the image of u has the component -0.0 along w, read by atan2 as -pi
+    @example(  # half-angles sum to exactly pi: +pi on (u, p u); measuring the image
+        # of u read its component -0.0 along w as the angle -pi
         f=Rotation4(Quaternion.of(0.0, 0.0, 0.0, -1.0), Quaternion.of(0.0, 0.0, R2, -R2)),
         g=Rotation4(ONE, K),
         eps=DEFAULT_EPS,

@@ -546,11 +546,12 @@ class TestPublicSurface:
             "EPS_PLANE",
             "same_plane",
             "planes_orthogonal",
+            "plane_rotation_angle",
         ):
             with pytest.raises(AttributeError, match=name):
                 getattr(rot4, name)
             assert name not in rot4.__all__
             assert name not in dir(rot4)
         for cls in (Plane, Vec3, Quaternion):
-            for attr in ("projector", "contains", "as_array"):
+            for attr in ("projector", "contains", "as_array", "flipped"):
                 assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import random
 
@@ -40,8 +42,9 @@ from rot4 import (
     to_matrix,
 )
 import rot4.rotation as rotation_module
-from rot4.cli import build_verify_report, random_rotation
+from rot4.cli import build_verify_report, main, random_rotation
 from rot4.plane import _projector_rows
+import exact
 from conftest import (
     comp_diff,
     left_matrix,
@@ -555,7 +558,7 @@ def _refuse(*args, **kwargs):
 
 
 def _refuse_planes(mp: pytest.MonkeyPatch) -> None:
-    for name in ("classify", "_measured_planes", "_turn", "plane_rotation_angle", "Plane"):
+    for name in ("classify", "_invariant_planes", "_half_angle", "Plane"):
         mp.setattr(rotation_module, name, _refuse)
 
 
@@ -719,3 +722,86 @@ class TestNearSimpleSplit:
         )
         report = is_composition_simple(r, g)
         assert abs(report.s_condition + 2 * report.det_normals) <= 1e-12
+
+
+_GRID_VALUES = (0.0, 0.5, -0.5, R2, -R2, 1.0, -1.0)
+# the 144 unit quaternions with components in {0, +-1/2, +-1/sqrt 2, +-1}
+_GRID = [
+    Quaternion.of(*c)
+    for c in itertools.product(_GRID_VALUES, repeat=4)
+    if abs(sum(x * x for x in c) - 1.0) <= 1e-12
+]
+_N14 = Vec3(1.0, 2.0, 3.0) / math.sqrt(14.0)
+
+
+def _verify_exit(tmp_path, r: Rotation4) -> int:
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps({"a": list(r.a.components()), "b": list(r.b.components())}))
+    return main(["verify", str(path)])
+
+
+class TestHalfAngleRule:
+    """Every angle comes from the factor half-angles atan2(|V|, S): the
+    planes turn by the reduced sum and difference, the isoclinic rotations
+    by the one non-real factor's half-angle."""
+
+    def test_pi_turn_is_plus_pi_on_u_p_u(self, tmp_path, capsys):
+        # the half-angles sum to exactly pi: measuring the image of u read
+        # its component -0.0 along p u as the angle -pi
+        r = Rotation4(Quaternion.of(0.0, 0.0, 0.0, -1.0), Quaternion.of(0.0, 0.0, R2, -R2))
+        kind = classify(r)
+        assert isinstance(kind, Simple)
+        assert repr(kind.angle) == "3.141592653589793"
+        plane = kind.rotation_plane
+        assert plane.w == mul(pure(r.a.v / r.a.v.norm()), plane.u)
+        assert _verify_exit(tmp_path, r) == 0
+        assert capsys.readouterr().out.endswith("ok\n")
+
+    def test_grid_angles_are_non_negative(self):
+        assert len(_GRID) == 144
+        for a in _GRID:
+            for b in _GRID:
+                kind = classify(Rotation4(a, b))
+                if isinstance(kind, Simple):
+                    angles = (kind.angle,)
+                elif isinstance(kind, Double):
+                    angles = (kind.angle1, kind.angle2)
+                else:
+                    continue
+                for angle in angles:
+                    assert math.copysign(1.0, angle) == 1.0 and 0.0 <= angle <= math.pi
+
+    @pytest.mark.parametrize("t", [3e-9, 1e-8, 3e-8])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_small_isoclinic_turn(self, tmp_path, t, side):
+        # S = cos t rounds to 1 or next to it, where acos reads 0 or 2.98e-8;
+        # the exact angle of these float factors, atan(|V| / S), is within
+        # 1e-22 of t
+        turn = Quaternion(math.cos(t), _N14 * math.sin(t))
+        r = Rotation4(turn, ONE) if side == "left" else Rotation4(ONE, turn)
+        kind = classify(r)
+        assert isinstance(kind, LeftIsoclinic if side == "left" else RightIsoclinic)
+        assert abs(kind.angle - t) <= 1e-20
+        assert _verify_exit(tmp_path, r) == 0
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        p_raw=_VEC,
+        q_raw=_VEC,
+        half_angles=st.sampled_from(
+            [(5e-4, 2e-4), (math.pi / 2 + 1e-6, math.pi / 2 - 3e-6), (2.0, math.pi - 2.0 + 1e-5)]
+        ),
+        swap=st.booleans(),
+    )
+    def test_relative_angle_error_against_exact(self, p_raw, q_raw, half_angles, swap):
+        # small doubles, and half-angle sums near pi, judged by tests/exact.py
+        ha, hb = half_angles[::-1] if swap else half_angles
+        p, q = _unit3(p_raw), _unit3(q_raw)
+        a = Quaternion(math.cos(ha), p * math.sin(ha))
+        r = Rotation4(a, Quaternion(math.cos(hb), q * math.sin(hb)))
+        kind = classify(r)
+        assert isinstance(kind, Double)
+        want = exact.planes(r.a.components(), r.b.components())
+        got = sorted((kind.angle1, kind.angle2))
+        for g, w in zip(got, sorted((want.angle1, want.angle2))):
+            assert abs(g - w) <= 1e-14 * w
