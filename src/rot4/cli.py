@@ -179,6 +179,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    if args.f == args.g == "-":
+        raise _CliError(EXIT_MALFORMED, "f and g cannot both be - (stdin holds one document)")
     f = _rotation_from_doc(_read_text(args.f), args.normalize)
     g = _rotation_from_doc(_read_text(args.g), args.normalize)
     h = compose(g, f)
@@ -408,7 +410,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common(
         p_compose,
-        [("f", "rotation applied first (path or -)"), ("g", "rotation applied second")],
+        [
+            ("f", "rotation applied first (path or -)"),
+            ("g", "rotation applied second (path or -)"),
+        ],
     )
     p_compose.add_argument(
         "--gibbs", action="store_true", help="also propagate Gibbs parameters"

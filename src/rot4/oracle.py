@@ -8,9 +8,10 @@ invariant planes.  N = S - (tr S / 4) I equals ((l1 - l2) / 2) (P1 - P2) for
 the plane projectors P1, P2, so |N|_F = l1 - l2 and P1,2 = (I +- 2N/|N|_F)/2:
 no eigensolver is needed.  The antisymmetric part (M - M^T)/2 acts as
 sin(t_i) times a quarter-turn on plane i, which recovers the sines.
-planes_from_matrix computes all of it in plain floats.  Everything is derived
-from the matrix alone; none of the closed-form plane constructions of the rest
-of the package are consulted, so this module can arbitrate them.
+planes_from_matrix computes all of it in plain floats, straight-line on the 16
+named entries of M.  Everything is derived from the matrix alone; none of the
+closed-form plane constructions of the rest of the package are consulted, so
+this module can arbitrate them.
 """
 
 from __future__ import annotations
@@ -55,36 +56,36 @@ def _real(x) -> float:
     return float(x)
 
 
-def _is_rotation(m: list[list[float]], cols: list[tuple[float, ...]]) -> bool:
+def _is_rotation(m: list[list[float]]) -> bool:
     """Finite, with every entry of M^T M - I and det M - 1 within
     EPS_MATRIX.  x*0.0 is 0.0 exactly when x is finite, so one fused test
     refuses NaN and infinities before any comparison could let them pass."""
-    if sum([x * 0.0 for row in m for x in row]) != 0.0:
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = m
+    if (
+        m00 * 0.0 + m01 * 0.0 + m02 * 0.0 + m03 * 0.0
+        + m10 * 0.0 + m11 * 0.0 + m12 * 0.0 + m13 * 0.0
+        + m20 * 0.0 + m21 * 0.0 + m22 * 0.0 + m23 * 0.0
+        + m30 * 0.0 + m31 * 0.0 + m32 * 0.0 + m33 * 0.0
+    ) != 0.0:
         return False
-    for i, (a0, a1, a2, a3) in enumerate(cols):
-        for j, (b0, b1, b2, b3) in enumerate(cols[i:], i):
-            if abs(a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 - (i == j)) > EPS_MATRIX:
-                return False
+    # entry (i, j) of M^T M is column i of M times column j
+    if (
+        abs(m00 * m00 + m10 * m10 + m20 * m20 + m30 * m30 - 1.0) > EPS_MATRIX
+        or abs(m00 * m01 + m10 * m11 + m20 * m21 + m30 * m31) > EPS_MATRIX
+        or abs(m00 * m02 + m10 * m12 + m20 * m22 + m30 * m32) > EPS_MATRIX
+        or abs(m00 * m03 + m10 * m13 + m20 * m23 + m30 * m33) > EPS_MATRIX
+        or abs(m01 * m01 + m11 * m11 + m21 * m21 + m31 * m31 - 1.0) > EPS_MATRIX
+        or abs(m01 * m02 + m11 * m12 + m21 * m22 + m31 * m32) > EPS_MATRIX
+        or abs(m01 * m03 + m11 * m13 + m21 * m23 + m31 * m33) > EPS_MATRIX
+        or abs(m02 * m02 + m12 * m12 + m22 * m22 + m32 * m32 - 1.0) > EPS_MATRIX
+        or abs(m02 * m03 + m12 * m13 + m22 * m23 + m32 * m33) > EPS_MATRIX
+        or abs(m03 * m03 + m13 * m13 + m23 * m23 + m33 * m33 - 1.0) > EPS_MATRIX
+    ):
+        return False
     return abs(_det4(m) - 1.0) <= EPS_MATRIX
 
 
-def _pair_split(n: list[list[float]], norm: float) -> float:
-    """The split of N's eigenvalues within their pairs, read off the
-    residual R = N^2 - (|N|_F/2)^2 I, which vanishes for a rotation.  For
-    eigenvalues c +- s1/2 and -c +- s2/2, |N|_F is about 2c and R has
-    eigenvalues about +-c s1 and +-c s2, so sqrt(2) |R|_F / |N|_F is
-    sqrt(s1^2 + s2^2) to first order: at least the larger split, and at
-    most sqrt(2) times it."""
-    quarter = norm * norm / 4.0
-    r_sq = 0.0
-    for i, (a0, a1, a2, a3) in enumerate(n):
-        for j, (b0, b1, b2, b3) in enumerate(n[i:], i):
-            x = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
-            r_sq += (x - quarter) ** 2 if i == j else 2.0 * x * x
-    return math.sqrt(2.0 * r_sq) / norm
-
-
-def _basis(p: list[list[float]]) -> tuple[Quaternion, Quaternion] | None:
+def _basis(p: tuple[tuple[float, ...], ...]) -> tuple[Quaternion, Quaternion] | None:
     """An orthonormal (u, w) of the plane whose projector is P: u is the
     column of P at its largest diagonal entry, normalised, and w the column
     of P - u u^T at its largest diagonal entry, with u projected out once
@@ -113,18 +114,6 @@ def _basis(p: list[list[float]]) -> tuple[Quaternion, Quaternion] | None:
     return _quat(u0, u1, u2, u3), _quat(w0 * scale, w1 * scale, w2 * scale, w3 * scale)
 
 
-def _bases(n: list[list[float]], norm: float):
-    """The bases of the planes of P1 = I/2 + N/|N|_F and P2 = I - P1, or
-    None when either is no projector."""
-    p1 = [[x / norm for x in row] for row in n]
-    p2 = [[-x for x in row] for row in p1]
-    for i in range(4):
-        p1[i][i] += 0.5
-        p2[i][i] += 0.5
-    basis1, basis2 = _basis(p1), _basis(p2)
-    return None if basis1 is None or basis2 is None else (basis1, basis2)
-
-
 _FIXED_SPLIT = (
     (_quat(1.0, 0.0, 0.0, 0.0), _quat(0.0, 1.0, 0.0, 0.0)),
     (_quat(0.0, 0.0, 1.0, 0.0), _quat(0.0, 0.0, 0.0, 1.0)),
@@ -137,7 +126,7 @@ def planes_from_matrix(matrix, eps: float = DEFAULT_EPS) -> OraclePlanes:
     Takes nested sequences or an array, and raises ValueError unless they
     form a 4x4 matrix that is finite, orthogonal and of determinant 1 to
     EPS_MATRIX.  The rotation is isoclinic when |N|_F = l1 - l2 <= eps.
-    Otherwise a pair split of more than eps (_pair_split) raises
+    Otherwise a pair split of more than eps, read off N^2, raises
     PairingFailure.  The planes are read off P1 = I/2 + N/|N|_F, of the
     larger eigenvalue l1, and P2 = I - P1, isoclinic or not: a small |N|_F
     still tells the planes apart, to u/|N|_F as an eigensolver would, and
@@ -146,25 +135,80 @@ def planes_from_matrix(matrix, eps: float = DEFAULT_EPS) -> OraclePlanes:
     projector (_basis), are the planes the fixed split (e0, e1), (e2, e3).
     """
     m = _rows(matrix)
-    cols = list(zip(*m))
     # admission is looser than the 1e-9 unit-norm gate on quaternion factors:
     # factors at that boundary already give an orthogonality defect near 2e-9.
-    if not _is_rotation(m, cols):
+    if not _is_rotation(m):
         raise ValueError("matrix is not a rotation (orthogonal, det +1) to tolerance")
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), (m30, m31, m32, m33) = m
 
-    mean = (m[0][0] + m[1][1] + m[2][2] + m[3][3]) / 2.0  # tr S / 4
-    n = [[x + y for x, y in zip(row, col)] for row, col in zip(m, cols)]
-    for i in range(4):
-        n[i][i] -= mean
-    norm = math.hypot(*[x for row in n for x in row])
+    # N = M + M^T - (tr S / 4) I, symmetric bit for bit
+    mean = (m00 + m11 + m22 + m33) / 2.0  # tr S / 4
+    n00, n11 = (m00 + m00) - mean, (m11 + m11) - mean
+    n22, n33 = (m22 + m22) - mean, (m33 + m33) - mean
+    n01, n02, n03 = m01 + m10, m02 + m20, m03 + m30
+    n12, n13, n23 = m12 + m21, m13 + m31, m23 + m32
+    norm = math.hypot(
+        n00, n01, n02, n03, n01, n11, n12, n13, n02, n12, n22, n23, n03, n13, n23, n33
+    )
     isoclinic = norm <= eps
     if not isoclinic:
-        split = _pair_split(n, norm) if norm > 0.0 else 0.0
+        split = 0.0
+        if norm > 0.0:
+            # the pair split, read off the residual R = N^2 - (|N|_F/2)^2 I,
+            # which vanishes for a rotation.  For eigenvalues c +- s1/2 and
+            # -c +- s2/2, |N|_F is about 2c and R has eigenvalues about
+            # +-c s1 and +-c s2, so sqrt(2) |R|_F / |N|_F is
+            # sqrt(s1^2 + s2^2) to first order: at least the larger split,
+            # and at most sqrt(2) times it.  Entry (i, j) of N^2 is row i
+            # of N times row j; the 6 entries off the diagonal count twice.
+            quarter = norm * norm / 4.0
+            x01 = n00 * n01 + n01 * n11 + n02 * n12 + n03 * n13
+            x02 = n00 * n02 + n01 * n12 + n02 * n22 + n03 * n23
+            x03 = n00 * n03 + n01 * n13 + n02 * n23 + n03 * n33
+            x12 = n01 * n02 + n11 * n12 + n12 * n22 + n13 * n23
+            x13 = n01 * n03 + n11 * n13 + n12 * n23 + n13 * n33
+            x23 = n02 * n03 + n12 * n13 + n22 * n23 + n23 * n33
+            r_sq = (
+                (n00 * n00 + n01 * n01 + n02 * n02 + n03 * n03 - quarter) ** 2
+                + 2.0 * x01 * x01
+                + 2.0 * x02 * x02
+                + 2.0 * x03 * x03
+                + (n01 * n01 + n11 * n11 + n12 * n12 + n13 * n13 - quarter) ** 2
+                + 2.0 * x12 * x12
+                + 2.0 * x13 * x13
+                + (n02 * n02 + n12 * n12 + n22 * n22 + n23 * n23 - quarter) ** 2
+                + 2.0 * x23 * x23
+                + (n03 * n03 + n13 * n13 + n23 * n23 + n33 * n33 - quarter) ** 2
+            )
+            split = math.sqrt(2.0 * r_sq) / norm
         if split > eps:
             raise PairingFailure(
                 f"eigenvalues of M + M^T split by {split:.3e} within a pair, above eps = {eps:.1e}"
             )
-    bases = _bases(n, norm) if norm > 0.0 else None
+    bases = None
+    if norm > 0.0:
+        # P1 = I/2 + N/|N|_F, of the larger eigenvalue, and P2 = I - P1
+        q00, q01, q02, q03 = n00 / norm, n01 / norm, n02 / norm, n03 / norm
+        q11, q12, q13 = n11 / norm, n12 / norm, n13 / norm
+        q22, q23, q33 = n22 / norm, n23 / norm, n33 / norm
+        basis1 = _basis(
+            (
+                (q00 + 0.5, q01, q02, q03),
+                (q01, q11 + 0.5, q12, q13),
+                (q02, q12, q22 + 0.5, q23),
+                (q03, q13, q23, q33 + 0.5),
+            )
+        )
+        basis2 = _basis(
+            (
+                (0.5 - q00, -q01, -q02, -q03),
+                (-q01, 0.5 - q11, -q12, -q13),
+                (-q02, -q12, 0.5 - q22, -q23),
+                (-q03, -q13, -q23, 0.5 - q33),
+            )
+        )
+        if basis1 is not None and basis2 is not None:
+            bases = (basis1, basis2)
     if bases is None:
         if not isoclinic:
             # |N|_F > eps, yet N is too far from paired to give planes
@@ -173,8 +217,8 @@ def planes_from_matrix(matrix, eps: float = DEFAULT_EPS) -> OraclePlanes:
 
     # |sin| = |A u| for A = (M - M^T)/2 keeps near-zero angles
     # well-conditioned, where acos of the eigenvalue loses half the digits
-    a01, a02, a03 = (m[0][1] - m[1][0]) / 2.0, (m[0][2] - m[2][0]) / 2.0, (m[0][3] - m[3][0]) / 2.0
-    a12, a13, a23 = (m[1][2] - m[2][1]) / 2.0, (m[1][3] - m[3][1]) / 2.0, (m[2][3] - m[3][2]) / 2.0
+    a01, a02, a03 = (m01 - m10) / 2.0, (m02 - m20) / 2.0, (m03 - m30) / 2.0
+    a12, a13, a23 = (m12 - m21) / 2.0, (m13 - m31) / 2.0, (m23 - m32) / 2.0
     out = []
     for (u, w), pair_mean in zip(bases, (mean + norm / 2.0, mean - norm / 2.0)):
         u0, u1, u2, u3 = u.components()

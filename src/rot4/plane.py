@@ -38,10 +38,19 @@ def _projector_rows(plane: Plane) -> list[list[float]]:
 def projector_distance(p1: Plane, p2: Plane) -> float:
     """Max-abs entry difference of the two projectors, entries as in
     _projector_rows; both are symmetric bit for bit, so i <= j suffices."""
-    rows = list(zip(p1.u.components(), p1.w.components(), p2.u.components(), p2.w.components()))
+    u0, u1, u2, u3 = p1.u.components()
+    w0, w1, w2, w3 = p1.w.components()
+    x0, x1, x2, x3 = p2.u.components()
+    y0, y1, y2, y3 = p2.w.components()
     return max(
-        abs(ui * uj + wi * wj - (xi * xj + yi * yj))
-        for i, (ui, wi, xi, yi) in enumerate(rows)
-        for uj, wj, xj, yj in rows[i:]
+        abs(u0 * u0 + w0 * w0 - (x0 * x0 + y0 * y0)),
+        abs(u0 * u1 + w0 * w1 - (x0 * x1 + y0 * y1)),
+        abs(u0 * u2 + w0 * w2 - (x0 * x2 + y0 * y2)),
+        abs(u0 * u3 + w0 * w3 - (x0 * x3 + y0 * y3)),
+        abs(u1 * u1 + w1 * w1 - (x1 * x1 + y1 * y1)),
+        abs(u1 * u2 + w1 * w2 - (x1 * x2 + y1 * y2)),
+        abs(u1 * u3 + w1 * w3 - (x1 * x3 + y1 * y3)),
+        abs(u2 * u2 + w2 * w2 - (x2 * x2 + y2 * y2)),
+        abs(u2 * u3 + w2 * w3 - (x2 * x3 + y2 * y3)),
+        abs(u3 * u3 + w3 * w3 - (x3 * x3 + y3 * y3)),
     )
-

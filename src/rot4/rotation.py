@@ -84,11 +84,35 @@ def to_matrix(r: Rotation4) -> list[list[float]]:
     order.  np.array(to_matrix(r)) gives it as an array."""
     s, x1, x2, x3 = r.a.components()
     t, y1, y2, y3 = r.b.components()
-    left = ((s, -x1, -x2, -x3), (x1, s, -x3, x2), (x2, x3, s, -x1), (x3, -x2, x1, s))
-    right_cols = ((t, y1, y2, y3), (-y1, t, -y3, y2), (-y2, y3, t, -y1), (-y3, -y2, y1, t))
+    # rows of L(a): (s, -x1, -x2, -x3), (x1, s, -x3, x2), (x2, x3, s, -x1),
+    # (x3, -x2, x1, s); columns of R(b): (t, y1, y2, y3), (-y1, t, -y3, y2),
+    # (-y2, y3, t, -y1), (-y3, -y2, y1, t).  A negated factor is written as a
+    # subtraction, which rounds the same.
     return [
-        [l0 * c0 + l1 * c1 + l2 * c2 + l3 * c3 for c0, c1, c2, c3 in right_cols]
-        for l0, l1, l2, l3 in left
+        [
+            s * t - x1 * y1 - x2 * y2 - x3 * y3,
+            -s * y1 - x1 * t + x2 * y3 - x3 * y2,
+            -s * y2 - x1 * y3 - x2 * t + x3 * y1,
+            -s * y3 + x1 * y2 - x2 * y1 - x3 * t,
+        ],
+        [
+            x1 * t + s * y1 - x3 * y2 + x2 * y3,
+            -x1 * y1 + s * t + x3 * y3 + x2 * y2,
+            -x1 * y2 + s * y3 - x3 * t - x2 * y1,
+            -x1 * y3 - s * y2 - x3 * y1 + x2 * t,
+        ],
+        [
+            x2 * t + x3 * y1 + s * y2 - x1 * y3,
+            -x2 * y1 + x3 * t - s * y3 - x1 * y2,
+            -x2 * y2 + x3 * y3 + s * t + x1 * y1,
+            -x2 * y3 - x3 * y2 + s * y1 - x1 * t,
+        ],
+        [
+            x3 * t - x2 * y1 + x1 * y2 + s * y3,
+            -x3 * y1 - x2 * t - x1 * y3 + s * y2,
+            -x3 * y2 - x2 * y3 + x1 * t - s * y1,
+            -x3 * y3 + x2 * y2 + x1 * y1 + s * t,
+        ],
     ]
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -8,8 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rot4 import Quaternion, Rotation4, apply, from_reflections, normalized, ReflectionNormal
-from rot4.cli import main, parse_doc
+import rot4.cli as cli_module
+from rot4 import (
+    DEFAULT_EPS,
+    Double,
+    Plane,
+    Quaternion,
+    Rotation4,
+    apply,
+    from_reflections,
+    normalized,
+    ReflectionNormal,
+)
+from rot4.cli import build_verify_report, main, parse_doc
 from conftest import comp_diff
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -71,8 +83,6 @@ class TestClassify:
         assert json.loads(out)["kind"] == "identity"
 
     def test_stdin(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO(F_DOC))
         code, out = run(capsys, "classify", "-", "--json")
         assert code == 0
@@ -198,6 +208,27 @@ class TestCompose:
         assert "singular" in doc["gibbs"]
         assert "a" in doc and "b" in doc
 
+    def test_stdin_for_one_factor(self, capsys, monkeypatch, write_doc):
+        _, want = run(capsys, "compose", write_doc(F_DOC), write_doc(G_DOC))
+        monkeypatch.setattr("sys.stdin", io.StringIO(F_DOC))
+        code, out = run(capsys, "compose", "-", write_doc(G_DOC))
+        assert (code, out) == (0, want)
+
+    def test_stdin_for_both_factors(self, capsys, monkeypatch):
+        """stdin holds one document, so - for both f and g is refused
+        before anything is read."""
+
+        class Unread:
+            def read(self, *args):
+                raise AssertionError("stdin was read")
+
+        monkeypatch.setattr("sys.stdin", Unread())
+        code = main(["compose", "-", "-"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: f and g cannot both be - (stdin holds one document)\n"
+        )
+
 
 class TestVerify:
     def test_golden_composition(self, capsys, write_doc):
@@ -246,6 +277,53 @@ class TestVerify:
         code, out = run(capsys, "verify", write_doc(doc), "--json")
         assert code == 0
         assert json.loads(out)["ok"]
+
+
+class TestVerifyCatchesWrongFormula:
+    """verify compares classify's planes and angles with the oracle's, so a
+    wrong formula plane or angle is reported: here classify is replaced by
+    one that alters the true Double of DOC (angles 105 and 15 degrees)."""
+
+    DOC = json.dumps({"a": [0.5, 0.5, 0.5, -0.5], "b": [R2, R2, 0.0, 0.0]})
+
+    @staticmethod
+    def _classify_with(monkeypatch, alter):
+        true_classify = cli_module.classify
+
+        def altered(r, eps=DEFAULT_EPS):
+            kind = true_classify(r, eps)
+            assert isinstance(kind, Double)
+            return alter(kind)
+
+        monkeypatch.setattr(cli_module, "classify", altered)
+
+    @staticmethod
+    def _tilted(kind: Double, tilt: float) -> Double:
+        """plane1 with its w turned by tilt towards plane2's u."""
+        w = kind.plane1.w * math.cos(tilt) + kind.plane2.u * math.sin(tilt)
+        return Double(Plane(kind.plane1.u, w), kind.angle1, kind.plane2, kind.angle2)
+
+    @pytest.mark.parametrize("tilt, ok", [(1e-6, False), (1e-10, True)], ids=str)
+    def test_tilted_plane(self, capsys, monkeypatch, write_doc, tilt, ok):
+        self._classify_with(monkeypatch, lambda kind: self._tilted(kind, tilt))
+        a, b = parse_doc(self.DOC)
+        report = build_verify_report(Rotation4(a, b))
+        assert report["ok"] is ok
+        assert report["max_angle_difference"] <= 1e-15
+        assert (report["max_projector_distance"] > 1e-7) is not ok
+        code, out = run(capsys, "verify", write_doc(self.DOC))
+        assert (code, out.splitlines()[-1]) == ((0, "ok") if ok else (1, "DISCREPANCY"))
+
+    def test_swapped_angles(self, capsys, monkeypatch, write_doc):
+        self._classify_with(
+            monkeypatch, lambda k: Double(k.plane1, k.angle2, k.plane2, k.angle1)
+        )
+        code, out = run(capsys, "verify", write_doc(self.DOC))
+        assert (code, out.splitlines()[-1]) == (1, "DISCREPANCY")
+        code, out = run(capsys, "verify", write_doc(self.DOC), "--json")
+        report = json.loads(out)
+        assert code == 1 and not report["ok"]
+        assert report["max_projector_distance"] > 0.5
 
 
 class TestRandom:
@@ -385,13 +463,15 @@ class TestReflections:
 class TestNumpyLoading:
     """No command loads numpy: rot4 computes in floats with the standard
     library alone.  Neither `import rot4` nor any command loads dataclasses
-    or inspect, which would add their import to every start-up.  Each case
+    or inspect, which would add their import to every start-up.  Only
+    verify loads rot4.oracle, the longest module to compile.  Each case
     runs in a fresh interpreter."""
 
     SCRIPT = """
 import sys
 def loaded():
-    return ",".join(m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules) or "-"
+    names = ("numpy", "dataclasses", "inspect", "rot4.oracle")
+    return ",".join(m for m in names if m in sys.modules) or "-"
 import rot4, rot4.cli
 at_import = loaded()
 code = rot4.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
@@ -421,4 +501,5 @@ print(at_import, loaded(), code)
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1].split() == ["-", "-", "0"]
+        after = "rot4.oracle" if argv[:1] == ["verify"] else "-"
+        assert proc.stdout.splitlines()[-1].split() == ["-", after, "0"]

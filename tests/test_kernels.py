@@ -1,11 +1,18 @@
-"""The float kernels against the object arithmetic they replace.
+"""The float kernels against the object arithmetic they replace, and the
+straight-line matrix code against its loop form.
 
 classify, compose, compose_gibbs, simple_to_reflections and
 is_composition_simple compute on float tuples and build values only for
-their results.  The reference below computes the same formulas through
-Quaternion and Vec3 operators, one value per step, in the same summation
-order; every result must match it bit for bit, down to the sign of a zero,
-so reprs are compared.
+their results.  The first reference below computes the same formulas
+through Quaternion and Vec3 operators, one value per step, in the same
+summation order; every result must match it bit for bit, down to the sign
+of a zero, so reprs are compared.
+
+planes_from_matrix, projector_distance and to_matrix write every matrix
+entry out on named floats.  The second reference, ref_planes_from_matrix
+with ref_projector_distance and ref_to_matrix, is their loop form over
+rows of floats: the same expressions, summed in the same order.  Results
+are compared by repr, and refusals by type and message.
 """
 
 import importlib
@@ -30,6 +37,7 @@ from rot4 import (
     LeftIsoclinic,
     NotSimple,
     NotUnit,
+    PairingFailure,
     Plane,
     Quaternion,
     ReflectionNormal,
@@ -45,11 +53,15 @@ from rot4 import (
     is_composition_simple,
     mul,
     normalized,
+    planes_from_matrix,
+    projector_distance,
     simple_to_reflections,
+    to_matrix,
 )
 import rot4.quat as quat_module
 import rot4.rotation as rotation_module
-from rot4.quat import PIVOT_TOL, _det4
+from rot4.oracle import _FIXED_SPLIT, OraclePlanes, _basis, _rows
+from rot4.quat import EPS_MATRIX, PIVOT_TOL, _det4
 
 # `import rot4.compose as ...` would bind the function rot4.compose
 compose_module = importlib.import_module("rot4.compose")
@@ -182,6 +194,105 @@ def outcome(fn, *args) -> str:
         return type(exc).__name__
 
 
+# --- the reference oracle: the loop form over rows of floats ----------------
+
+
+def ref_is_rotation(m: list[list[float]], cols: list[tuple[float, ...]]) -> bool:
+    if sum([x * 0.0 for row in m for x in row]) != 0.0:
+        return False
+    for i, (a0, a1, a2, a3) in enumerate(cols):
+        for j, (b0, b1, b2, b3) in enumerate(cols[i:], i):
+            if abs(a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 - (i == j)) > EPS_MATRIX:
+                return False
+    return abs(_det4(m) - 1.0) <= EPS_MATRIX
+
+
+def ref_pair_split(n: list[list[float]], norm: float) -> float:
+    quarter = norm * norm / 4.0
+    r_sq = 0.0
+    for i, (a0, a1, a2, a3) in enumerate(n):
+        for j, (b0, b1, b2, b3) in enumerate(n[i:], i):
+            x = a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3
+            r_sq += (x - quarter) ** 2 if i == j else 2.0 * x * x
+    return math.sqrt(2.0 * r_sq) / norm
+
+
+def ref_bases(n: list[list[float]], norm: float):
+    p1 = [[x / norm for x in row] for row in n]
+    p2 = [[-x for x in row] for row in p1]
+    for i in range(4):
+        p1[i][i] += 0.5
+        p2[i][i] += 0.5
+    basis1, basis2 = _basis(p1), _basis(p2)
+    return None if basis1 is None or basis2 is None else (basis1, basis2)
+
+
+def ref_planes_from_matrix(matrix, eps: float) -> OraclePlanes:
+    m = _rows(matrix)
+    cols = list(zip(*m))
+    if not ref_is_rotation(m, cols):
+        raise ValueError("matrix is not a rotation (orthogonal, det +1) to tolerance")
+    mean = (m[0][0] + m[1][1] + m[2][2] + m[3][3]) / 2.0
+    n = [[x + y for x, y in zip(row, col)] for row, col in zip(m, cols)]
+    for i in range(4):
+        n[i][i] -= mean
+    norm = math.hypot(*[x for row in n for x in row])
+    isoclinic = norm <= eps
+    if not isoclinic:
+        split = ref_pair_split(n, norm) if norm > 0.0 else 0.0
+        if split > eps:
+            raise PairingFailure(
+                f"eigenvalues of M + M^T split by {split:.3e} within a pair, above eps = {eps:.1e}"
+            )
+    bases = ref_bases(n, norm) if norm > 0.0 else None
+    if bases is None:
+        if not isoclinic:
+            raise PairingFailure(f"planes of M + M^T not resolved at eps = {eps:.1e}")
+        bases = _FIXED_SPLIT
+    a01, a02, a03 = (m[0][1] - m[1][0]) / 2.0, (m[0][2] - m[2][0]) / 2.0, (m[0][3] - m[3][0]) / 2.0
+    a12, a13, a23 = (m[1][2] - m[2][1]) / 2.0, (m[1][3] - m[3][1]) / 2.0, (m[2][3] - m[3][2]) / 2.0
+    out = []
+    for (u, w), pair_mean in zip(bases, (mean + norm / 2.0, mean - norm / 2.0)):
+        u0, u1, u2, u3 = u.components()
+        sine = math.hypot(
+            a01 * u1 + a02 * u2 + a03 * u3,
+            a12 * u2 + a13 * u3 - a01 * u0,
+            a23 * u3 - a02 * u0 - a12 * u1,
+            -a03 * u0 - a13 * u1 - a23 * u2,
+        )
+        out.append((Plane(u, w), math.atan2(sine, pair_mean / 2.0)))
+    (plane1, angle1), (plane2, angle2) = out
+    return OraclePlanes(plane1, angle1, plane2, angle2, isoclinic)
+
+
+def ref_projector_distance(p1: Plane, p2: Plane) -> float:
+    rows = list(zip(p1.u.components(), p1.w.components(), p2.u.components(), p2.w.components()))
+    return max(
+        abs(ui * uj + wi * wj - (xi * xj + yi * yj))
+        for i, (ui, wi, xi, yi) in enumerate(rows)
+        for uj, wj, xj, yj in rows[i:]
+    )
+
+
+def ref_to_matrix(r: Rotation4) -> list[list[float]]:
+    s, x1, x2, x3 = r.a.components()
+    t, y1, y2, y3 = r.b.components()
+    left = ((s, -x1, -x2, -x3), (x1, s, -x3, x2), (x2, x3, s, -x1), (x3, -x2, x1, s))
+    right_cols = ((t, y1, y2, y3), (-y1, t, -y3, y2), (-y2, y3, t, -y1), (-y3, -y2, y1, t))
+    return [
+        [l0 * c0 + l1 * c1 + l2 * c2 + l3 * c3 for c0, c1, c2, c3 in right_cols]
+        for l0, l1, l2, l3 in left
+    ]
+
+
+def oracle_outcome(fn, matrix, eps: float) -> str:
+    """repr of the result, or the type and message of the refusal."""
+    try:
+        return repr(fn(matrix, eps))
+    except (ValueError, PairingFailure) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 # --- inputs ----------------------------------------------------------------
 
 # exact values and signed zeros, where a change of order shows in the sign
@@ -221,6 +332,44 @@ def _rotations(draw) -> Rotation4:
 _EPSILONS = st.sampled_from([1e-12, DEFAULT_EPS, 0.3])
 
 
+@st.composite
+def _matrices(draw) -> list[list[float]]:
+    """The matrix of a rotation of any kind of _rotations: as built, with one
+    to three entries moved by 1e-10 to 1e-6 (across the EPS_MATRIX gates and
+    the pairing test), or with one entry NaN or infinite; or diag(d, d, d, 1)
+    for d from 1 down to 8 units of rounding below it, the identity and
+    matrices whose N is rounding noise."""
+    mode = draw(st.sampled_from(["exact", "perturbed", "non-finite", "diagonal"]))
+    if mode == "diagonal":
+        d = 1.0 - draw(st.integers(0, 8)) * 2.0**-52
+        return [[d, 0.0, 0.0, 0.0], [0.0, d, 0.0, 0.0], [0.0, 0.0, d, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    m = to_matrix(draw(_rotations()))
+    cell = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    if mode == "perturbed":
+        shift = st.sampled_from([1e-10, -1e-9, 5e-9, -1e-8, 2e-8, -1e-7, 1e-6, -1e-6])
+        for i, j in draw(st.lists(cell, min_size=1, max_size=3)):
+            m[i][j] += draw(shift)
+    elif mode == "non-finite":
+        i, j = draw(cell)
+        m[i][j] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return m
+
+
+@st.composite
+def _planes(draw) -> Plane:
+    """(u, w) with w the unit part of a second unit quaternion orthogonal to u."""
+    u, other = draw(_units()), draw(_units())
+    us, vs = u.components(), other.components()
+    along = sum(x * y for x, y in zip(us, vs))
+    rest = [y - along * x for x, y in zip(us, vs)]
+    n = math.sqrt(sum(x * x for x in rest))
+    assume(n >= 0.1)
+    return Plane(u, Quaternion.of(*(x / n for x in rest)))
+
+
+_ORACLE_EPSILONS = st.sampled_from([0.0, 1e-15, 1e-8, 1e-3])
+
+
 class TestMatchesObjectArithmetic:
     def test_public_wrappers(self):
         x, y = Quaternion.of(0.5, -0.5, 0.5, 0.5), Quaternion.of(R2, 0.0, -R2, 0.0)
@@ -246,6 +395,25 @@ class TestMatchesObjectArithmetic:
         if min(abs(f.a.s), abs(f.b.s), abs(g.a.s), abs(g.b.s)) > EPS_GIBBS:
             gf, gg = GibbsPair.from_rotation(f), GibbsPair.from_rotation(g)
             assert outcome(compose_gibbs, gf, gg) == outcome(ref_compose_gibbs, gf, gg)
+
+
+class TestOracleMatchesLoopForm:
+    @settings(derandomize=True, max_examples=1000, deadline=None)
+    @given(matrix=_matrices(), eps=_ORACLE_EPSILONS)
+    def test_planes_from_matrix(self, matrix, eps):
+        got = oracle_outcome(planes_from_matrix, matrix, eps)
+        assert got == oracle_outcome(ref_planes_from_matrix, matrix, eps)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(p1=_planes(), p2=_planes())
+    def test_projector_distance(self, p1, p2):
+        assert repr(projector_distance(p1, p2)) == repr(ref_projector_distance(p1, p2))
+        assert repr(projector_distance(p1, p1)) == repr(ref_projector_distance(p1, p1))
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(r=_rotations())
+    def test_to_matrix(self, r):
+        assert repr(to_matrix(r)) == repr(ref_to_matrix(r))
 
 
 class TestAllocation:

@@ -189,6 +189,11 @@ def _with_entry(m: np.ndarray, value: float, cell: tuple[int, int]) -> np.ndarra
     return m
 
 
+_GENERIC = matrix_of(
+    Rotation4(Quaternion.of(0.5, 0.5, 0.5, -0.5), normalized(Quaternion.of(3.0, 1.0, -2.0, 0.5)))
+)
+
+
 class TestNonFinite:
     """A NaN fails every comparison, so a `defect > tol` gate lets it through.
     Non-finite input is refused at the gates with their own ValueError, and
@@ -206,6 +211,50 @@ class TestNonFinite:
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="not a rotation"):
                     planes_from_matrix(m)
+
+    @_NON_FINITE
+    @pytest.mark.parametrize("cell", [(i, j) for i in range(4) for j in range(4)], ids=str)
+    def test_every_cell(self, value, cell):
+        """Each of the 16 entries feeds the finiteness test."""
+        for m in (_with_entry(np.eye(4), value, cell), _with_entry(_GENERIC, value, cell)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="not a rotation"):
+                    planes_from_matrix(m)
+
+
+class TestGramGate:
+    """Each of the 10 distinct entries of M^T M - I is tested against
+    EPS_MATRIX on its own.  A generic rotation R is multiplied by a matrix
+    that moves one entry of the Gram matrix and leaves det M within
+    EPS_MATRIX of 1, so only that entry can refuse it."""
+
+    @pytest.mark.parametrize("i, j", [(i, j) for i in range(4) for j in range(i + 1, 4)], ids=str)
+    def test_off_diagonal_shear(self, i, j):
+        """R (I + d E_ij) has column i times column j equal to d, and det 1."""
+
+        def sheared(d: float) -> np.ndarray:
+            shear = np.eye(4)
+            shear[i, j] = d
+            return _GENERIC @ shear
+
+        with pytest.raises(ValueError, match="not a rotation"):
+            planes_from_matrix(sheared(2e-8))
+        assert isinstance(planes_from_matrix(sheared(5e-9), eps=1e-3), OraclePlanes)
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_diagonal_column_scale(self, i):
+        """Scaling column i by 1 + 6e-9 moves its Gram entry by 1.2e-8 and
+        det M by only 6e-9; 1 + 4e-9 moves them by 8e-9 and 4e-9."""
+
+        def scaled(c: float) -> np.ndarray:
+            scale = np.ones(4)
+            scale[i] = c
+            return _GENERIC * scale
+
+        with pytest.raises(ValueError, match="not a rotation"):
+            planes_from_matrix(scaled(1.0 + 6e-9))
+        assert isinstance(planes_from_matrix(scaled(1.0 + 4e-9), eps=1e-3), OraclePlanes)
 
 
 def _eigh_route(matrix, eps: float = DEFAULT_EPS) -> OraclePlanes:
