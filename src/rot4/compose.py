@@ -21,7 +21,6 @@ from .quat import (
     PIVOT_TOL,
     Quaternion,
     Vec3,
-    _cross3,
     _det4,
     _gibbs_rule,
     _mul4,
@@ -136,13 +135,26 @@ def _intersection_dim(y: tuple, u: tuple, q: tuple, p: tuple) -> int:
     x2 = V(conj(y) p u) x q are its parts in f's fixed plane, so the singular
     values s1, s2 of [x1 x2] are the sines of the principal angles of the
     fixed planes: s1^2 + s2^2 = |x1|^2 + |x2|^2, s1 s2 = |x1 x x2|.  Counts
-    those at or below PIVOT_TOL."""
-    yc, qv = (y[0], -y[1], -y[2], -y[3]), q[1:]
-    x1 = _cross3(_mul4(yc, u)[1:], qv)
-    x2 = _cross3(_mul4(_mul4(yc, p), u)[1:], qv)
-    (a1, a2, a3), (b1, b2, b3) = x1, x2
+    those at or below PIVOT_TOL.  The three quaternion products and two
+    cross products are written out as _mul4 and _cross3 sum them."""
+    y0, yc1, yc2, yc3 = y[0], -y[1], -y[2], -y[3]  # conj(y)
+    u0, u1, u2, u3 = u
+    _, q1, q2, q3 = q
+    p0, p1, p2, p3 = p
+    m1 = u1 * y0 + yc1 * u0 + (yc2 * u3 - yc3 * u2)  # V(conj(y) u)
+    m2 = u2 * y0 + yc2 * u0 + (yc3 * u1 - yc1 * u3)
+    m3 = u3 * y0 + yc3 * u0 + (yc1 * u2 - yc2 * u1)
+    n0 = y0 * p0 - (yc1 * p1 + yc2 * p2 + yc3 * p3)  # conj(y) p
+    n1 = p1 * y0 + yc1 * p0 + (yc2 * p3 - yc3 * p2)
+    n2 = p2 * y0 + yc2 * p0 + (yc3 * p1 - yc1 * p3)
+    n3 = p3 * y0 + yc3 * p0 + (yc1 * p2 - yc2 * p1)
+    k1 = u1 * n0 + n1 * u0 + (n2 * u3 - n3 * u2)  # V(conj(y) p u)
+    k2 = u2 * n0 + n2 * u0 + (n3 * u1 - n1 * u3)
+    k3 = u3 * n0 + n3 * u0 + (n1 * u2 - n2 * u1)
+    a1, a2, a3 = m2 * q3 - m3 * q2, m3 * q1 - m1 * q3, m1 * q2 - m2 * q1  # x1
+    b1, b2, b3 = k2 * q3 - k3 * q2, k3 * q1 - k1 * q3, k1 * q2 - k2 * q1  # x2
     total = (a1 * a1 + a2 * a2 + a3 * a3) + (b1 * b1 + b2 * b2 + b3 * b3)
-    c1, c2, c3 = _cross3(x1, x2)
+    c1, c2, c3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
     area = math.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
     s1 = math.sqrt((total + math.sqrt(max(0.0, total * total - 4.0 * area * area))) / 2.0)
     s2 = area / s1 if s1 > 0.0 else 0.0
@@ -154,13 +166,14 @@ def is_composition_simple(
 ) -> SimplicityReport:
     """Decide whether 'f followed by g' is simple, for simple f and g.
 
-    Splits f and g as simple_to_reflections does and computes all three
-    routes on the pair the normals realise, (f, g) itself when both are
-    exactly simple, in plain floats: the scalar residual of its factors, the
-    determinant of the stacked reflection normals (quat._det4), and the
-    dimension of the intersection of the two fixed planes
-    (_intersection_dim), 2 when either is the identity, which fixes all of
-    E4."""
+    Splits f and g as simple_to_reflections does (_split, one pass on
+    named floats) and computes all three routes on the pair the normals
+    realise, (f, g) itself when both are exactly simple, in plain floats:
+    the scalar residual of its factors, the determinant of the stacked
+    reflection normals (quat._det4), and the dimension of the intersection
+    of the two fixed planes (_intersection_dim), 2 when either is the
+    identity, which fixes all of E4.  The four factor products are written
+    out as _mul4 sums them; only their vector parts are needed."""
     splits = []
     for name, rot in (("f", f), ("g", g)):
         try:
@@ -169,15 +182,29 @@ def is_composition_simple(
             exc.args = (f"{name} is not a simple rotation: {exc}",)
             raise  # in place, so the traceback still ends in the split
     (_, q, y, z), (p, _, u, w) = splits
-    yc, uc = (y[0], -y[1], -y[2], -y[3]), (u[0], -u[1], -u[2], -u[3])
-    _, a1, a2, a3 = _mul4(z, yc)
-    _, b1, b2, b3 = _mul4(yc, z)
-    _, c1, c2, c3 = _mul4(w, uc)
-    _, d1, d2, d3 = _mul4(uc, w)
+    y0, y1, y2, y3 = y
+    z0, z1, z2, z3 = z
+    u0, u1, u2, u3 = u
+    w0, w1, w2, w3 = w
+    yc1, yc2, yc3 = -y1, -y2, -y3  # conj(y)
+    uc1, uc2, uc3 = -u1, -u2, -u3  # conj(u)
+    a1 = yc1 * z0 + z1 * y0 + (z2 * yc3 - z3 * yc2)  # V(z conj(y))
+    a2 = yc2 * z0 + z2 * y0 + (z3 * yc1 - z1 * yc3)
+    a3 = yc3 * z0 + z3 * y0 + (z1 * yc2 - z2 * yc1)
+    b1 = z1 * y0 + yc1 * z0 + (yc2 * z3 - yc3 * z2)  # V(conj(y) z)
+    b2 = z2 * y0 + yc2 * z0 + (yc3 * z1 - yc1 * z3)
+    b3 = z3 * y0 + yc3 * z0 + (yc1 * z2 - yc2 * z1)
+    c1 = uc1 * w0 + w1 * u0 + (w2 * uc3 - w3 * uc2)  # V(w conj(u))
+    c2 = uc2 * w0 + w2 * u0 + (w3 * uc1 - w1 * uc3)
+    c3 = uc3 * w0 + w3 * u0 + (w1 * uc2 - w2 * uc1)
+    d1 = w1 * u0 + uc1 * w0 + (uc2 * w3 - uc3 * w2)  # V(conj(u) w)
+    d2 = w2 * u0 + uc2 * w0 + (uc3 * w1 - uc1 * w3)
+    d3 = w3 * u0 + uc3 * w0 + (uc1 * w2 - uc2 * w1)
     s_condition = (c1 * a1 + c2 * a2 + c3 * a3) - (b1 * d1 + b2 * d2 + b3 * d3)
-    columns = [(n[1], n[2], n[3], n[0]) for n in (y, z, u, w)]  # scalar last
+    # the normals as columns, scalar last
+    det = _det4(((y1, z1, u1, w1), (y2, z2, u2, w2), (y3, z3, u3, w3), (y0, z0, u0, w0)))
     dim = 2 if q is None or p is None else _intersection_dim(y, u, q, p)
-    return SimplicityReport(s_condition, _det4(zip(*columns)), dim, abs(s_condition) <= eps)
+    return SimplicityReport(s_condition, det, dim, abs(s_condition) <= eps)
 
 
 def composed_planes_from_gibbs(h: GibbsPair) -> tuple[Plane, Plane, float, float]:

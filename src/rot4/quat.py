@@ -156,12 +156,30 @@ class Quaternion(_Value):
 
     @classmethod
     def of(cls, s: float, x1: float, x2: float, x3: float) -> "Quaternion":
+        """Quaternion(s, Vec3(x1, x2, x3)), admitted in one pass: the four
+        floats are converted in that chain's order, x1, x2, x3, then s, and
+        admitted by one fused finiteness test as in _quat.  Any failure goes
+        through the chain itself, which raises the same error in its order."""
+        try:
+            x1, x2, x3, s = float(x1), float(x2), float(x3), float(s)
+        except Exception:  # whatever float() raises, the chain raises again below
+            pass
+        else:
+            if s * 0.0 + x1 * 0.0 + x2 * 0.0 + x3 * 0.0 == 0.0:
+                v = _new(Vec3)
+                _set(v, "x1", x1)
+                _set(v, "x2", x2)
+                _set(v, "x3", x3)
+                q = _new(Quaternion)
+                _set(q, "s", s)
+                _set(q, "v", v)
+                return q
         return cls(s, Vec3(x1, x2, x3))
 
     @classmethod
     def from_array(cls, arr) -> "Quaternion":
         s, x1, x2, x3 = (float(c) for c in arr)
-        return cls(s, Vec3(x1, x2, x3))
+        return cls.of(s, x1, x2, x3)
 
     def components(self) -> tuple[float, float, float, float]:
         return (self.s, self.v.x1, self.v.x2, self.v.x3)

@@ -54,15 +54,23 @@ class Rotation4(_Value):
 
     Construction validates both norms and canonicalizes the pair's common
     sign, so value equality of two instances means equality of rotations
-    whenever the factors match bit-for-bit.
+    whenever the factors match bit-for-bit.  Both checks run in line on the
+    components: each norm_sq is summed as require_unit sums it, and
+    require_unit is called only to raise NotUnit for a factor that fails;
+    the sign is S(a)'s unless |S(a)| <= EPS_AXIS, where _leading_negative
+    reads on.
     """
 
     __slots__ = ("a", "b")
 
     def __init__(self, a: Quaternion, b: Quaternion):
-        require_unit(a, "left factor")
-        require_unit(b, "right factor")
-        if _leading_negative(a):
+        s, x1, x2, x3 = a.components()
+        if abs(s * s + (x1 * x1 + x2 * x2 + x3 * x3) - 1.0) > EPS_UNIT:
+            require_unit(a, "left factor")
+        t, y1, y2, y3 = b.components()
+        if abs(t * t + (y1 * y1 + y2 * y2 + y3 * y3) - 1.0) > EPS_UNIT:
+            require_unit(b, "right factor")
+        if (s < 0.0) if abs(s) > EPS_AXIS else _leading_negative(a):
             a, b = -a, -b
         _set(self, "a", a)
         _set(self, "b", b)
@@ -305,14 +313,54 @@ def simple_to_reflections(
 def _split(r: Rotation4, eps: float) -> tuple:
     """simple_to_reflections in floats: (p, q, y, z) with the unit axes p, q
     of a and b, None for the identity, and the normals y, z, all component
-    tuples.  Raises NotSimple on every kind but Simple and Identity."""
-    kind = _kind(r, eps)
-    a = r.a.components()
-    if kind is Identity:
-        p, q, y = None, None, _BASIS[0]
-    elif kind is Simple:
-        p, q = _axis(a), _axis(r.b.components())
-        (y,) = _eigenvectors(p, q, -1.0)
-    else:
-        raise NotSimple(f"a {kind.__name__} rotation, not simple at eps = {eps:.1e}")
-    return p, q, y, _unit4(_mul4(a, y))
+    tuples.  Raises NotSimple on every kind but Simple and Identity.
+
+    A Simple r is split in one pass on named floats: _kind's tests, the two
+    _axis scalings, _eigenvectors(p, q, -1.0) and z = _unit4(_mul4(a, y)),
+    each written out in its helper's order, so y and z match the helpers
+    bit for bit.  The other kinds are decided by _kind itself."""
+    a = s, a1, a2, a3 = r.a.components()
+    t, b1, b2, b3 = r.b.components()
+    na = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+    nb = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
+    if na <= EPS_AXIS or nb <= EPS_AXIS or not abs(s - t) <= eps:
+        kind = _kind(r, eps)
+        if kind is not Identity:
+            raise NotSimple(f"a {kind.__name__} rotation, not simple at eps = {eps:.1e}")
+        y = _BASIS[0]
+        return None, None, y, _unit4(_mul4(a, y))
+    f = 1.0 / na
+    p = _, p1, p2, p3 = 0.0, a1 * f, a2 * f, a3 * f
+    f = 1.0 / nb
+    q = _, q1, q2, q3 = 0.0, b1 * f, b2 * f, b3 * f
+    if (
+        abs(math.sqrt(p1 * p1 + p2 * p2 + p3 * p3) - 1.0) > EPS_UNIT
+        or abs(math.sqrt(q1 * q1 + q2 * q2 + q3 * q3) - 1.0) > EPS_UNIT
+    ):
+        raise NotUnit("axes must be unit 3-vectors")
+    # y: column k of I - T, T x = p x q, at the first smallest diagonal entry
+    d = p1 * q1 + p2 * q2 + p3 * q3
+    diag = (-d, d - 2.0 * p1 * q1, d - 2.0 * p2 * q2, d - 2.0 * p3 * q3)
+    e0, e1, e2, e3 = _BASIS[diag.index(min(diag))]
+    m0 = 0.0 * e0 - (p1 * e1 + p2 * e2 + p3 * e3)  # p e
+    m1 = e1 * 0.0 + p1 * e0 + (p2 * e3 - p3 * e2)
+    m2 = e2 * 0.0 + p2 * e0 + (p3 * e1 - p1 * e3)
+    m3 = e3 * 0.0 + p3 * e0 + (p1 * e2 - p2 * e1)
+    v0 = e0 - (m0 * 0.0 - (m1 * q1 + m2 * q2 + m3 * q3))  # e - (p e) q
+    v1 = e1 - (q1 * m0 + m1 * 0.0 + (m2 * q3 - m3 * q2))
+    v2 = e2 - (q2 * m0 + m2 * 0.0 + (m3 * q1 - m1 * q3))
+    v3 = e3 - (q3 * m0 + m3 * 0.0 + (m1 * q2 - m2 * q1))
+    n = math.sqrt(v0 * v0 + (v1 * v1 + v2 * v2 + v3 * v3))
+    if n <= EPS_AXIS:
+        _unit4((v0, v1, v2, v3))  # raises its refusal
+    f = 1.0 / n
+    y = y0, y1, y2, y3 = v0 * f, v1 * f, v2 * f, v3 * f
+    v0 = s * y0 - (a1 * y1 + a2 * y2 + a3 * y3)  # a y
+    v1 = y1 * s + a1 * y0 + (a2 * y3 - a3 * y2)
+    v2 = y2 * s + a2 * y0 + (a3 * y1 - a1 * y3)
+    v3 = y3 * s + a3 * y0 + (a1 * y2 - a2 * y1)
+    n = math.sqrt(v0 * v0 + (v1 * v1 + v2 * v2 + v3 * v3))
+    if n <= EPS_AXIS:
+        _unit4((v0, v1, v2, v3))
+    f = 1.0 / n
+    return p, q, y, (v0 * f, v1 * f, v2 * f, v3 * f)

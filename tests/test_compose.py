@@ -161,6 +161,30 @@ class TestSimplicity:
         with pytest.raises(NotSimple):
             is_composition_simple(r, rand_simple(rng))
 
+    @pytest.mark.parametrize("which", ["f", "g"])
+    def test_not_simple_names_the_factor_and_ends_in_the_split(self, which):
+        double = Rotation4(Quaternion.of(0.5, 0.5, 0.5, -0.5), Quaternion.of(R2, R2, 0, 0))
+        f, g = (double, GOLDEN_G) if which == "f" else (GOLDEN_F, double)
+        with pytest.raises(NotSimple) as info:
+            is_composition_simple(f, g)
+        assert str(info.value) == (
+            f"{which} is not a simple rotation: a Double rotation, not simple at eps = 1.0e-08"
+        )
+        tb = info.value.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        assert tb.tb_frame.f_code.co_name == "_split"
+
+    def test_nan_eps_is_not_refused_and_nothing_is_simple(self):
+        # only the CLI's parser refuses a NaN eps; the library compares
+        # |S(a)-S(b)| <= eps, which NaN fails, so a simple f reads Double
+        assert isinstance(classify(GOLDEN_F, math.nan), Double)
+        with pytest.raises(NotSimple) as info:
+            is_composition_simple(GOLDEN_F, GOLDEN_G, math.nan)
+        assert str(info.value) == (
+            "f is not a simple rotation: a Double rotation, not simple at eps = nan"
+        )
+
     def test_identity_fixes_all_of_e4(self, rng):
         # the identity's fixed plane is all of E4, so it meets any fixed
         # plane in that plane; a turn of 1e-10 is the identity at EPS_AXIS

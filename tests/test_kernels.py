@@ -18,6 +18,7 @@ are compared by repr, and refusals by type and message.
 import importlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -370,6 +371,15 @@ def _planes(draw) -> Plane:
 _ORACLE_EPSILONS = st.sampled_from([0.0, 1e-15, 1e-8, 1e-3])
 
 
+_GOLDEN_F = Rotation4(Quaternion.of(R2, R2, 0.0, 0.0), Quaternion.of(R2, 0.0, R2, 0.0))
+_GOLDEN_G = Rotation4(Quaternion.of(R2, 0.0, R2, 0.0), Quaternion.of(R2, 0.0, 0.0, R2))
+_NEAR_ONE = Rotation4(Quaternion.of(1.0, 5e-10, 0.0, 0.0), Quaternion.of(1.0, 0.0, -5e-10, 0.0))
+_AT_EPS = Rotation4(
+    Quaternion.of(0.5, 0.5, 0.5, 0.5), Quaternion.of(0.25, 0.0, math.sqrt(0.9375), 0.0)
+)  # |S(a)-S(b)| = 0.25
+_DOUBLE = Rotation4(Quaternion.of(0.5, 0.5, 0.5, -0.5), Quaternion.of(R2, R2, 0.0, 0.0))
+
+
 class TestMatchesObjectArithmetic:
     def test_public_wrappers(self):
         x, y = Quaternion.of(0.5, -0.5, 0.5, 0.5), Quaternion.of(R2, 0.0, -R2, 0.0)
@@ -385,6 +395,15 @@ class TestMatchesObjectArithmetic:
         g=Rotation4(ONE, K),
         eps=DEFAULT_EPS,
     )
+    # each exit of the split: f the identity; g with both factors within
+    # EPS_AXIS of 1, the identity with z = a/|a| off 1; |S(a)-S(b)| = eps
+    # exactly; f, then g, Double; a NaN eps, which no |S(a)-S(b)| passes
+    @example(f=Rotation4(ONE, ONE), g=_GOLDEN_G, eps=DEFAULT_EPS)
+    @example(f=_GOLDEN_F, g=_NEAR_ONE, eps=DEFAULT_EPS)
+    @example(f=_AT_EPS, g=_GOLDEN_G, eps=0.25)
+    @example(f=_DOUBLE, g=_GOLDEN_G, eps=DEFAULT_EPS)
+    @example(f=_GOLDEN_F, g=_DOUBLE, eps=DEFAULT_EPS)
+    @example(f=_GOLDEN_F, g=_GOLDEN_G, eps=math.nan)
     def test_results(self, f, g, eps):
         assert outcome(classify, f, eps) == outcome(ref_classify, f, eps)
         assert outcome(compose, g, f) == outcome(ref_compose, g, f)
@@ -459,3 +478,21 @@ class TestAllocation:
         built.clear()
         is_composition_simple(f, g)
         assert built == []
+
+    def test_admission_calls_no_finite(self, monkeypatch):
+        # Quaternion.of, from_array and Rotation4 admit finite unit input in
+        # line; _finite runs only on the way to a refusal
+        calls, original = [], quat_module._finite
+
+        def counting(name, value):
+            calls.append(name)
+            return original(name, value)
+
+        monkeypatch.setattr(quat_module, "_finite", counting)
+        f = Rotation4(Quaternion.of(R2, R2, 0.0, 0.0), Quaternion.from_array([R2, 0.0, R2, 0]))
+        g = Rotation4(Quaternion.of(R2, 0, R2, 0), Quaternion.from_array(np.array([R2, 0, 0, R2])))
+        is_composition_simple(f, g)
+        assert calls == []
+        with pytest.raises(ValueError, match="x2 must be finite"):
+            Quaternion.of(1.0, 0.0, math.inf, 0.0)
+        assert calls == ["x1", "x2"]

@@ -250,6 +250,87 @@ class TestConstructors:
         assert comp_diff((x + y) - y, x) <= 1e-15
 
 
+def _outcome(make, *args) -> str:
+    """repr and component types of the result, or the error's type and message."""
+    try:
+        q = make(*args)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{q!r} {[type(c).__name__ for c in q.components()]}"
+
+
+def _chain_of(s, x1, x2, x3) -> Quaternion:
+    return Quaternion(s, Vec3(x1, x2, x3))
+
+
+def _chain_from_array(arr) -> Quaternion:
+    s, x1, x2, x3 = (float(c) for c in arr)
+    return Quaternion(s, Vec3(x1, x2, x3))
+
+
+_UNIT = [0.5, 0.5, -0.5, 0.5]  # s, x1, x2, x3
+
+
+class TestAdmission:
+    """Quaternion.of and from_array admit in one pass; every result and
+    every refusal is that of the chain Quaternion(s, Vec3(x1, x2, x3)),
+    which converts x1, x2, x3, then s, and refuses the first non-finite."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [np.float64(0.25), np.float32(0.5), np.int64(-1), 3, 2**60, True, False],
+        ids=["float64", "float32", "int64", "int", "big-int", "true", "false"],
+    )
+    @pytest.mark.parametrize("position", range(4))
+    def test_numbers_become_exact_floats(self, position, value):
+        c = list(_UNIT)
+        c[position] = value
+        q = Quaternion.of(*c)
+        assert all(type(x) is float for x in q.components())
+        assert q.components() == tuple(float(x) for x in c)
+        for make, args in ((Quaternion.of, c), (Quaternion.from_array, [c])):
+            assert _outcome(make, *args) == _outcome(_chain_of, *c)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    @pytest.mark.parametrize("position", range(4))
+    def test_non_finite_names_the_component(self, position, bad):
+        c = list(_UNIT)
+        c[position] = bad
+        name = ("s", "x1", "x2", "x3")[position]
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+            Quaternion.of(*c)
+        assert _outcome(Quaternion.of, *c) == _outcome(_chain_of, *c)
+        assert _outcome(Quaternion.from_array, c) == _outcome(_chain_from_array, c)
+
+    def test_x1_is_named_before_s(self):
+        c = [math.inf, math.nan, 0.0, 0.0]
+        assert _outcome(Quaternion.of, *c) == "ValueError: x1 must be finite, got nan"
+        assert _outcome(Quaternion.from_array, c) == "ValueError: x1 must be finite, got nan"
+
+    @pytest.mark.parametrize(
+        "bad", ["x", None, [1.0], 10**400, 1j], ids=["str", "none", "list", "huge-int", "complex"]
+    )
+    @pytest.mark.parametrize("earlier", [None, math.nan], ids=["finite", "nan-first"])
+    @pytest.mark.parametrize("position", range(4))
+    def test_unconvertible_raises_as_the_chain(self, position, earlier, bad):
+        # of converts x1, x2, x3, then s; from_array converts s first
+        c = list(_UNIT)
+        c[position] = bad
+        if earlier is not None:
+            c[(position + 2) % 4] = earlier
+        assert _outcome(Quaternion.of, *c) == _outcome(_chain_of, *c)
+        assert _outcome(Quaternion.from_array, c) == _outcome(_chain_from_array, c)
+        with pytest.raises((TypeError, ValueError, OverflowError)):
+            Quaternion.of(*c)
+
+    @pytest.mark.parametrize(
+        "arr", [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0], "abcd", 5, np.eye(2)],
+        ids=["short", "long", "str", "scalar", "matrix"],
+    )
+    def test_from_array_shape(self, arr):
+        assert _outcome(Quaternion.from_array, arr) == _outcome(_chain_from_array, arr)
+
+
 class TestValueSemantics:
     def test_equality_and_hash(self):
         assert Quaternion.of(1, 0, 0, 0) == ONE

@@ -105,6 +105,45 @@ class TestRotation4:
         with pytest.raises(NotUnit):
             Rotation4(Quaternion.of(1, 1, 0, 0), ONE)
 
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (Quaternion.of(1, 1, 0, 0), ONE, "left factor has norm_sq 2.0"),
+            (ONE, Quaternion.of(0, 0, 0.5, 0), "right factor has norm_sq 0.25"),
+            (Quaternion.of(2, 0, 0, 0), Quaternion.of(3, 0, 0, 0), "left factor has norm_sq 4.0"),
+            (Quaternion.of(1 + 6e-10, 0, 0, 0), ONE, "left factor has norm_sq 1.0000000012"),
+            (ONE, Quaternion.of(0, 0, 0, 1 - 6e-10), "right factor has norm_sq 0.9999999987999999"),
+        ],
+        ids=["left", "right", "left-first", "left-just-outside", "right-just-outside"],
+    )
+    def test_not_unit_message(self, a, b, message):
+        with pytest.raises(NotUnit) as info:
+            Rotation4(a, b)
+        assert str(info.value) == f"{message}, expected 1"
+
+    def test_admits_within_the_unit_tolerance(self):
+        a = Quaternion.of(1 + 4e-10, 0, 0, 0)
+        assert Rotation4(a, a).a is a
+
+    @pytest.mark.parametrize(
+        "a, negated",
+        [
+            ((5e-10, -0.6, 0.8, 0.0), True),
+            ((-5e-10, 0.6, -0.8, 0.0), False),
+            ((-1e-9, 0.0, 1e-9, -1.0), True),
+            ((1e-9, -1e-9, 0.0, 1.0), False),
+            ((-2e-9, 0.6, 0.8, 0.0), True),
+            ((2e-9, -0.6, -0.8, 0.0), False),
+            ((-0.0, 0.0, -0.0, 1.0), False),
+        ],
+    )
+    def test_sign_rule_past_a_small_leading_component(self, a, negated):
+        # the first component above EPS_AXIS in magnitude sets the sign
+        q, b = Quaternion.of(*a), Quaternion.of(0.6, 0.0, 0.8, 0.0)
+        assert rotation_module._leading_negative(q) is negated
+        r = Rotation4(q, b)
+        assert (r.a, r.b) == ((-q, -b) if negated else (q, b))
+
 
 class TestApply:
     def test_identity(self, rng):
