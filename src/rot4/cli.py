@@ -323,7 +323,7 @@ def random_rotation(rng, kind: str, eps: float = DEFAULT_EPS) -> Rotation4:
                 return r
         elif kind == "left-isoclinic":
             a = _random_unit(rng)
-            a = -a if _leading_negative(a) else a
+            a = -a if _leading_negative(a.components()) else a
             if a.v.norm() > RANDOM_AXIS_MARGIN:
                 return Rotation4(a, Quaternion(1.0))
         elif kind == "right-isoclinic":

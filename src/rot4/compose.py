@@ -24,10 +24,11 @@ from .quat import (
     _det4,
     _gibbs_rule,
     _mul4,
-    _quat,
-    _set,
+    _new,
+    _setters,
     _unit4,
     _Value,
+    _vec,
     normalized,
 )
 from .rotation import (
@@ -36,6 +37,7 @@ from .rotation import (
     Simple,
     _invariant_planes,
     _kind,
+    _rotation,
     _split,
 )
 
@@ -44,9 +46,11 @@ def compose(g: Rotation4, f: Rotation4) -> Rotation4:
     """The rotation 'f followed by g': factors (g.a * f.a, f.b * g.b).
 
     The factor products are renormalized: inputs admitted at the unit-norm
-    tolerance would otherwise drift past it when multiplied."""
+    tolerance would otherwise drift past it when multiplied.  The pair is
+    admitted and its sign fixed on the floats (rotation._rotation), so only
+    the two factors kept are built."""
     a = _unit4(_mul4(g.a.components(), f.a.components()))
-    return Rotation4(_quat(*a), _quat(*_unit4(_mul4(f.b.components(), g.b.components()))))
+    return _rotation(a, _unit4(_mul4(f.b.components(), g.b.components())))
 
 
 class GibbsPair(_Value):
@@ -54,32 +58,31 @@ class GibbsPair(_Value):
     cos_alpha * (1 + p_tilde) x (1 + q_tilde) * cos_beta.
 
     p_tilde = p * tan(ha) and q_tilde = q * tan(hb) for factor half-angles
-    ha, hb; the chart exists only while both cosines are nonzero.
+    ha, hb; the chart exists only while both cosines are nonzero.  The
+    cosines are stored as floats; a p_tilde or q_tilde that is not a Vec3
+    is a TypeError naming it.
     """
 
     __slots__ = ("p_tilde", "q_tilde", "cos_alpha", "cos_beta")
 
     def __init__(self, p_tilde: Vec3, q_tilde: Vec3, cos_alpha: float, cos_beta: float):
-        for cos_val, tilde, side in ((cos_alpha, p_tilde, "left"), (cos_beta, q_tilde, "right")):
-            scale = 1.0 + tilde.norm_sq()
-            # "not <=" fails a NaN cosine, which every ">" comparison lets through
-            if not abs(cos_val * cos_val * scale - 1.0) <= EPS_UNIT * scale:
-                raise ValueError(
-                    f"{side} data is inconsistent: cos^2*(1+|g|^2) = "
-                    f"{cos_val * cos_val * scale!r}, expected 1"
-                )
-        _set(self, "p_tilde", p_tilde)
-        _set(self, "q_tilde", q_tilde)
-        _set(self, "cos_alpha", cos_alpha)
-        _set(self, "cos_beta", cos_beta)
+        for name, tilde in (("p_tilde", p_tilde), ("q_tilde", q_tilde)):
+            if not isinstance(tilde, Vec3):
+                raise TypeError(f"{name} must be a Vec3, got {type(tilde).__name__}")
+        _gibbs_pair(
+            self, *p_tilde.components(), *q_tilde.components(), float(cos_alpha), float(cos_beta)
+        )
 
     @classmethod
     def from_rotation(cls, r: Rotation4) -> "GibbsPair":
-        if abs(r.a.s) <= EPS_GIBBS or abs(r.b.s) <= EPS_GIBBS:
+        s, a1, a2, a3 = r.a.components()
+        t, b1, b2, b3 = r.b.components()
+        if abs(s) <= EPS_GIBBS or abs(t) <= EPS_GIBBS:
             raise GibbsSingular(
                 "a factor has vanishing scalar part; the rotation has no Gibbs form"
             )
-        return cls(r.a.v / r.a.s, r.b.v / r.b.s, r.a.s, r.b.s)
+        f, g = 1.0 / s, 1.0 / t
+        return _gibbs_pair(_new(cls), a1 * f, a2 * f, a3 * f, b1 * g, b2 * g, b3 * g, s, t)
 
     def to_rotation(self) -> Rotation4:
         a = Quaternion(self.cos_alpha, self.p_tilde * self.cos_alpha)
@@ -87,6 +90,32 @@ class GibbsPair(_Value):
         # the consistency gate scales with 1+|g|^2, so reconstruction can sit
         # slightly off unit norm for long Gibbs vectors
         return Rotation4(normalized(a), normalized(b))
+
+
+_set_p_tilde, _set_q_tilde, _set_cos_alpha, _set_cos_beta = _setters(GibbsPair)
+
+
+def _gibbs_pair(pair, p1, p2, p3, q1, q2, q3, cos_alpha: float, cos_beta: float) -> GibbsPair:
+    """Fill the bare GibbsPair `pair` with the Gibbs vectors (p1, p2, p3),
+    (q1, q2, q3) and the float cosines, behind the consistency gate
+    cos^2 (1 + |g|^2) = 1 within EPS_UNIT (1 + |g|^2), left side first.
+    "not <=" fails a NaN cosine, which every ">" comparison lets through."""
+    p, q = _vec(p1, p2, p3), _vec(q1, q2, q3)
+    scale = 1.0 + (p1 * p1 + p2 * p2 + p3 * p3)
+    if not abs(cos_alpha * cos_alpha * scale - 1.0) <= EPS_UNIT * scale:
+        raise _inconsistent("left", cos_alpha * cos_alpha * scale)
+    scale = 1.0 + (q1 * q1 + q2 * q2 + q3 * q3)
+    if not abs(cos_beta * cos_beta * scale - 1.0) <= EPS_UNIT * scale:
+        raise _inconsistent("right", cos_beta * cos_beta * scale)
+    _set_p_tilde(pair, p)
+    _set_q_tilde(pair, q)
+    _set_cos_alpha(pair, cos_alpha)
+    _set_cos_beta(pair, cos_beta)
+    return pair
+
+
+def _inconsistent(side: str, value: float) -> ValueError:
+    return ValueError(f"{side} data is inconsistent: cos^2*(1+|g|^2) = {value!r}, expected 1")
 
 
 def compose_gibbs(f: GibbsPair, g: GibbsPair) -> GibbsPair:
@@ -98,17 +127,22 @@ def compose_gibbs(f: GibbsPair, g: GibbsPair) -> GibbsPair:
                  q   = (q1 + q2 + q1 x q2) / (1 - q1.q2).
     The cross products take opposite orders on the two sides; that asymmetry
     is real, not a typo.  A vanishing denominator means the composed factor
-    is a pure quaternion (cosine zero) and the chart breaks down.
+    is a pure quaternion (cosine zero) and the chart breaks down.  Both
+    sides run quat._gibbs_rule on floats.
     """
-    p, den_p = _gibbs_rule(
-        f.p_tilde, g.p_tilde, "left composed cosine vanishes (p-denominator is zero)"
+    p1, p2, p3, den_p = _gibbs_rule(
+        f.p_tilde.components(),
+        g.p_tilde.components(),
+        "left composed cosine vanishes (p-denominator is zero)",
     )
-    q, den_q = _gibbs_rule(
-        g.q_tilde, f.q_tilde, "right composed cosine vanishes (q-denominator is zero)"
+    q1, q2, q3, den_q = _gibbs_rule(
+        g.q_tilde.components(),
+        f.q_tilde.components(),
+        "right composed cosine vanishes (q-denominator is zero)",
     )
     cos_a = f.cos_alpha * g.cos_alpha * den_p
     cos_b = f.cos_beta * g.cos_beta * den_q
-    return GibbsPair(p, q, cos_a, cos_b)
+    return _gibbs_pair(_new(GibbsPair), p1, p2, p3, q1, q2, q3, cos_a, cos_b)
 
 
 class SimplicityReport(_Value):

@@ -8,7 +8,7 @@ rotation.
 
 from __future__ import annotations
 
-from .quat import EPS_UNIT, Quaternion, _dot4, _set, _Value
+from .quat import EPS_UNIT, Quaternion, _dot4, _setters, _Value
 
 
 class Plane(_Value):
@@ -24,8 +24,11 @@ class Plane(_Value):
             or abs(_dot4(us, ws)) > EPS_UNIT
         ):
             raise ValueError("plane basis is not orthonormal")
-        _set(self, "u", u)
-        _set(self, "w", w)
+        _set_u(self, u)
+        _set_w(self, w)
+
+
+_set_u, _set_w = _setters(Plane)
 
 
 def _projector_rows(plane: Plane) -> list[list[float]]:

@@ -35,7 +35,12 @@ def _finite(name: str, value) -> float:
 
 
 _new = object.__new__
-_set = object.__setattr__
+
+
+def _setters(cls) -> tuple:
+    """The own setter of each of cls's slots, in field order: it writes the
+    slot past _Value.__setattr__, and faster than object.__setattr__."""
+    return tuple([vars(cls)[name].__set__ for name in cls.__slots__])
 
 
 class _Value:
@@ -50,8 +55,8 @@ class _Value:
         if "__init__" not in vars(cls):
             # compiled once per class, as collections.namedtuple builds __new__:
             # a loop over the fields would double the cost of a construction
-            body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
-            namespace = {"_set": _set}
+            body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
+            namespace = {f"_set_{name}": setter for name, setter in zip(names, _setters(cls))}
             exec(f"def __init__({', '.join(('self',) + names)}):{body or ' pass'}", namespace)
             cls.__init__ = namespace["__init__"]
             cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -82,7 +87,8 @@ class _Value:
 
 
 # Every value of the package is a _Value.  _vec, _quat and pure build
-# arithmetic results through _new/_set and skip the validating constructors.
+# arithmetic results through _new and the slot setters and skip the
+# validating constructors.
 # The hot paths compute on plain float tuples, a quaternion as
 # (s, x1, x2, x3), through the kernels _mul4, _dot4, _unit4 and _cross3, and
 # build a value only for what they return.
@@ -92,9 +98,9 @@ class Vec3(_Value):
     __slots__ = ("x1", "x2", "x3")
 
     def __init__(self, x1: float = 0.0, x2: float = 0.0, x3: float = 0.0):
-        _set(self, "x1", _finite("x1", x1))
-        _set(self, "x2", _finite("x2", x2))
-        _set(self, "x3", _finite("x3", x3))
+        _set_x1(self, _finite("x1", x1))
+        _set_x2(self, _finite("x2", x2))
+        _set_x3(self, _finite("x3", x3))
 
     def dot(self, other: "Vec3") -> float:
         return self.x1 * other.x1 + self.x2 * other.x2 + self.x3 * other.x3
@@ -130,15 +136,18 @@ class Vec3(_Value):
         return self * (1.0 / factor)
 
 
+_set_x1, _set_x2, _set_x3 = _setters(Vec3)
+
+
 def _vec(x1: float, x2: float, x3: float) -> Vec3:
     """Vec3 of floats computed in this module.  x*0.0 is 0.0 exactly when x
     is finite, so one fused test admits all three; a failure goes through
     the public constructor, which names the bad component."""
     if x1 * 0.0 + x2 * 0.0 + x3 * 0.0 == 0.0:
         v = _new(Vec3)
-        _set(v, "x1", x1)
-        _set(v, "x2", x2)
-        _set(v, "x3", x3)
+        _set_x1(v, x1)
+        _set_x2(v, x2)
+        _set_x3(v, x3)
         return v
     return Vec3(x1, x2, x3)
 
@@ -149,10 +158,10 @@ class Quaternion(_Value):
     __slots__ = ("s", "v")
 
     def __init__(self, s: float = 0.0, v: Vec3 = Vec3()):
-        _set(self, "s", _finite("s", s))
+        _set_s(self, _finite("s", s))
         if not isinstance(v, Vec3):
             raise TypeError(f"v must be a Vec3, got {type(v).__name__}")
-        _set(self, "v", v)
+        _set_v(self, v)
 
     @classmethod
     def of(cls, s: float, x1: float, x2: float, x3: float) -> "Quaternion":
@@ -167,12 +176,12 @@ class Quaternion(_Value):
         else:
             if s * 0.0 + x1 * 0.0 + x2 * 0.0 + x3 * 0.0 == 0.0:
                 v = _new(Vec3)
-                _set(v, "x1", x1)
-                _set(v, "x2", x2)
-                _set(v, "x3", x3)
+                _set_x1(v, x1)
+                _set_x2(v, x2)
+                _set_x3(v, x3)
                 q = _new(Quaternion)
-                _set(q, "s", s)
-                _set(q, "v", v)
+                _set_s(q, s)
+                _set_v(q, v)
                 return q
         return cls(s, Vec3(x1, x2, x3))
 
@@ -210,17 +219,20 @@ class Quaternion(_Value):
         return self * (1.0 / factor)
 
 
+_set_s, _set_v = _setters(Quaternion)
+
+
 def _quat(s: float, x1: float, x2: float, x3: float) -> Quaternion:
     """Quaternion of floats computed in this module, admitted by one fused
     finiteness test like _vec."""
     if s * 0.0 + x1 * 0.0 + x2 * 0.0 + x3 * 0.0 == 0.0:
         v = _new(Vec3)
-        _set(v, "x1", x1)
-        _set(v, "x2", x2)
-        _set(v, "x3", x3)
+        _set_x1(v, x1)
+        _set_x2(v, x2)
+        _set_x3(v, x3)
         q = _new(Quaternion)
-        _set(q, "s", s)
-        _set(q, "v", v)
+        _set_s(q, s)
+        _set_v(q, v)
         return q
     return Quaternion(s, Vec3(x1, x2, x3))
 
@@ -234,8 +246,8 @@ K = Quaternion(0.0, Vec3(0.0, 0.0, 1.0))
 def pure(v: Vec3) -> Quaternion:
     """Quaternion with zero scalar part and vector part v, built like _quat's results."""
     q = _new(Quaternion)
-    _set(q, "s", 0.0)
-    _set(q, "v", v)
+    _set_s(q, 0.0)
+    _set_v(q, v)
     return q
 
 
@@ -340,19 +352,28 @@ def unit_from_gibbs(g: Vec3) -> Quaternion:
     return _quat(scale, g.x1 * scale, g.x2 * scale, g.x3 * scale)
 
 
-def _gibbs_rule(g1: Vec3, g2: Vec3, singular: str) -> tuple[Vec3, float]:
-    """The Gibbs composition rule 'g1 followed by g2':
-    ((g2 + g1 + g2 x g1) / den, den) with den = 1 - g2.g1.
+def _gibbs_rule(g1: tuple, g2: tuple, singular: str) -> tuple:
+    """The Gibbs composition rule 'g1 followed by g2' on component tuples:
+    (g2 + g1 + g2 x g1) / den and den = 1 - g2.g1, as four floats, the dot
+    and cross summed as Vec3.dot and _cross3 sum them and the quotient taken
+    as * (1/den).
 
-    Raises GibbsSingular with the message `singular` when den vanishes.
+    Raises GibbsSingular with the message `singular` when den vanishes, and
+    Vec3's refusal for a result that is not finite, so that compose_gibbs
+    refuses its left side before it computes the right.
     """
-    den = 1.0 - g2.dot(g1)
+    a1, a2, a3 = g1
+    b1, b2, b3 = g2
+    den = 1.0 - (b1 * a1 + b2 * a2 + b3 * a3)
     if abs(den) <= EPS_GIBBS:
         raise GibbsSingular(singular)
-    a, b = g1.components(), g2.components()
-    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = a, b, _cross3(b, a)
     f = 1.0 / den
-    return _vec((b1 + a1 + c1) * f, (b2 + a2 + c2) * f, (b3 + a3 + c3) * f), den
+    x1 = (b1 + a1 + (b2 * a3 - b3 * a2)) * f
+    x2 = (b2 + a2 + (b3 * a1 - b1 * a3)) * f
+    x3 = (b3 + a3 + (b1 * a2 - b2 * a1)) * f
+    if x1 * 0.0 + x2 * 0.0 + x3 * 0.0 != 0.0:
+        Vec3(x1, x2, x3)  # raises its refusal
+    return x1, x2, x3, den
 
 
 def rodrigues_compose(g1: Vec3, g2: Vec3) -> Vec3:
@@ -361,6 +382,7 @@ def rodrigues_compose(g1: Vec3, g2: Vec3) -> Vec3:
     Composition rule (g2 + g1 + g2 x g1) / (1 - g2.g1); singular exactly
     when the composed rotation angle reaches pi.
     """
-    return _gibbs_rule(
-        g1, g2, "composed rotation angle is pi; no Gibbs vector exists"
-    )[0]
+    x1, x2, x3, _ = _gibbs_rule(
+        g1.components(), g2.components(), "composed rotation angle is pi; no Gibbs vector exists"
+    )
+    return _vec(x1, x2, x3)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import NotSimple, NotUnit
-from .plane import Plane
+from .plane import Plane, _set_u, _set_w
 from .quat import (
     DEFAULT_EPS,
     EPS_AXIS,
@@ -30,8 +30,9 @@ from .quat import (
     ONE,
     Quaternion,
     _mul4,
+    _new,
     _quat,
-    _set,
+    _setters,
     _unit4,
     _Value,
     conj,
@@ -40,44 +41,73 @@ from .quat import (
     require_unit,
 )
 
-def _leading_negative(q: Quaternion) -> bool:
-    """Whether the first component of q whose magnitude exceeds EPS_AXIS is
-    negative: the sign rule that picks one of +-q."""
-    for c in q.components():
-        if abs(c) > EPS_AXIS:
-            return c < 0.0
+def _leading_negative(c: tuple) -> bool:
+    """Whether the first of the components c whose magnitude exceeds
+    EPS_AXIS is negative: the sign rule that picks one of +-q."""
+    for x in c:
+        if abs(x) > EPS_AXIS:
+            return x < 0.0
     return False
+
+
+def _negated(a: tuple, b: tuple) -> bool:
+    """Rotation4's admission of the factors' components a and b: NotUnit
+    for a factor off unit norm, each norm_sq summed as require_unit sums it
+    and require_unit called only to raise, then the sign rule, whether the
+    pair is negated: S(a)'s sign unless |S(a)| <= EPS_AXIS, where
+    _leading_negative reads on."""
+    s, x1, x2, x3 = a
+    if abs(s * s + (x1 * x1 + x2 * x2 + x3 * x3) - 1.0) > EPS_UNIT:
+        require_unit(_quat(*a), "left factor")
+    t, y1, y2, y3 = b
+    if abs(t * t + (y1 * y1 + y2 * y2 + y3 * y3) - 1.0) > EPS_UNIT:
+        require_unit(_quat(*b), "right factor")
+    return (s < 0.0) if abs(s) > EPS_AXIS else _leading_negative(a)
 
 
 class Rotation4(_Value):
     """The rotation x -> a x b for unit quaternions a, b.
 
     Construction validates both norms and canonicalizes the pair's common
-    sign, so value equality of two instances means equality of rotations
-    whenever the factors match bit-for-bit.  Both checks run in line on the
-    components: each norm_sq is summed as require_unit sums it, and
-    require_unit is called only to raise NotUnit for a factor that fails;
-    the sign is S(a)'s unless |S(a)| <= EPS_AXIS, where _leading_negative
-    reads on.
+    sign (_negated), so value equality of two instances means equality of
+    rotations whenever the factors match bit-for-bit.  A factor that is not
+    a Quaternion is a TypeError naming it.
     """
 
     __slots__ = ("a", "b")
 
     def __init__(self, a: Quaternion, b: Quaternion):
-        s, x1, x2, x3 = a.components()
-        if abs(s * s + (x1 * x1 + x2 * x2 + x3 * x3) - 1.0) > EPS_UNIT:
-            require_unit(a, "left factor")
-        t, y1, y2, y3 = b.components()
-        if abs(t * t + (y1 * y1 + y2 * y2 + y3 * y3) - 1.0) > EPS_UNIT:
-            require_unit(b, "right factor")
-        if (s < 0.0) if abs(s) > EPS_AXIS else _leading_negative(a):
+        try:
+            negated = _negated(a.components(), b.components())
+        except AttributeError:
+            for name, x in (("a", a), ("b", b)):
+                if not isinstance(x, Quaternion):
+                    message = f"{name} must be a Quaternion, got {type(x).__name__}"
+                    raise TypeError(message) from None
+            raise
+        if negated:
             a, b = -a, -b
-        _set(self, "a", a)
-        _set(self, "b", b)
+        _set_a(self, a)
+        _set_b(self, b)
 
     @classmethod
     def identity(cls) -> "Rotation4":
         return cls(ONE, ONE)
+
+
+_set_a, _set_b = _setters(Rotation4)
+
+
+def _rotation(a: tuple, b: tuple) -> Rotation4:
+    """Rotation4 of the factors' components a and b, admitted as the
+    constructor admits its factors (_negated), negated on the floats, and
+    built with only its two factors."""
+    if _negated(a, b):
+        a, b = (-a[0], -a[1], -a[2], -a[3]), (-b[0], -b[1], -b[2], -b[3])
+    r = _new(Rotation4)
+    _set_a(r, _quat(*a))
+    _set_b(r, _quat(*b))
+    return r
 
 
 def apply(r: Rotation4, x: Quaternion) -> Quaternion:
@@ -131,7 +161,10 @@ class ReflectionNormal(_Value):
 
     def __init__(self, q: Quaternion):
         require_unit(q, "reflection normal")
-        _set(self, "q", q)
+        _set_q(self, q)
+
+
+(_set_q,) = _setters(ReflectionNormal)
 
 
 def reflect(n: ReflectionNormal, x: Quaternion) -> Quaternion:
@@ -191,14 +224,33 @@ RotationKind = Identity | Simple | LeftIsoclinic | RightIsoclinic | Double
 _BASIS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
 
-def _eigenvectors(p: tuple, q: tuple, *signs: float) -> list[tuple]:
-    """For each s = +-1 in signs, a unit u of the s-eigenspace of T x = p x q
-    for pure unit p, q (component tuples): column k of 2P = I + sT, twice
-    the projector, at its first largest diagonal entry, so |u|^2 = 4 P_kk >= 2
-    as trace P = 2.  Column k of T is p e_k q, and its diagonal is
-    (-p.q, p.q - 2 p_i q_i)."""
-    _, p1, p2, p3 = p
-    _, q1, q2, q3 = q
+def _invariant_planes(r: Rotation4, simple: bool) -> tuple[tuple[Plane, float], ...]:
+    """Both invariant planes of r with their angles, in one pass on named
+    floats until each plane is built.
+
+    With the factors a = cos(ha) + p sin(ha), b = cos(hb) + q sin(hb), unit
+    axes p = V(a)/|V(a)|, q = V(b)/|V(b)| and half-angles atan2(|V|, S) in
+    [0, pi]: the first plane is (u, p u) for the -1 eigenspace of
+    T x = p x q, the second for its +1 eigenspace.  u is column k of
+    2P = I + sign T, twice the eigenspace's projector, at the first largest
+    (+1) or smallest (-1) diagonal entry, so |u|^2 = 4 P_kk >= 2 as
+    trace P = 2; column k of T is p e_k q, and the diagonal of T is
+    (-p.q, p.q - 2 p_i q_i).  p u is orthogonal to u and in the same
+    eigenspace, as x -> p x commutes with T.  On the first p u = u q, so r
+    turns (u, p u) by ha + hb; on the second p u = -u q, so by ha - hb.
+    Each turn is reduced to [0, pi] by flipping w, and a turn by exactly pi
+    keeps (u, p u).  For a simple r the second, its fixed plane, is kept as
+    built with angle 0.0.  Each product is written out as _mul4 sums it and
+    each gate as Plane's, which is called only to raise."""
+    s, a1, a2, a3 = r.a.components()
+    t, b1, b2, b3 = r.b.components()
+    na = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+    nb = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
+    ha, hb = math.atan2(na, s), math.atan2(nb, t)
+    f = 1.0 / na
+    p1, p2, p3 = a1 * f, a2 * f, a3 * f
+    f = 1.0 / nb
+    q1, q2, q3 = b1 * f, b2 * f, b3 * f
     if (
         abs(math.sqrt(p1 * p1 + p2 * p2 + p3 * p3) - 1.0) > EPS_UNIT
         or abs(math.sqrt(q1 * q1 + q2 * q2 + q3 * q3) - 1.0) > EPS_UNIT
@@ -206,48 +258,44 @@ def _eigenvectors(p: tuple, q: tuple, *signs: float) -> list[tuple]:
         raise NotUnit("axes must be unit 3-vectors")
     d = p1 * q1 + p2 * q2 + p3 * q3
     diag = (-d, d - 2.0 * p1 * q1, d - 2.0 * p2 * q2, d - 2.0 * p3 * q3)
-    us = []
-    for s in signs:
-        e = _BASIS[diag.index(max(diag) if s > 0.0 else min(diag))]
-        t0, t1, t2, t3 = _mul4(_mul4(p, e), q)
-        us.append(_unit4((t0 * s + e[0], t1 * s + e[1], t2 * s + e[2], t3 * s + e[3])))
-    return us
-
-
-def _axis(x: tuple) -> tuple:
-    """The unit axis V(x)/|V(x)| as a pure component tuple, for |V(x)| > EPS_AXIS."""
-    _, x1, x2, x3 = x
-    f = 1.0 / math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-    return (0.0, x1 * f, x2 * f, x3 * f)
-
-
-def _half_angle(x: tuple) -> float:
-    """h in [0, pi] with x = cos(h) + sin(h) V(x)/|V(x)| for a unit x:
-    atan2(|V(x)|, S(x))."""
-    s, x1, x2, x3 = x
-    return math.atan2(math.sqrt(x1 * x1 + x2 * x2 + x3 * x3), s)
-
-
-def _invariant_planes(r: Rotation4, simple: bool) -> tuple[tuple[Plane, float], ...]:
-    """Both invariant planes of r with their angles, in floats until each
-    plane is built: (u, p u) for the unit u of _eigenvectors and the unit
-    axes p, q, the -1 eigenspace of x -> p x q first, then the +1
-    eigenspace.  p u is orthogonal to u and in the same eigenspace, as
-    x -> p x commutes with x -> p x q.  For a = e^{p ha}, b = e^{q hb}: on
-    the first p u = u q, so r turns (u, p u) by ha + hb; on the second
-    p u = -u q, so by ha - hb.  Each turn is reduced to [0, pi] by flipping
-    w, and a turn by exactly pi keeps (u, p u).  For a simple r the second,
-    its fixed plane, is kept as built with angle 0.0."""
-    a, b = r.a.components(), r.b.components()
-    ha, hb, p = _half_angle(a), _half_angle(b), _axis(a)
     total = ha + hb
-    turns = [(total > math.pi, min(total, 2.0 * math.pi - total))]
-    turns.append((False, 0.0) if simple else (ha < hb, abs(ha - hb)))
+    turns = (
+        (-1.0, total > math.pi, min(total, 2.0 * math.pi - total)),
+        (1.0, False, 0.0) if simple else (1.0, ha < hb, abs(ha - hb)),
+    )
     planes = []
-    for u, (flip, angle) in zip(_eigenvectors(p, _axis(b), -1.0, 1.0), turns):
-        w = _mul4(p, u)
-        w = (-w[0], -w[1], -w[2], -w[3]) if flip else w
-        planes.append((Plane(_quat(*u), _quat(*w)), angle))
+    for sign, flip, angle in turns:
+        e0, e1, e2, e3 = _BASIS[diag.index(max(diag) if sign > 0.0 else min(diag))]
+        m0 = 0.0 * e0 - (p1 * e1 + p2 * e2 + p3 * e3)  # p e
+        m1 = e1 * 0.0 + p1 * e0 + (p2 * e3 - p3 * e2)
+        m2 = e2 * 0.0 + p2 * e0 + (p3 * e1 - p1 * e3)
+        m3 = e3 * 0.0 + p3 * e0 + (p1 * e2 - p2 * e1)
+        v0 = (m0 * 0.0 - (m1 * q1 + m2 * q2 + m3 * q3)) * sign + e0  # sign (p e) q + e
+        v1 = (q1 * m0 + m1 * 0.0 + (m2 * q3 - m3 * q2)) * sign + e1
+        v2 = (q2 * m0 + m2 * 0.0 + (m3 * q1 - m1 * q3)) * sign + e2
+        v3 = (q3 * m0 + m3 * 0.0 + (m1 * q2 - m2 * q1)) * sign + e3
+        n = math.sqrt(v0 * v0 + (v1 * v1 + v2 * v2 + v3 * v3))
+        if n <= EPS_AXIS:
+            _unit4((v0, v1, v2, v3))  # raises its refusal
+        f = 1.0 / n
+        u0, u1, u2, u3 = v0 * f, v1 * f, v2 * f, v3 * f
+        w0 = 0.0 * u0 - (p1 * u1 + p2 * u2 + p3 * u3)  # p u
+        w1 = u1 * 0.0 + p1 * u0 + (p2 * u3 - p3 * u2)
+        w2 = u2 * 0.0 + p2 * u0 + (p3 * u1 - p1 * u3)
+        w3 = u3 * 0.0 + p3 * u0 + (p1 * u2 - p2 * u1)
+        if flip:
+            w0, w1, w2, w3 = -w0, -w1, -w2, -w3
+        u, w = _quat(u0, u1, u2, u3), _quat(w0, w1, w2, w3)
+        if (
+            abs(u0 * u0 + (u1 * u1 + u2 * u2 + u3 * u3) - 1.0) > EPS_UNIT
+            or abs(w0 * w0 + (w1 * w1 + w2 * w2 + w3 * w3) - 1.0) > EPS_UNIT
+            or abs(u0 * w0 + (u1 * w1 + u2 * w2 + u3 * w3)) > EPS_UNIT
+        ):
+            Plane(u, w)  # raises its refusal
+        plane = _new(Plane)
+        _set_u(plane, u)
+        _set_w(plane, w)
+        planes.append((plane, angle))
     return tuple(planes)
 
 
@@ -256,13 +304,15 @@ def _kind(r: Rotation4, eps: float) -> type:
     below EPS_AXIS (isoclinic / identity cases; x -> -x is by convention a
     left turn by pi); otherwise r is Simple when |S(a) - S(b)| <= eps, else
     Double."""
-    a, b = r.a, r.b
-    a_real, b_real = a.v.norm() <= EPS_AXIS, b.v.norm() <= EPS_AXIS
+    s, a1, a2, a3 = r.a.components()
+    t, b1, b2, b3 = r.b.components()
+    a_real = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3) <= EPS_AXIS
+    b_real = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3) <= EPS_AXIS
     if a_real and b_real:
-        return Identity if a.s * b.s > 0.0 else LeftIsoclinic
+        return Identity if s * t > 0.0 else LeftIsoclinic
     if a_real or b_real:
         return RightIsoclinic if a_real else LeftIsoclinic
-    return Simple if abs(a.s - b.s) <= eps else Double
+    return Simple if abs(s - t) <= eps else Double
 
 
 def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
@@ -315,10 +365,11 @@ def _split(r: Rotation4, eps: float) -> tuple:
     of a and b, None for the identity, and the normals y, z, all component
     tuples.  Raises NotSimple on every kind but Simple and Identity.
 
-    A Simple r is split in one pass on named floats: _kind's tests, the two
-    _axis scalings, _eigenvectors(p, q, -1.0) and z = _unit4(_mul4(a, y)),
-    each written out in its helper's order, so y and z match the helpers
-    bit for bit.  The other kinds are decided by _kind itself."""
+    A Simple r is split in one pass on named floats: _kind's tests, the
+    axis scalings and -1 eigenvector of _invariant_planes and
+    z = _unit4(_mul4(a, y)), each written out in the same order, so y is
+    bit for bit the u of classify's rotation plane.  The other kinds are
+    decided by _kind itself."""
     a = s, a1, a2, a3 = r.a.components()
     t, b1, b2, b3 = r.b.components()
     na = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)

@@ -367,6 +367,25 @@ class TestComposeGibbs:
         with pytest.raises(ValueError, match=f"{side} data is inconsistent"):
             GibbsPair(Vec3(), Vec3(), *cosines)
 
+    def test_pair_stores_float_cosines(self):
+        pair = GibbsPair(Vec3(), Vec3(), np.float64(1.0), 1)
+        assert type(pair.cos_alpha) is float and type(pair.cos_beta) is float
+        assert repr(pair) == repr(GibbsPair(Vec3(), Vec3(), 1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (((0.0, 0.0, 0.0), Vec3(), 1.0, 1.0), "p_tilde must be a Vec3, got tuple"),
+            ((Vec3(), None, 1.0, 1.0), "q_tilde must be a Vec3, got NoneType"),
+            ((Vec3(), ONE, 1.0, 1.0), "q_tilde must be a Vec3, got Quaternion"),
+        ],
+        ids=["tuple", "none", "quaternion"],
+    )
+    def test_pair_vectors_must_be_vec3(self, args, field):
+        with pytest.raises(TypeError) as info:
+            GibbsPair(*args)
+        assert str(info.value) == field
+
 
 def compose_left(g1: Vec3, cos1: float, g2: Vec3, cos2: float) -> tuple[Vec3, float]:
     """The left side of compose_gibbs on two left turns x -> a x (first) and

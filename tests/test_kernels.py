@@ -1,7 +1,8 @@
 """The float kernels against the object arithmetic they replace, and the
 straight-line matrix code against its loop form.
 
-classify, compose, compose_gibbs, simple_to_reflections and
+classify, compose, GibbsPair.from_rotation, compose_gibbs,
+composed_planes_from_gibbs, simple_to_reflections and
 is_composition_simple compute on float tuples and build values only for
 their results.  The first reference below computes the same formulas
 through Quaternion and Vec3 operators, one value per step, in the same
@@ -51,6 +52,7 @@ from rot4 import (
     classify,
     compose,
     compose_gibbs,
+    composed_planes_from_gibbs,
     is_composition_simple,
     mul,
     normalized,
@@ -141,6 +143,12 @@ def ref_classify(r: Rotation4, eps: float):
 
 def ref_compose(g: Rotation4, f: Rotation4) -> Rotation4:
     return Rotation4(ref_normalized(ref_mul(g.a, f.a)), ref_normalized(ref_mul(f.b, g.b)))
+
+
+def ref_from_rotation(r: Rotation4) -> GibbsPair:
+    if abs(r.a.s) <= EPS_GIBBS or abs(r.b.s) <= EPS_GIBBS:
+        raise GibbsSingular("a factor has vanishing scalar part")
+    return GibbsPair(r.a.v / r.a.s, r.b.v / r.b.s, r.a.s, r.b.s)
 
 
 def ref_gibbs_rule(g1: Vec3, g2: Vec3) -> tuple[Vec3, float]:
@@ -334,6 +342,48 @@ _EPSILONS = st.sampled_from([1e-12, DEFAULT_EPS, 0.3])
 
 
 @st.composite
+def _unit3(draw) -> Vec3:
+    c = draw(st.tuples(_COMP, _COMP, _COMP))
+    n = math.sqrt(sum(x * x for x in c))
+    assume(n >= 0.1)
+    return Vec3(*(x / n for x in c))
+
+
+def _factor(s: float, axis: Vec3) -> Quaternion:
+    return Quaternion(s, axis * math.sqrt(max(0.0, 1.0 - s * s)))
+
+
+@st.composite
+def _edge_rotations(draw) -> Rotation4:
+    """A pair at the tolerance edges: a with |V(a)| near EPS_AXIS, S(a)
+    near EPS_GIBBS or S(a) anywhere, either sign; b independent, with
+    |S(a) - S(b)| near DEFAULT_EPS, or with its axis near +-p."""
+    p, sign = draw(_unit3()), draw(st.sampled_from([1.0, -1.0]))
+    mode = draw(st.sampled_from(["axis", "gibbs", "any"]))
+    if mode == "axis":
+        vn = draw(st.sampled_from([0.0, 5e-10, EPS_AXIS, 1.5e-9, 2e-9]))
+        a = Quaternion(sign * math.sqrt(1.0 - vn * vn), p * vn)
+    else:
+        s = draw(st.sampled_from([0.0, 5e-10, EPS_GIBBS, 2e-9]) if mode == "gibbs" else _COMP)
+        a = _factor(sign * s, p)
+    mode = draw(st.sampled_from(["independent", "near-simple", "near-axis"]))
+    if mode == "independent":
+        b = _factor(draw(_COMP), draw(_unit3()))
+    else:
+        gap = draw(st.sampled_from([0.0, 1e-11, 5e-9, DEFAULT_EPS, 1.5e-8, 2e-8]))
+        s = max(-1.0, min(1.0, a.s - draw(st.sampled_from([1.0, -1.0])) * gap))
+        q = draw(_unit3())
+        if mode == "near-axis":
+            tilt = draw(st.sampled_from([0.0, 1e-10, 1e-9, 1e-8, 1e-6]))
+            q = p * draw(st.sampled_from([1.0, -1.0])) + q * tilt
+            q = q / q.norm()
+            s = draw(st.sampled_from([s, draw(_COMP)]))
+        b = _factor(s, q)
+    pair = (a, b) if draw(st.booleans()) else (b, a)
+    return Rotation4(*pair)
+
+
+@st.composite
 def _matrices(draw) -> list[list[float]]:
     """The matrix of a rotation of any kind of _rotations: as built, with one
     to three entries moved by 1e-10 to 1e-6 (across the EPS_MATRIX gates and
@@ -416,6 +466,31 @@ class TestMatchesObjectArithmetic:
             assert outcome(compose_gibbs, gf, gg) == outcome(ref_compose_gibbs, gf, gg)
 
 
+class TestComposePathMatchesObjectArithmetic:
+    """The compose path as the benchmark runs it, each step against its
+    reference: classify(compose(g, f)), and the Gibbs chart from
+    from_rotation through compose_gibbs to composed_planes_from_gibbs."""
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(f=_edge_rotations(), g=_edge_rotations(), eps=_EPSILONS)
+    def test_chain(self, f, g, eps):
+        got = outcome(lambda: classify(compose(g, f), eps))
+        assert got == outcome(lambda: ref_classify(ref_compose(g, f), eps))
+        got = outcome(lambda: compose_gibbs(*map(GibbsPair.from_rotation, (f, g))))
+        want = outcome(lambda: ref_compose_gibbs(*map(ref_from_rotation, (f, g))))
+        assert got == want
+        if got.startswith("GibbsPair"):
+            h = compose_gibbs(GibbsPair.from_rotation(f), GibbsPair.from_rotation(g))
+            kind = ref_classify(h.to_rotation(), DEFAULT_EPS)
+            if isinstance(kind, Simple):
+                want = (kind.rotation_plane, kind.fixed_plane, kind.angle, 0.0)
+            elif isinstance(kind, Double):
+                want = (kind.plane1, kind.plane2, kind.angle1, kind.angle2)
+            else:
+                return
+            assert repr(composed_planes_from_gibbs(h)) == repr(want)
+
+
 class TestOracleMatchesLoopForm:
     @settings(derandomize=True, max_examples=1000, deadline=None)
     @given(matrix=_matrices(), eps=_ORACLE_EPSILONS)
@@ -449,7 +524,8 @@ class TestAllocation:
             return original(*components)
 
         for module in (quat_module, rotation_module, compose_module):
-            monkeypatch.setattr(module, "_quat", counting)
+            if "_quat" in vars(module):
+                monkeypatch.setattr(module, "_quat", counting)
         return calls
 
     def test_classify_builds_its_four_plane_vectors(self, built):
@@ -465,9 +541,10 @@ class TestAllocation:
         assert built == [h.a.components(), h.b.components()]
 
     def test_compose_negates_by_the_sign_rule(self, built):
-        # the product's leading component is negative: Rotation4 negates both
+        # the product's leading component is negative: compose negates both
+        # on the floats and builds only the two factors it keeps
         h = compose(Rotation4(K, K), Rotation4(K, ONE))
-        assert len(built) == 4
+        assert built == [h.a.components(), h.b.components()]
         assert h == Rotation4(ONE, -K)
 
     def test_split_and_simplicity(self, built):

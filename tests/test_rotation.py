@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ import rot4.rotation as rotation_module
 from rot4.cli import build_verify_report, main, random_rotation
 from rot4.plane import _projector_rows
 import exact
+import test_kernels as kernels
 from conftest import (
     comp_diff,
     left_matrix,
@@ -121,6 +123,20 @@ class TestRotation4:
             Rotation4(a, b)
         assert str(info.value) == f"{message}, expected 1"
 
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ((1.0, 0.0, 0.0, 0.0), ONE, "a must be a Quaternion, got tuple"),
+            (ONE, None, "b must be a Quaternion, got NoneType"),
+            ([1.0, 0.0, 0.0, 0.0], (1.0, 0.0, 0.0, 0.0), "a must be a Quaternion, got list"),
+        ],
+        ids=["a-tuple", "b-none", "both"],
+    )
+    def test_factors_must_be_quaternions(self, a, b, message):
+        with pytest.raises(TypeError) as info:
+            Rotation4(a, b)
+        assert str(info.value) == message
+
     def test_admits_within_the_unit_tolerance(self):
         a = Quaternion.of(1 + 4e-10, 0, 0, 0)
         assert Rotation4(a, a).a is a
@@ -140,7 +156,7 @@ class TestRotation4:
     def test_sign_rule_past_a_small_leading_component(self, a, negated):
         # the first component above EPS_AXIS in magnitude sets the sign
         q, b = Quaternion.of(*a), Quaternion.of(0.6, 0.0, 0.8, 0.0)
-        assert rotation_module._leading_negative(q) is negated
+        assert rotation_module._leading_negative(q.components()) is negated
         r = Rotation4(q, b)
         assert (r.a, r.b) == ((-q, -b) if negated else (q, b))
 
@@ -289,8 +305,7 @@ class TestClassify:
             r = random_rotation(rng, "simple")
             kind = classify(r)
             p, q = (pure(x.v / x.v.norm()) for x in (r.a, r.b))
-            (u,) = rotation_module._eigenvectors(p.components(), q.components(), 1.0)
-            u = Quaternion.of(*u)
+            (u,) = kernels.ref_eigenvectors(p, q, 1.0)
             assert kind.fixed_plane == Plane(u, mul(p, u))
             turning = kind.rotation_plane
             assert dot4(apply(r, turning.u), turning.w) >= 0.0
@@ -596,9 +611,14 @@ def _refuse(*args, **kwargs):
     raise AssertionError("simple_to_reflections must not build planes")
 
 
+# rotation's math with atan2, which takes every angle, refused
+_NO_ANGLES = types.SimpleNamespace(**{**vars(math), "atan2": _refuse})
+
+
 def _refuse_planes(mp: pytest.MonkeyPatch) -> None:
-    for name in ("classify", "_invariant_planes", "_half_angle", "Plane"):
+    for name in ("classify", "_invariant_planes", "Plane"):
         mp.setattr(rotation_module, name, _refuse)
+    mp.setattr(rotation_module, "math", _NO_ANGLES)
 
 
 def _unit3(raw) -> Vec3:
@@ -616,18 +636,20 @@ _EPS = st.sampled_from([1e-12, 1e-8, 1e-6])
 
 
 class TestAxis:
-    """classify and the split reach _axis only with |V(x)| > EPS_AXIS, so it
-    never divides by zero."""
+    """classify and the split take the axis V(x)/|V(x)| only with
+    |V(x)| > EPS_AXIS, so they never divide by zero: on factors with |V| at,
+    around and below EPS_AXIS, 0 included, they match the references bit
+    for bit, with the references' ref_axis guarded."""
 
     def test_reached_only_above_eps_axis(self, monkeypatch):
-        axis, reached = rotation_module._axis, []
+        axis, reached = kernels.ref_axis, []
 
         def guarded(x):
-            assert math.hypot(*x[1:]) > EPS_AXIS
+            assert x.v.norm() > EPS_AXIS
             reached.append(x)
             return axis(x)
 
-        monkeypatch.setattr(rotation_module, "_axis", guarded)
+        monkeypatch.setattr(kernels, "ref_axis", guarded)
         p = Vec3(0.48, 0.6, 0.64)
         factors = [
             Quaternion(math.copysign(math.sqrt(1.0 - vn * vn), sign), p * vn)
@@ -638,11 +660,12 @@ class TestAxis:
             for b in factors:
                 r = Rotation4(a, b)
                 for eps in (1e-12, DEFAULT_EPS, 1.0):
-                    classify(r, eps)
-                    try:
-                        simple_to_reflections(r, eps)
-                    except NotSimple:
-                        pass
+                    got = kernels.outcome(classify, r, eps)
+                    assert got == kernels.outcome(kernels.ref_classify, r, eps)
+                    got = kernels.outcome(simple_to_reflections, r, eps)
+                    split = kernels.ref_split
+                    want = kernels.outcome(lambda: tuple(map(ReflectionNormal, split(r, eps))))
+                    assert got == want
         assert reached
 
 
