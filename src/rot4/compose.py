@@ -99,14 +99,16 @@ def _gibbs_pair(pair, p1, p2, p3, q1, q2, q3, cos_alpha: float, cos_beta: float)
     """Fill the bare GibbsPair `pair` with the Gibbs vectors (p1, p2, p3),
     (q1, q2, q3) and the float cosines, behind the consistency gate
     cos^2 (1 + |g|^2) = 1 within EPS_UNIT (1 + |g|^2), left side first.
-    "not <=" fails a NaN cosine, which every ">" comparison lets through."""
+    "not <=" fails a NaN cosine, which every ">" comparison lets through.
+    Where the scale 1 + |g|^2 overflows, the test no longer measures
+    anything, so "< math.inf" sends that side to _recheck as well."""
     p, q = _vec(p1, p2, p3), _vec(q1, q2, q3)
     scale = 1.0 + (p1 * p1 + p2 * p2 + p3 * p3)
-    if not abs(cos_alpha * cos_alpha * scale - 1.0) <= EPS_UNIT * scale:
-        raise _inconsistent("left", cos_alpha * cos_alpha * scale)
+    if not abs(cos_alpha * cos_alpha * scale - 1.0) <= EPS_UNIT * scale < math.inf:
+        _recheck("left", p1, p2, p3, cos_alpha, scale)
     scale = 1.0 + (q1 * q1 + q2 * q2 + q3 * q3)
-    if not abs(cos_beta * cos_beta * scale - 1.0) <= EPS_UNIT * scale:
-        raise _inconsistent("right", cos_beta * cos_beta * scale)
+    if not abs(cos_beta * cos_beta * scale - 1.0) <= EPS_UNIT * scale < math.inf:
+        _recheck("right", q1, q2, q3, cos_beta, scale)
     _set_p_tilde(pair, p)
     _set_q_tilde(pair, q)
     _set_cos_alpha(pair, cos_alpha)
@@ -114,8 +116,17 @@ def _gibbs_pair(pair, p1, p2, p3, q1, q2, q3, cos_alpha: float, cos_beta: float)
     return pair
 
 
-def _inconsistent(side: str, value: float) -> ValueError:
-    return ValueError(f"{side} data is inconsistent: cos^2*(1+|g|^2) = {value!r}, expected 1")
+def _recheck(side: str, g1: float, g2: float, g3: float, cos: float, scale: float) -> None:
+    """The slow end of _gibbs_pair's gate for one side: raise its ValueError,
+    unless the scale 1 + |g|^2 overflowed and the factor cos (1 + g) that
+    to_rotation rebuilds is unit, cos^2 + |cos g|^2 = 1 within EPS_UNIT."""
+    value = cos * cos * scale
+    if scale == math.inf:
+        x1, x2, x3 = cos * g1, cos * g2, cos * g3
+        value = cos * cos + (x1 * x1 + x2 * x2 + x3 * x3)
+        if abs(value - 1.0) <= EPS_UNIT:
+            return
+    raise ValueError(f"{side} data is inconsistent: cos^2*(1+|g|^2) = {value!r}, expected 1")
 
 
 def compose_gibbs(f: GibbsPair, g: GibbsPair) -> GibbsPair:
@@ -200,14 +211,15 @@ def is_composition_simple(
 ) -> SimplicityReport:
     """Decide whether 'f followed by g' is simple, for simple f and g.
 
-    Splits f and g as simple_to_reflections does (_split, one pass on
-    named floats) and computes all three routes on the pair the normals
-    realise, (f, g) itself when both are exactly simple, in plain floats:
-    the scalar residual of its factors, the determinant of the stacked
-    reflection normals (quat._det4), and the dimension of the intersection
-    of the two fixed planes (_intersection_dim), 2 when either is the
-    identity, which fixes all of E4.  The four factor products are written
-    out as _mul4 sums them; only their vector parts are needed."""
+    Splits f and g as simple_to_reflections does (_split, on floats, with
+    rotation's kind rule and eigenvector helper) and computes all three
+    routes on the pair the normals realise, (f, g) itself when both are
+    exactly simple, in plain floats: the scalar residual of its factors,
+    the determinant of the stacked reflection normals (quat._det4), and the
+    dimension of the intersection of the two fixed planes
+    (_intersection_dim), 2 when either is the identity, which fixes all of
+    E4.  The four factor products are written out as _mul4 sums them; only
+    their vector parts are needed."""
     splits = []
     for name, rot in (("f", f), ("g", g)):
         try:

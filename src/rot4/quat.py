@@ -90,8 +90,9 @@ class _Value:
 # arithmetic results through _new and the slot setters and skip the
 # validating constructors.
 # The hot paths compute on plain float tuples, a quaternion as
-# (s, x1, x2, x3), through the kernels _mul4, _dot4, _unit4 and _cross3, and
-# build a value only for what they return.
+# (s, x1, x2, x3), through the kernels _mul4, _dot4, _unit4 and _cross3 here
+# and rotation's _axes, _eigenvector and _kind_of, and build a value only
+# for what they return.
 class Vec3(_Value):
     """3-vector: the vector part of a quaternion, an axis, or a Gibbs vector."""
 
@@ -347,8 +348,13 @@ def gibbs_from_unit(a: Quaternion) -> Vec3:
 
 
 def unit_from_gibbs(g: Vec3) -> Quaternion:
-    """Unit quaternion (1 + g)/sqrt(1 + |g|^2); scalar part always positive."""
-    scale = 1.0 / math.sqrt(1.0 + g.norm_sq())
+    """Unit quaternion (1 + g)/sqrt(1 + |g|^2); scalar part always positive.
+    Where 1 + |g|^2 overflows, 1 + g is first scaled by 1/max|g_i|."""
+    scale = 1.0 + g.norm_sq()
+    if scale == math.inf:
+        f = 1.0 / max(abs(g.x1), abs(g.x2), abs(g.x3))
+        return _quat(*_unit4((f, g.x1 * f, g.x2 * f, g.x3 * f)))
+    scale = 1.0 / math.sqrt(scale)
     return _quat(scale, g.x1 * scale, g.x2 * scale, g.x3 * scale)
 
 

@@ -224,40 +224,94 @@ RotationKind = Identity | Simple | LeftIsoclinic | RightIsoclinic | Double
 _BASIS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))
 
 
-def _invariant_planes(r: Rotation4, simple: bool) -> tuple[tuple[Plane, float], ...]:
-    """Both invariant planes of r with their angles, in one pass on named
-    floats until each plane is built.
+def _kind_of(s: float, t: float, na: float, nb: float, eps: float) -> type:
+    """The kind rule, on the scalar parts s, t of the factors a, b and the
+    norms na, nb of their vector parts: a factor counts as +-1 when its
+    vector part is at or below EPS_AXIS (isoclinic / identity cases; x -> -x
+    is by convention a left turn by pi); otherwise the rotation is Simple
+    when |S(a) - S(b)| <= eps, else Double."""
+    a_real, b_real = na <= EPS_AXIS, nb <= EPS_AXIS
+    if a_real and b_real:
+        return Identity if s * t > 0.0 else LeftIsoclinic
+    if a_real or b_real:
+        return RightIsoclinic if a_real else LeftIsoclinic
+    return Simple if abs(s - t) <= eps else Double
 
-    With the factors a = cos(ha) + p sin(ha), b = cos(hb) + q sin(hb), unit
-    axes p = V(a)/|V(a)|, q = V(b)/|V(b)| and half-angles atan2(|V|, S) in
-    [0, pi]: the first plane is (u, p u) for the -1 eigenspace of
-    T x = p x q, the second for its +1 eigenspace.  u is column k of
-    2P = I + sign T, twice the eigenspace's projector, at the first largest
-    (+1) or smallest (-1) diagonal entry, so |u|^2 = 4 P_kk >= 2 as
-    trace P = 2; column k of T is p e_k q, and the diagonal of T is
-    (-p.q, p.q - 2 p_i q_i).  p u is orthogonal to u and in the same
-    eigenspace, as x -> p x commutes with T.  On the first p u = u q, so r
-    turns (u, p u) by ha + hb; on the second p u = -u q, so by ha - hb.
-    Each turn is reduced to [0, pi] by flipping w, and a turn by exactly pi
-    keeps (u, p u).  For a simple r the second, its fixed plane, is kept as
-    built with angle 0.0.  Each product is written out as _mul4 sums it and
-    each gate as Plane's, which is called only to raise."""
+
+def _kind(r: Rotation4, eps: float) -> type:
+    """The class of r's kind, by _kind_of."""
     s, a1, a2, a3 = r.a.components()
     t, b1, b2, b3 = r.b.components()
     na = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
-    nb = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-    ha, hb = math.atan2(na, s), math.atan2(nb, t)
-    f = 1.0 / na
-    p1, p2, p3 = a1 * f, a2 * f, a3 * f
-    f = 1.0 / nb
-    q1, q2, q3 = b1 * f, b2 * f, b3 * f
+    return _kind_of(s, t, na, math.sqrt(b1 * b1 + b2 * b2 + b3 * b3), eps)
+
+
+def _axes(a: tuple, b: tuple, na: float, nb: float) -> tuple:
+    """The unit axes p = V(a)/|V(a)|, q = V(b)/|V(b)| of the factors'
+    components a, b, given na = |V(a)| and nb = |V(b)|, as pure component
+    tuples; NotUnit unless both are unit within EPS_UNIT."""
+    f, g = 1.0 / na, 1.0 / nb
+    p1, p2, p3 = a[1] * f, a[2] * f, a[3] * f
+    q1, q2, q3 = b[1] * g, b[2] * g, b[3] * g
     if (
         abs(math.sqrt(p1 * p1 + p2 * p2 + p3 * p3) - 1.0) > EPS_UNIT
         or abs(math.sqrt(q1 * q1 + q2 * q2 + q3 * q3) - 1.0) > EPS_UNIT
     ):
         raise NotUnit("axes must be unit 3-vectors")
+    return (0.0, p1, p2, p3), (0.0, q1, q2, q3)
+
+
+def _eigenvector(p: tuple, q: tuple, sign: float) -> tuple:
+    """The unit eigenvector of T x = p x q for the eigenvalue sign (+-1), for
+    the unit axes p, q of _axes: column k of I + sign T, twice the
+    eigenspace's projector P, over its norm (_unit4), at the first largest
+    (+1) or smallest (-1) diagonal entry, so its norm^2 is 4 P_kk >= 2 as
+    trace P = 2.  The diagonal of T is (-p.q, p.q - 2 p_i q_i); the column
+    is sign (p e_k) q + e_k, with p e_k the signed permutation of p below.
+    The products of its zero and of q's zero scalar part are left out: each
+    is an exact +-0, and each component ends in + e_i, which clears the
+    sign of a zero, so the column is bit for bit the one _mul4 sums."""
+    _, p1, p2, p3 = p
+    _, q1, q2, q3 = q
     d = p1 * q1 + p2 * q2 + p3 * q3
     diag = (-d, d - 2.0 * p1 * q1, d - 2.0 * p2 * q2, d - 2.0 * p3 * q3)
+    k = diag.index(max(diag) if sign > 0.0 else min(diag))
+    if k == 0:  # m = p e_k
+        m0, m1, m2, m3 = 0.0, p1, p2, p3
+    elif k == 1:
+        m0, m1, m2, m3 = -p1, 0.0, p3, -p2
+    elif k == 2:
+        m0, m1, m2, m3 = -p2, -p3, 0.0, p1
+    else:
+        m0, m1, m2, m3 = -p3, p2, -p1, 0.0
+    e0, e1, e2, e3 = _BASIS[k]
+    v0 = (m1 * q1 + m2 * q2 + m3 * q3) * -sign + e0
+    v1 = (q1 * m0 + (m2 * q3 - m3 * q2)) * sign + e1
+    v2 = (q2 * m0 + (m3 * q1 - m1 * q3)) * sign + e2
+    v3 = (q3 * m0 + (m1 * q2 - m2 * q1)) * sign + e3
+    return _unit4((v0, v1, v2, v3))
+
+
+def _invariant_planes(r: Rotation4, simple: bool) -> tuple[tuple[Plane, float], ...]:
+    """Both invariant planes of r with their angles, on floats until each
+    plane is built.
+
+    With a = cos(ha) + p sin(ha), b = cos(hb) + q sin(hb) for the unit axes
+    p, q of _axes and the half-angles atan2(|V|, S) in [0, pi], the first
+    plane is (u, p u) for u = _eigenvector(p, q, -1.0), the second the same
+    for the +1 eigenvector: x -> p x commutes with x -> p x q, so p u is
+    orthogonal to u in the same eigenspace.  On the first p u = u q, so r
+    turns (u, p u) by ha + hb; on the second p u = -u q, so by ha - hb.
+    Each turn is reduced to [0, pi] by flipping w, and a turn by exactly pi
+    keeps (u, p u).  For a simple r the second, its fixed plane, is kept as
+    built with angle 0.0.  Plane's gate is written out; Plane is called only
+    to raise its refusal."""
+    a = s, a1, a2, a3 = r.a.components()
+    b = t, b1, b2, b3 = r.b.components()
+    na = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+    nb = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
+    ha, hb = math.atan2(na, s), math.atan2(nb, t)
+    p, q = _axes(a, b, na, nb)
     total = ha + hb
     turns = (
         (-1.0, total > math.pi, min(total, 2.0 * math.pi - total)),
@@ -265,24 +319,8 @@ def _invariant_planes(r: Rotation4, simple: bool) -> tuple[tuple[Plane, float], 
     )
     planes = []
     for sign, flip, angle in turns:
-        e0, e1, e2, e3 = _BASIS[diag.index(max(diag) if sign > 0.0 else min(diag))]
-        m0 = 0.0 * e0 - (p1 * e1 + p2 * e2 + p3 * e3)  # p e
-        m1 = e1 * 0.0 + p1 * e0 + (p2 * e3 - p3 * e2)
-        m2 = e2 * 0.0 + p2 * e0 + (p3 * e1 - p1 * e3)
-        m3 = e3 * 0.0 + p3 * e0 + (p1 * e2 - p2 * e1)
-        v0 = (m0 * 0.0 - (m1 * q1 + m2 * q2 + m3 * q3)) * sign + e0  # sign (p e) q + e
-        v1 = (q1 * m0 + m1 * 0.0 + (m2 * q3 - m3 * q2)) * sign + e1
-        v2 = (q2 * m0 + m2 * 0.0 + (m3 * q1 - m1 * q3)) * sign + e2
-        v3 = (q3 * m0 + m3 * 0.0 + (m1 * q2 - m2 * q1)) * sign + e3
-        n = math.sqrt(v0 * v0 + (v1 * v1 + v2 * v2 + v3 * v3))
-        if n <= EPS_AXIS:
-            _unit4((v0, v1, v2, v3))  # raises its refusal
-        f = 1.0 / n
-        u0, u1, u2, u3 = v0 * f, v1 * f, v2 * f, v3 * f
-        w0 = 0.0 * u0 - (p1 * u1 + p2 * u2 + p3 * u3)  # p u
-        w1 = u1 * 0.0 + p1 * u0 + (p2 * u3 - p3 * u2)
-        w2 = u2 * 0.0 + p2 * u0 + (p3 * u1 - p1 * u3)
-        w3 = u3 * 0.0 + p3 * u0 + (p1 * u2 - p2 * u1)
+        u = u0, u1, u2, u3 = _eigenvector(p, q, sign)
+        w0, w1, w2, w3 = _mul4(p, u)
         if flip:
             w0, w1, w2, w3 = -w0, -w1, -w2, -w3
         u, w = _quat(u0, u1, u2, u3), _quat(w0, w1, w2, w3)
@@ -299,29 +337,15 @@ def _invariant_planes(r: Rotation4, simple: bool) -> tuple[tuple[Plane, float], 
     return tuple(planes)
 
 
-def _kind(r: Rotation4, eps: float) -> type:
-    """The class of r's kind: a factor counts as +-1 when its vector part is
-    below EPS_AXIS (isoclinic / identity cases; x -> -x is by convention a
-    left turn by pi); otherwise r is Simple when |S(a) - S(b)| <= eps, else
-    Double."""
-    s, a1, a2, a3 = r.a.components()
-    t, b1, b2, b3 = r.b.components()
-    a_real = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3) <= EPS_AXIS
-    b_real = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3) <= EPS_AXIS
-    if a_real and b_real:
-        return Identity if s * t > 0.0 else LeftIsoclinic
-    if a_real or b_real:
-        return RightIsoclinic if a_real else LeftIsoclinic
-    return Simple if abs(s - t) <= eps else Double
-
-
 def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
     """Classify the rotation and extract its geometric parameters.
 
-    The kind is _kind's decision, shared with simple_to_reflections.  Simple
-    and Double take the planes in one order: the -1 eigenspace of
-    x -> p x q for the unit axes p, q first, which carries the half-angle
-    sum, then the +1 eigenspace, which carries the difference.  Every angle
+    The kind is decided by _kind_of, the one kind rule, which
+    simple_to_reflections and is_composition_simple share.  Simple and
+    Double take their planes from _invariant_planes in one order: the -1
+    eigenvector of x -> p x q (_eigenvector) for the unit axes p, q (_axes)
+    first, which carries the half-angle sum, then the +1 eigenvector, which
+    carries the difference.  Every angle
     comes from the factor half-angles atan2(|V|, S) in closed form, the
     isoclinic ones included; none is measured by applying r.  The first
     plane is plane1 of a Double and the rotation plane of a Simple.  A
@@ -348,10 +372,11 @@ def simple_to_reflections(
 ) -> tuple[ReflectionNormal, ReflectionNormal]:
     """Decompose a simple rotation into two hyperplane reflections.
 
-    Takes classify's decision (_kind): accepts exactly what classify(r, eps)
-    calls Simple or Identity, raises NotSimple on every other kind.  It
-    builds only y, the -1 eigenvector of x -> p x q for the unit axes p, q:
-    bit for bit the u of classify's rotation plane (1 for the identity).
+    Takes classify's decision (_kind_of): accepts exactly what
+    classify(r, eps) calls Simple or Identity, raises NotSimple on every
+    other kind.  It builds only y = _eigenvector(p, q, -1.0) for the unit
+    axes p, q of _axes, as classify does: bit for bit the u of classify's
+    rotation plane (1 for the identity).
     The second normal is z = a y.  As p y = y q, a y = y b' with
     b' = S(a) + |V(a)| q: from_reflections(y, z) is (a, b'), r itself when
     S(a) = S(b), else the simple rotation with a's angle and b's axis.
@@ -362,56 +387,22 @@ def simple_to_reflections(
 
 def _split(r: Rotation4, eps: float) -> tuple:
     """simple_to_reflections in floats: (p, q, y, z) with the unit axes p, q
-    of a and b, None for the identity, and the normals y, z, all component
-    tuples.  Raises NotSimple on every kind but Simple and Identity.
-
-    A Simple r is split in one pass on named floats: _kind's tests, the
-    axis scalings and -1 eigenvector of _invariant_planes and
-    z = _unit4(_mul4(a, y)), each written out in the same order, so y is
-    bit for bit the u of classify's rotation plane.  The other kinds are
-    decided by _kind itself."""
+    of a and b (_axes), None for the identity, and the normals y, z, all
+    component tuples.  The kind is _kind_of's; NotSimple on every kind but
+    Simple and Identity.  y is _eigenvector(p, q, -1.0), bit for bit the u
+    of classify's rotation plane, or 1 for the identity, and
+    z = _unit4(_mul4(a, y))."""
     a = s, a1, a2, a3 = r.a.components()
-    t, b1, b2, b3 = r.b.components()
+    b = t, b1, b2, b3 = r.b.components()
     na = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
     nb = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-    if na <= EPS_AXIS or nb <= EPS_AXIS or not abs(s - t) <= eps:
-        kind = _kind(r, eps)
-        if kind is not Identity:
-            raise NotSimple(f"a {kind.__name__} rotation, not simple at eps = {eps:.1e}")
+    kind = _kind_of(s, t, na, nb, eps)
+    if kind is Simple:
+        p, q = _axes(a, b, na, nb)
+        y = _eigenvector(p, q, -1.0)
+    elif kind is Identity:
+        p = q = None
         y = _BASIS[0]
-        return None, None, y, _unit4(_mul4(a, y))
-    f = 1.0 / na
-    p = _, p1, p2, p3 = 0.0, a1 * f, a2 * f, a3 * f
-    f = 1.0 / nb
-    q = _, q1, q2, q3 = 0.0, b1 * f, b2 * f, b3 * f
-    if (
-        abs(math.sqrt(p1 * p1 + p2 * p2 + p3 * p3) - 1.0) > EPS_UNIT
-        or abs(math.sqrt(q1 * q1 + q2 * q2 + q3 * q3) - 1.0) > EPS_UNIT
-    ):
-        raise NotUnit("axes must be unit 3-vectors")
-    # y: column k of I - T, T x = p x q, at the first smallest diagonal entry
-    d = p1 * q1 + p2 * q2 + p3 * q3
-    diag = (-d, d - 2.0 * p1 * q1, d - 2.0 * p2 * q2, d - 2.0 * p3 * q3)
-    e0, e1, e2, e3 = _BASIS[diag.index(min(diag))]
-    m0 = 0.0 * e0 - (p1 * e1 + p2 * e2 + p3 * e3)  # p e
-    m1 = e1 * 0.0 + p1 * e0 + (p2 * e3 - p3 * e2)
-    m2 = e2 * 0.0 + p2 * e0 + (p3 * e1 - p1 * e3)
-    m3 = e3 * 0.0 + p3 * e0 + (p1 * e2 - p2 * e1)
-    v0 = e0 - (m0 * 0.0 - (m1 * q1 + m2 * q2 + m3 * q3))  # e - (p e) q
-    v1 = e1 - (q1 * m0 + m1 * 0.0 + (m2 * q3 - m3 * q2))
-    v2 = e2 - (q2 * m0 + m2 * 0.0 + (m3 * q1 - m1 * q3))
-    v3 = e3 - (q3 * m0 + m3 * 0.0 + (m1 * q2 - m2 * q1))
-    n = math.sqrt(v0 * v0 + (v1 * v1 + v2 * v2 + v3 * v3))
-    if n <= EPS_AXIS:
-        _unit4((v0, v1, v2, v3))  # raises its refusal
-    f = 1.0 / n
-    y = y0, y1, y2, y3 = v0 * f, v1 * f, v2 * f, v3 * f
-    v0 = s * y0 - (a1 * y1 + a2 * y2 + a3 * y3)  # a y
-    v1 = y1 * s + a1 * y0 + (a2 * y3 - a3 * y2)
-    v2 = y2 * s + a2 * y0 + (a3 * y1 - a1 * y3)
-    v3 = y3 * s + a3 * y0 + (a1 * y2 - a2 * y1)
-    n = math.sqrt(v0 * v0 + (v1 * v1 + v2 * v2 + v3 * v3))
-    if n <= EPS_AXIS:
-        _unit4((v0, v1, v2, v3))
-    f = 1.0 / n
-    return p, q, y, (v0 * f, v1 * f, v2 * f, v3 * f)
+    else:
+        raise NotSimple(f"a {kind.__name__} rotation, not simple at eps = {eps:.1e}")
+    return p, q, y, _unit4(_mul4(a, y))

@@ -464,7 +464,7 @@ class TestNumpyLoading:
     """No command loads numpy: rot4 computes in floats with the standard
     library alone.  Neither `import rot4` nor any command loads dataclasses
     or inspect, which would add their import to every start-up.  Only
-    verify loads rot4.oracle, the longest module to compile.  Each case
+    verify loads rot4.oracle, which no other command needs.  Each case
     runs in a fresh interpreter."""
 
     SCRIPT = """

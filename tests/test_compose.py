@@ -31,6 +31,7 @@ from rot4 import (
     gibbs_from_unit,
     is_composition_simple,
     mul,
+    norm_sq,
     planes_from_matrix,
     projector_distance,
     pure,
@@ -41,7 +42,7 @@ from rot4 import (
 )
 from rot4.cli import random_rotation
 from rot4.quat import PIVOT_TOL
-from conftest import comp_diff, matrix_of, rand_unit_quat, rand_unit_vec3, same_plane
+from conftest import EPS_ALG, comp_diff, matrix_of, rand_unit_quat, rand_unit_vec3, same_plane
 
 R2 = 1.0 / math.sqrt(2.0)
 
@@ -366,6 +367,45 @@ class TestComposeGibbs:
         cosines = (float("nan"), 1.0) if side == "left" else (1.0, float("nan"))
         with pytest.raises(ValueError, match=f"{side} data is inconsistent"):
             GibbsPair(Vec3(), Vec3(), *cosines)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_pair_gate_where_the_scale_overflows(self, side):
+        # 1 + |g|^2 is inf: the pair is taken on the factor cos (1 + g) it
+        # rebuilds, so cos = 1 is refused and the consistent cos = 1e-200 kept
+        def pair(cos):
+            big = Vec3(0.0, 1e200, 0.0)
+            if side == "left":
+                return GibbsPair(big, Vec3(), cos, 1.0)
+            return GibbsPair(Vec3(), big, 1.0, cos)
+
+        with pytest.raises(ValueError) as info:
+            pair(1.0)
+        assert str(info.value) == f"{side} data is inconsistent: cos^2*(1+|g|^2) = inf, expected 1"
+        r = pair(1e-200).to_rotation()
+        factor = r.a if side == "left" else r.b
+        assert comp_diff(factor, Quaternion.of(0.0, 0.0, 1.0, 0.0)) <= EPS_ALG
+        assert factor.s == pytest.approx(1e-200, rel=1e-15)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        digits=st.floats(154.0, 308.0),
+        direction=st.sampled_from([(1.0, 0.0, 0.0), (0.6, -0.8, 0.0), (R2, R2, 0.5)]),
+        cos=st.sampled_from([0.0, 1e-300, 1e-200, 1e-160, 1e-9, 1.0, -1.0]) | st.floats(-1.0, 1.0),
+        consistent=st.booleans(),
+    )
+    def test_pair_past_overflow_rebuilds(self, digits, direction, cos, consistent):
+        # every pair admitted where 1 + |g|^2 overflows rebuilds its rotation
+        g = Vec3(*direction) * 10.0**digits
+        assume(1.0 + g.norm_sq() == math.inf)
+        if consistent:
+            top = max(abs(c) for c in g.components())
+            cos = 1.0 / (top * (g / top).norm())
+        try:
+            pair = GibbsPair(g, Vec3(), cos, 1.0)
+        except ValueError:
+            assert not consistent
+            return
+        assert abs(norm_sq(pair.to_rotation().a) - 1.0) <= EPS_ALG
 
     def test_pair_stores_float_cosines(self):
         pair = GibbsPair(Vec3(), Vec3(), np.float64(1.0), 1)

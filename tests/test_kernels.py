@@ -428,6 +428,14 @@ _AT_EPS = Rotation4(
     Quaternion.of(0.5, 0.5, 0.5, 0.5), Quaternion.of(0.25, 0.0, math.sqrt(0.9375), 0.0)
 )  # |S(a)-S(b)| = 0.25
 _DOUBLE = Rotation4(Quaternion.of(0.5, 0.5, 0.5, -0.5), Quaternion.of(R2, R2, 0.0, 0.0))
+# factors on the axes (1, 0, 0), (0, -1, 0) and +-(0, 0.6, -0.8): simple,
+# double, simple with q = -p, and double with q = p
+_AXES_SIMPLE = Rotation4(Quaternion.of(0.6, 0.8, 0.0, 0.0), Quaternion.of(0.6, 0.0, -0.8, 0.0))
+_AXES_DOUBLE = Rotation4(Quaternion.of(R2, 0.0, -R2, 0.0), Quaternion.of(0.8, 0.0, 0.36, -0.48))
+_AXES_OPPOSITE = Rotation4(
+    Quaternion.of(0.8, 0.0, -0.36, 0.48), Quaternion.of(0.8, 0.0, 0.36, -0.48)
+)
+_AXES_EQUAL = Rotation4(Quaternion.of(0.6, 0.8, 0.0, 0.0), Quaternion.of(0.8, 0.6, 0.0, 0.0))
 
 
 class TestMatchesObjectArithmetic:
@@ -454,6 +462,12 @@ class TestMatchesObjectArithmetic:
     @example(f=_DOUBLE, g=_GOLDEN_G, eps=DEFAULT_EPS)
     @example(f=_GOLDEN_F, g=_DOUBLE, eps=DEFAULT_EPS)
     @example(f=_GOLDEN_F, g=_GOLDEN_G, eps=math.nan)
+    # coordinate-axis factors: p e_k and the eigenvectors have exact zeros,
+    # whose signs the closed form of p e_k must keep
+    @example(f=_AXES_SIMPLE, g=_AXES_OPPOSITE, eps=DEFAULT_EPS)
+    @example(f=_AXES_OPPOSITE, g=_AXES_SIMPLE, eps=DEFAULT_EPS)
+    @example(f=_AXES_DOUBLE, g=_AXES_SIMPLE, eps=DEFAULT_EPS)
+    @example(f=_AXES_EQUAL, g=_AXES_DOUBLE, eps=0.3)
     def test_results(self, f, g, eps):
         assert outcome(classify, f, eps) == outcome(ref_classify, f, eps)
         assert outcome(compose, g, f) == outcome(ref_compose, g, f)

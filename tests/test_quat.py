@@ -158,6 +158,26 @@ class TestGibbs:
         assert comp_diff(unit_from_gibbs(Vec3(1, 0, 0)), Quaternion.of(R2, R2, 0, 0)) < 1e-15
         got = unit_from_gibbs(Vec3(1, 1, -1))
         assert comp_diff(got, Quaternion.of(0.5, 0.5, 0.5, -0.5)) < 1e-15
+        # just below the overflow of 1 + |g|^2, the formula as written
+        g = Vec3(1e154, -3.0, 0.5)
+        scale = 1.0 / math.sqrt(1.0 + g.norm_sq())
+        assert unit_from_gibbs(g).components() == (scale, 1e154 * scale, -3.0 * scale, 0.5 * scale)
+
+    @pytest.mark.parametrize(
+        "g, want",
+        [
+            (Vec3(1e200, 0, 0), (1e-200, 1.0, 0.0, 0.0)),
+            (Vec3(0, -1e300, 1e300), (R2 * 1e-300, 0.0, -R2, R2)),
+            (Vec3(1.7e308, 1.7e308, 1.7e308), (1.0 / (1.7e308 * 3**0.5),) + (3**-0.5,) * 3),
+        ],
+        ids=["1e200", "1e300", "max"],
+    )
+    def test_unit_from_gibbs_where_the_norm_overflows(self, g, want):
+        # 1 + |g|^2 is inf, yet (1 + g)/|1 + g| is a unit quaternion
+        got = unit_from_gibbs(g)
+        assert abs(norm_sq(got) - 1.0) <= EPS_ALG
+        assert comp_diff(got, Quaternion.of(*want)) <= EPS_ALG
+        assert got.s == pytest.approx(want[0], rel=1e-15)
 
     def test_round_trip(self, rng):
         count = 0

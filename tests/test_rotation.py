@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from rot4 import (
     DEFAULT_EPS,
     EPS_AXIS,
+    EPS_UNIT,
     Double,
     I,
     Identity,
@@ -27,6 +28,7 @@ from rot4 import (
     RightIsoclinic,
     Rotation4,
     Simple,
+    SimplicityReport,
     Vec3,
     apply,
     classify,
@@ -35,6 +37,7 @@ from rot4 import (
     from_reflections,
     is_composition_simple,
     mul,
+    norm_sq,
     normalized,
     projector_distance,
     pure,
@@ -48,6 +51,7 @@ from rot4.plane import _projector_rows
 import exact
 import test_kernels as kernels
 from conftest import (
+    EPS_ALG,
     comp_diff,
     left_matrix,
     matrix_of,
@@ -633,13 +637,15 @@ def _factor(s: float, axis: Vec3) -> Quaternion:
 
 
 _EPS = st.sampled_from([1e-12, 1e-8, 1e-6])
+_COORDINATE_AXES = [(1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.6, -0.8)]
 
 
 class TestAxis:
     """classify and the split take the axis V(x)/|V(x)| only with
     |V(x)| > EPS_AXIS, so they never divide by zero: on factors with |V| at,
     around and below EPS_AXIS, 0 included, they match the references bit
-    for bit, with the references' ref_axis guarded."""
+    for bit, with the references' ref_axis guarded.  Factors on coordinate
+    axes pin the exact zeros of the closed-form p e_k, down to their sign."""
 
     def test_reached_only_above_eps_axis(self, monkeypatch):
         axis, reached = kernels.ref_axis, []
@@ -656,6 +662,11 @@ class TestAxis:
             for vn in (0.0, 5e-10, EPS_AXIS, 1.5e-9, 0.6)
             for sign in (1.0, -1.0)
         ]
+        factors += [
+            Quaternion(sign * 0.8, Vec3(*axis) * 0.6)
+            for axis in _COORDINATE_AXES
+            for sign in (1.0, -1.0)
+        ]
         for a in factors:
             for b in factors:
                 r = Rotation4(a, b)
@@ -667,6 +678,99 @@ class TestAxis:
                     want = kernels.outcome(lambda: tuple(map(ReflectionNormal, split(r, eps))))
                     assert got == want
         assert reached
+
+
+_AXIS = st.sampled_from(_COORDINATE_AXES) | _VEC
+
+
+def _pure_unit(raw) -> tuple:
+    """(0.0, p1, p2, p3) for the unit p along raw, as the kernels take axes."""
+    n = math.sqrt(sum(x * x for x in raw))
+    assume(n >= 0.1)
+    return (0.0, *(x / n for x in raw))
+
+
+class TestEigenvector:
+    """rotation._eigenvector(p, q, sign) is a unit u with p u q = sign u, for
+    unit axes p, q drawn at random or along coordinate axes, and q = +-p."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        p_raw=_AXIS,
+        q_raw=_AXIS,
+        q_is=st.sampled_from(["drawn", "p", "-p"]),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_unit_eigenvector(self, p_raw, q_raw, q_is, sign):
+        p = _pure_unit(p_raw)
+        if q_is == "drawn":
+            q = _pure_unit(q_raw)
+        else:
+            q = p if q_is == "p" else (0.0, -p[1], -p[2], -p[3])
+        u = Quaternion.of(*rotation_module._eigenvector(p, q, sign))
+        assert abs(norm_sq(u) - 1.0) <= EPS_UNIT
+        image = mul(mul(Quaternion.of(*p), u), Quaternion.of(*q))
+        assert comp_diff(image, u * sign) <= EPS_ALG
+
+
+class TestOneKindRule:
+    """rotation._kind_of is the one place the kind rule is written: classify,
+    simple_to_reflections, is_composition_simple and cli.random_rotation
+    all follow a stub put in its place."""
+
+    DOUBLE = Rotation4(Quaternion.of(0.5, 0.5, 0.5, -0.5), Quaternion.of(R2, R2, 0.0, 0.0))
+
+    @staticmethod
+    def stub(mp: pytest.MonkeyPatch, kind: type) -> list:
+        calls = []
+
+        def rule(s, t, na, nb, eps):
+            calls.append((s, t, na, nb, eps))
+            return kind
+
+        mp.setattr(rotation_module, "_kind_of", rule)
+        return calls
+
+    def test_reads_the_factors(self, monkeypatch):
+        calls = self.stub(monkeypatch, Double)
+        r = self.DOUBLE
+        classify(r, 0.25)
+        with pytest.raises(NotSimple):
+            simple_to_reflections(r, 0.25)
+        want = (0.5, R2, r.a.v.norm(), r.b.v.norm(), 0.25)
+        assert calls == [want, want]
+
+    def test_a_double_called_simple(self, monkeypatch):
+        r = self.DOUBLE
+        assert isinstance(classify(r), Double)
+        with pytest.raises(NotSimple):
+            simple_to_reflections(r)
+        self.stub(monkeypatch, Simple)
+        assert isinstance(classify(r), Simple)
+        y, z = simple_to_reflections(r)
+        assert z.q == normalized(mul(r.a, y.q))
+        assert isinstance(is_composition_simple(r, GOLDEN_G), SimplicityReport)
+        with pytest.raises(RuntimeError, match="failed to generate a double rotation"):
+            random_rotation(random.Random(0), "double")
+
+    def test_a_simple_called_double(self, monkeypatch):
+        assert isinstance(classify(GOLDEN_F), Simple)
+        self.stub(monkeypatch, Double)
+        assert isinstance(classify(GOLDEN_F), Double)
+        with pytest.raises(NotSimple, match="a Double rotation"):
+            simple_to_reflections(GOLDEN_F)
+        with pytest.raises(NotSimple, match="f is not a simple rotation: a Double rotation"):
+            is_composition_simple(GOLDEN_F, GOLDEN_G)
+        with pytest.raises(RuntimeError, match="failed to generate a simple rotation"):
+            random_rotation(random.Random(0), "simple")
+        assert isinstance(random_rotation(random.Random(0), "double"), Rotation4)
+
+    def test_the_identity(self, monkeypatch):
+        self.stub(monkeypatch, Identity)
+        assert classify(GOLDEN_F) == Identity()
+        y, _ = simple_to_reflections(GOLDEN_F)
+        assert y.q == ONE
+        assert is_composition_simple(GOLDEN_F, GOLDEN_G).intersection_dim == 2
 
 
 class TestSplitMatchesClassify:
