@@ -264,13 +264,13 @@ def _axes(a: tuple, b: tuple, na: float, nb: float) -> tuple:
 def _eigenvector(p: tuple, q: tuple, sign: float) -> tuple:
     """The unit eigenvector of T x = p x q for the eigenvalue sign (+-1), for
     the unit axes p, q of _axes: column k of I + sign T, twice the
-    eigenspace's projector P, over its norm (_unit4), at the first largest
-    (+1) or smallest (-1) diagonal entry, so its norm^2 is 4 P_kk >= 2 as
-    trace P = 2.  The diagonal of T is (-p.q, p.q - 2 p_i q_i); the column
-    is sign (p e_k) q + e_k, with p e_k the signed permutation of p below.
-    The products of its zero and of q's zero scalar part are left out: each
-    is an exact +-0, and each component ends in + e_i, which clears the
-    sign of a zero, so the column is bit for bit the one _mul4 sums."""
+    eigenspace's projector P, at the first largest (+1) or smallest (-1)
+    diagonal entry, scaled as _unit4 scales it; its norm^2 is 4 P_kk >= 2,
+    as trace P = 2.  The diagonal of T is (-p.q, p.q - 2 p_i q_i), and the
+    column is sign (p e_k) q + e_k, with p e_k the signed permutation of p
+    below.  The products of its zero and of q's zero scalar part are left
+    out: each is an exact +-0, and each component ends in + e_i, which
+    clears the sign of a zero, so the column is bit for bit _mul4's."""
     _, p1, p2, p3 = p
     _, q1, q2, q3 = q
     d = p1 * q1 + p2 * q2 + p3 * q3
@@ -289,7 +289,11 @@ def _eigenvector(p: tuple, q: tuple, sign: float) -> tuple:
     v1 = (q1 * m0 + (m2 * q3 - m3 * q2)) * sign + e1
     v2 = (q2 * m0 + (m3 * q1 - m1 * q3)) * sign + e2
     v3 = (q3 * m0 + (m1 * q2 - m2 * q1)) * sign + e3
-    return _unit4((v0, v1, v2, v3))
+    n = math.sqrt(v0 * v0 + (v1 * v1 + v2 * v2 + v3 * v3))
+    if n <= EPS_AXIS:
+        _unit4((v0, v1, v2, v3))  # raises its refusal
+    f = 1.0 / n
+    return v0 * f, v1 * f, v2 * f, v3 * f
 
 
 def _invariant_planes(r: Rotation4, simple: bool) -> tuple[tuple[Plane, float], ...]:
@@ -390,8 +394,8 @@ def _split(r: Rotation4, eps: float) -> tuple:
     of a and b (_axes), None for the identity, and the normals y, z, all
     component tuples.  The kind is _kind_of's; NotSimple on every kind but
     Simple and Identity.  y is _eigenvector(p, q, -1.0), bit for bit the u
-    of classify's rotation plane, or 1 for the identity, and
-    z = _unit4(_mul4(a, y))."""
+    of classify's rotation plane, or 1 for the identity, and z is
+    _unit4(_mul4(a, y)) on the floats."""
     a = s, a1, a2, a3 = r.a.components()
     b = t, b1, b2, b3 = r.b.components()
     na = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
@@ -405,4 +409,13 @@ def _split(r: Rotation4, eps: float) -> tuple:
         y = _BASIS[0]
     else:
         raise NotSimple(f"a {kind.__name__} rotation, not simple at eps = {eps:.1e}")
-    return p, q, y, _unit4(_mul4(a, y))
+    y0, y1, y2, y3 = y
+    v0 = s * y0 - (a1 * y1 + a2 * y2 + a3 * y3)  # a y
+    v1 = y1 * s + a1 * y0 + (a2 * y3 - a3 * y2)
+    v2 = y2 * s + a2 * y0 + (a3 * y1 - a1 * y3)
+    v3 = y3 * s + a3 * y0 + (a1 * y2 - a2 * y1)
+    n = math.sqrt(v0 * v0 + (v1 * v1 + v2 * v2 + v3 * v3))
+    if n <= EPS_AXIS:
+        _unit4((v0, v1, v2, v3))  # raises its refusal
+    f = 1.0 / n
+    return p, q, y, (v0 * f, v1 * f, v2 * f, v3 * f)
