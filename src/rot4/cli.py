@@ -100,11 +100,11 @@ def _rotation_from_doc(text: str, normalize: bool) -> Rotation4:
 
 
 def doc_of_rotation(r: Rotation4) -> dict:
-    return {"a": list(r.a.components()), "b": list(r.b.components())}
+    return {"a": list(r.a), "b": list(r.b)}
 
 
 def _plane_json(plane: Plane, with_projector: bool = False) -> dict:
-    out = {"u": list(plane.u.components()), "w": list(plane.w.components())}
+    out = {"u": list(plane.u), "w": list(plane.w)}
     if with_projector:
         out["projector"] = _projector_rows(plane)
     return out
@@ -189,8 +189,8 @@ def cmd_compose(args) -> int:
         try:
             gp = compose_gibbs(GibbsPair.from_rotation(f), GibbsPair.from_rotation(g))
             out["gibbs"] = {
-                "p_tilde": list(gp.p_tilde.components()),
-                "q_tilde": list(gp.q_tilde.components()),
+                "p_tilde": list(gp.p_tilde),
+                "q_tilde": list(gp.q_tilde),
                 "cos_alpha": gp.cos_alpha,
                 "cos_beta": gp.cos_beta,
             }
@@ -209,16 +209,20 @@ def cmd_compose(args) -> int:
 # --- verify ----------------------------------------------------------------
 
 
-def _formula_entries(kind) -> tuple[list[tuple[Plane | None, float]], bool]:
-    """(plane, angle) pairs predicted by the closed-form side, plus a flag
-    marking plane identities as non-unique (isoclinic-like)."""
+def _formula_entries(kind) -> tuple:
+    """(plane1, angle1, plane2, angle2) predicted by the closed-form side,
+    plus a flag marking plane identities as non-unique (isoclinic-like)."""
     if isinstance(kind, Identity):
-        return [(None, 0.0), (None, 0.0)], True
+        return None, 0.0, None, 0.0, True
     if isinstance(kind, (LeftIsoclinic, RightIsoclinic)):
-        return [(None, kind.angle), (None, kind.angle)], True
+        return None, kind.angle, None, kind.angle, True
     if isinstance(kind, Simple):
-        return [(kind.rotation_plane, kind.angle), (kind.fixed_plane, 0.0)], False
-    return [(kind.plane1, kind.angle1), (kind.plane2, kind.angle2)], False
+        return kind.rotation_plane, kind.angle, kind.fixed_plane, 0.0, False
+    return kind.plane1, kind.angle1, kind.plane2, kind.angle2, False
+
+
+def _entry(plane: Plane | None, angle: float) -> dict:
+    return {"angle": angle, "plane": None if plane is None else _plane_json(plane)}
 
 
 def build_verify_report(r: Rotation4, eps: float = DEFAULT_EPS) -> dict:
@@ -227,42 +231,23 @@ def build_verify_report(r: Rotation4, eps: float = DEFAULT_EPS) -> dict:
     from .oracle import planes_from_matrix
 
     kind = classify(r, eps)
-    formula, planes_free = _formula_entries(kind)
+    fp1, fa1, fp2, fa2, planes_free = _formula_entries(kind)
     # eps governs the comparison verdict; the oracle's pairing test never needs
     # to be stricter than the default, or exact pairs would fail at rounding level
     oracle = planes_from_matrix(to_matrix(r), max(eps, DEFAULT_EPS))
-    oracle_entries = [(oracle.plane1, oracle.angle1), (oracle.plane2, oracle.angle2)]
-
+    op1, oa1, op2, oa2 = oracle.plane1, oracle.angle1, oracle.plane2, oracle.angle2
     # two possible pairings; take the one with the smaller total angle gap
-    direct = abs(formula[0][1] - oracle_entries[0][1]) + abs(
-        formula[1][1] - oracle_entries[1][1]
-    )
-    crossed = abs(formula[0][1] - oracle_entries[1][1]) + abs(
-        formula[1][1] - oracle_entries[0][1]
-    )
-    if crossed < direct:
-        oracle_entries.reverse()
-
-    max_angle = max(
-        abs(fe[1] - oe[1]) for fe, oe in zip(formula, oracle_entries)
-    )
+    if abs(fa1 - oa2) + abs(fa2 - oa1) < abs(fa1 - oa1) + abs(fa2 - oa2):
+        op1, oa1, op2, oa2 = op2, oa2, op1, oa1
+    max_angle = max(abs(fa1 - oa1), abs(fa2 - oa2))
     if planes_free or oracle.isoclinic:
         max_proj = 0.0
     else:
-        max_proj = max(
-            projector_distance(fe[0], oe[0]) for fe, oe in zip(formula, oracle_entries)
-        )
-
+        max_proj = max(projector_distance(fp1, op1), projector_distance(fp2, op2))
     return {
         "kind": _KIND_NAMES[type(kind)],
-        "formula": [
-            {"angle": angle, "plane": None if plane is None else _plane_json(plane)}
-            for plane, angle in formula
-        ],
-        "oracle": [
-            {"angle": angle, "plane": _plane_json(plane)}
-            for plane, angle in oracle_entries
-        ],
+        "formula": [_entry(fp1, fa1), _entry(fp2, fa2)],
+        "oracle": [_entry(op1, oa1), _entry(op2, oa2)],
         "max_projector_distance": max_proj,
         "max_angle_difference": max_angle,
         "ok": bool(max_proj <= eps and max_angle <= eps),
@@ -323,7 +308,7 @@ def random_rotation(rng, kind: str, eps: float = DEFAULT_EPS) -> Rotation4:
                 return r
         elif kind == "left-isoclinic":
             a = _random_unit(rng)
-            a = -a if _leading_negative(a.components()) else a
+            a = -a if _leading_negative(a) else a
             if a.v.norm() > RANDOM_AXIS_MARGIN:
                 return Rotation4(a, Quaternion(1.0))
         elif kind == "right-isoclinic":
@@ -355,11 +340,7 @@ def cmd_reflections(args) -> int:
         ny, nz = simple_to_reflections(r, args.eps)
     except NotSimple as exc:
         raise _CliError(EXIT_DISCREPANCY, str(exc)) from exc
-    print(
-        json.dumps(
-            {"y": list(ny.q.components()), "z": list(nz.q.components())}
-        )
-    )
+    print(json.dumps({"y": list(ny.q), "z": list(nz.q)}))
     return EXIT_OK
 
 

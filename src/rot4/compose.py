@@ -49,8 +49,7 @@ def compose(g: Rotation4, f: Rotation4) -> Rotation4:
     tolerance would otherwise drift past it when multiplied.  The pair is
     admitted and its sign fixed on the floats (rotation._rotation), so only
     the two factors kept are built."""
-    a = _unit4(_mul4(g.a.components(), f.a.components()))
-    return _rotation(a, _unit4(_mul4(f.b.components(), g.b.components())))
+    return _rotation(_unit4(_mul4(g.a, f.a)), _unit4(_mul4(f.b, g.b)))
 
 
 class GibbsPair(_Value):
@@ -69,14 +68,12 @@ class GibbsPair(_Value):
         for name, tilde in (("p_tilde", p_tilde), ("q_tilde", q_tilde)):
             if not isinstance(tilde, Vec3):
                 raise TypeError(f"{name} must be a Vec3, got {type(tilde).__name__}")
-        _gibbs_pair(
-            self, *p_tilde.components(), *q_tilde.components(), float(cos_alpha), float(cos_beta)
-        )
+        _gibbs_pair(self, *p_tilde, *q_tilde, float(cos_alpha), float(cos_beta))
 
     @classmethod
     def from_rotation(cls, r: Rotation4) -> "GibbsPair":
-        s, a1, a2, a3 = r.a.components()
-        t, b1, b2, b3 = r.b.components()
+        s, a1, a2, a3 = r.a
+        t, b1, b2, b3 = r.b
         if abs(s) <= EPS_GIBBS or abs(t) <= EPS_GIBBS:
             raise GibbsSingular(
                 "a factor has vanishing scalar part; the rotation has no Gibbs form"
@@ -142,14 +139,10 @@ def compose_gibbs(f: GibbsPair, g: GibbsPair) -> GibbsPair:
     sides run quat._gibbs_rule on floats.
     """
     p1, p2, p3, den_p = _gibbs_rule(
-        f.p_tilde.components(),
-        g.p_tilde.components(),
-        "left composed cosine vanishes (p-denominator is zero)",
+        f.p_tilde, g.p_tilde, "left composed cosine vanishes (p-denominator is zero)"
     )
     q1, q2, q3, den_q = _gibbs_rule(
-        g.q_tilde.components(),
-        f.q_tilde.components(),
-        "right composed cosine vanishes (q-denominator is zero)",
+        g.q_tilde, f.q_tilde, "right composed cosine vanishes (q-denominator is zero)"
     )
     cos_a = f.cos_alpha * g.cos_alpha * den_p
     cos_b = f.cos_beta * g.cos_beta * den_q

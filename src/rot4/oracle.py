@@ -221,7 +221,7 @@ def planes_from_matrix(matrix, eps: float = DEFAULT_EPS) -> OraclePlanes:
     a12, a13, a23 = (m12 - m21) / 2.0, (m13 - m31) / 2.0, (m23 - m32) / 2.0
     out = []
     for (u, w), pair_mean in zip(bases, (mean + norm / 2.0, mean - norm / 2.0)):
-        u0, u1, u2, u3 = u.components()
+        u0, u1, u2, u3 = u
         sine = math.hypot(
             a01 * u1 + a02 * u2 + a03 * u3,
             a12 * u2 + a13 * u3 - a01 * u0,

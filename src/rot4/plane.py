@@ -34,17 +34,17 @@ _set_u, _set_w = _setters(Plane)
 def _projector_rows(plane: Plane) -> list[list[float]]:
     """Rows of the projector, entry (i, j) = u_i*u_j + w_i*w_j: bit for bit
     the floats of outer(u, u) + outer(w, w)."""
-    us, ws = plane.u.components(), plane.w.components()
+    us, ws = plane.u, plane.w
     return [[ui * uj + wi * wj for uj, wj in zip(us, ws)] for ui, wi in zip(us, ws)]
 
 
 def projector_distance(p1: Plane, p2: Plane) -> float:
     """Max-abs entry difference of the two projectors, entries as in
     _projector_rows; both are symmetric bit for bit, so i <= j suffices."""
-    u0, u1, u2, u3 = p1.u.components()
-    w0, w1, w2, w3 = p1.w.components()
-    x0, x1, x2, x3 = p2.u.components()
-    y0, y1, y2, y3 = p2.w.components()
+    u0, u1, u2, u3 = p1.u
+    w0, w1, w2, w3 = p1.w
+    x0, x1, x2, x3 = p2.u
+    y0, y1, y2, y3 = p2.w
     return max(
         abs(u0 * u0 + w0 * w0 - (x0 * x0 + y0 * y0)),
         abs(u0 * u1 + w0 * w1 - (x0 * x1 + y0 * y1)),

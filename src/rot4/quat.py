@@ -1,14 +1,15 @@
 """Quaternion arithmetic, the Gibbs (tangent-vector) form, and every tolerance.
 
-A quaternion x = s + x1*i + x2*j + x3*k is stored as a scalar part plus a
-3-vector part.  Its four components double as coordinates of a point of
-Euclidean 4-space, ordered [s, x1, x2, x3] (scalar first) everywhere in
-this package.
+A quaternion x = s + x1*i + x2*j + x3*k is stored as the tuple of its four
+floats (s, x1, x2, x3), its vector part as (x1, x2, x3).  Its four
+components double as coordinates of a point of Euclidean 4-space, ordered
+[s, x1, x2, x3] (scalar first) everywhere in this package.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from .errors import GibbsSingular, NotUnit
 
@@ -35,24 +36,31 @@ def _finite(name: str, value) -> float:
 
 
 _new = object.__new__
+_tuple_new = tuple.__new__
 
 
 def _setters(cls) -> tuple:
-    """The own setter of each of cls's slots, in field order: it writes the
-    slot past _Value.__setattr__, and faster than object.__setattr__."""
+    """The own setter of each of the record cls's slots, in field order: it
+    writes the slot past _Value.__setattr__, and faster than
+    object.__setattr__."""
     return tuple([vars(cls)[name].__set__ for name in cls.__slots__])
 
 
 class _Value:
-    """Immutable value over __slots__, the fields in order: equality and hash
-    by exact class, then the tuple of fields; __reduce__ rebuilds through the
-    constructor, so copy and pickle validate again."""
+    """Immutable value, its fields in order in __match_args__: equality and
+    hash by exact class, then the tuple of fields, and no ordering;
+    __reduce__ rebuilds through the constructor, so copy and pickle validate
+    again.  A record holds its fields in __slots__, which name them; Vec3
+    and Quaternion are tuples of their floats, read through properties."""
 
     __slots__ = ()
+    __array_ufunc__ = None  # numpy's operators defer to the value's own
 
     def __init_subclass__(cls):
-        cls.__match_args__ = names = cls.__slots__
-        if "__init__" not in vars(cls):
+        if "__match_args__" not in vars(cls):
+            cls.__match_args__ = cls.__slots__
+        names = cls.__match_args__
+        if "__init__" not in vars(cls) and "__new__" not in vars(cls):
             # compiled once per class, as collections.namedtuple builds __new__:
             # a loop over the fields would double the cost of a construction
             body = "".join(f"\n    _set_{name}(self, {name})" for name in names)
@@ -62,18 +70,28 @@ class _Value:
             cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self.__match_args__])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._fields() == other._fields()
+        # NotImplemented would let a plain tuple compare item by item
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __lt__(self, other):
         return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
 
     def __hash__(self) -> int:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__qualname__}({body})"
 
     def __reduce__(self):
@@ -86,28 +104,28 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-# Every value of the package is a _Value.  _vec, _quat and pure build
-# arithmetic results through _new and the slot setters and skip the
-# validating constructors.
-# The hot paths compute on plain float tuples, a quaternion as
-# (s, x1, x2, x3), through the kernels _mul4, _dot4, _unit4 and _cross3 here
-# and rotation's _axes, _eigenvector and _kind_of, and build a value only
-# for what they return.
-class Vec3(_Value):
+# _vec, _quat and pure build arithmetic results with one tuple.__new__ and
+# skip the validating constructors.  The hot paths compute on plain floats,
+# unpacking a Quaternion as (s, x1, x2, x3), through the kernels _mul4,
+# _dot4, _unit4 and _cross3 here and rotation's _axes, _eigenvector and
+# _kind_of, and build a value only for what they return.
+class Vec3(_Value, tuple):
     """3-vector: the vector part of a quaternion, an axis, or a Gibbs vector."""
 
-    __slots__ = ("x1", "x2", "x3")
+    __slots__ = ()
+    __match_args__ = ("x1", "x2", "x3")
+    x1, x2, x3 = property(itemgetter(0)), property(itemgetter(1)), property(itemgetter(2))
 
-    def __init__(self, x1: float = 0.0, x2: float = 0.0, x3: float = 0.0):
-        _set_x1(self, _finite("x1", x1))
-        _set_x2(self, _finite("x2", x2))
-        _set_x3(self, _finite("x3", x3))
+    def __new__(cls, x1: float = 0.0, x2: float = 0.0, x3: float = 0.0):
+        return _tuple_new(cls, (_finite("x1", x1), _finite("x2", x2), _finite("x3", x3)))
 
     def dot(self, other: "Vec3") -> float:
-        return self.x1 * other.x1 + self.x2 * other.x2 + self.x3 * other.x3
+        x1, x2, x3 = self
+        y1, y2, y3 = other
+        return x1 * y1 + x2 * y2 + x3 * y3
 
     def cross(self, other: "Vec3") -> "Vec3":
-        return _vec(*_cross3(self.components(), other.components()))
+        return _vec(*_cross3(self, other))
 
     def norm_sq(self) -> float:
         return self.dot(self)
@@ -116,20 +134,26 @@ class Vec3(_Value):
         return math.sqrt(self.norm_sq())
 
     def components(self) -> tuple[float, float, float]:
-        return (self.x1, self.x2, self.x3)
+        return self[:]  # a plain tuple
 
     def __add__(self, other: "Vec3") -> "Vec3":
-        return _vec(self.x1 + other.x1, self.x2 + other.x2, self.x3 + other.x3)
+        x1, x2, x3 = self
+        y1, y2, y3 = other
+        return _vec(x1 + y1, x2 + y2, x3 + y3)
 
     def __sub__(self, other: "Vec3") -> "Vec3":
-        return _vec(self.x1 - other.x1, self.x2 - other.x2, self.x3 - other.x3)
+        x1, x2, x3 = self
+        y1, y2, y3 = other
+        return _vec(x1 - y1, x2 - y2, x3 - y3)
 
     def __neg__(self) -> "Vec3":
-        return _vec(-self.x1, -self.x2, -self.x3)
+        x1, x2, x3 = self
+        return _vec(-x1, -x2, -x3)
 
     def __mul__(self, factor: float) -> "Vec3":
         f = float(factor)
-        return _vec(self.x1 * f, self.x2 * f, self.x3 * f)
+        x1, x2, x3 = self
+        return _vec(x1 * f, x2 * f, x3 * f)
 
     __rmul__ = __mul__
 
@@ -137,32 +161,32 @@ class Vec3(_Value):
         return self * (1.0 / factor)
 
 
-_set_x1, _set_x2, _set_x3 = _setters(Vec3)
-
-
 def _vec(x1: float, x2: float, x3: float) -> Vec3:
     """Vec3 of floats computed in this module.  x*0.0 is 0.0 exactly when x
     is finite, so one fused test admits all three; a failure goes through
     the public constructor, which names the bad component."""
     if x1 * 0.0 + x2 * 0.0 + x3 * 0.0 == 0.0:
-        v = _new(Vec3)
-        _set_x1(v, x1)
-        _set_x2(v, x2)
-        _set_x3(v, x3)
-        return v
+        return _tuple_new(Vec3, (x1, x2, x3))
     return Vec3(x1, x2, x3)
 
 
-class Quaternion(_Value):
+class Quaternion(_Value, tuple):
     """Quaternion s + v, with v the 3-vector part."""
 
-    __slots__ = ("s", "v")
+    __slots__ = ()
+    __match_args__ = ("s", "v")
+    s = property(itemgetter(0))
 
-    def __init__(self, s: float = 0.0, v: Vec3 = Vec3()):
-        _set_s(self, _finite("s", s))
+    def __new__(cls, s: float = 0.0, v: Vec3 = Vec3()):
+        s = _finite("s", s)
         if not isinstance(v, Vec3):
             raise TypeError(f"v must be a Vec3, got {type(v).__name__}")
-        _set_v(self, v)
+        return _tuple_new(cls, (s, *v))
+
+    @property
+    def v(self) -> Vec3:
+        """The vector part, a new Vec3 on each access."""
+        return _tuple_new(Vec3, self[1:])
 
     @classmethod
     def of(cls, s: float, x1: float, x2: float, x3: float) -> "Quaternion":
@@ -176,14 +200,7 @@ class Quaternion(_Value):
             pass
         else:
             if s * 0.0 + x1 * 0.0 + x2 * 0.0 + x3 * 0.0 == 0.0:
-                v = _new(Vec3)
-                _set_x1(v, x1)
-                _set_x2(v, x2)
-                _set_x3(v, x3)
-                q = _new(Quaternion)
-                _set_s(q, s)
-                _set_v(q, v)
-                return q
+                return _tuple_new(Quaternion, (s, x1, x2, x3))
         return cls(s, Vec3(x1, x2, x3))
 
     @classmethod
@@ -192,26 +209,28 @@ class Quaternion(_Value):
         return cls.of(s, x1, x2, x3)
 
     def components(self) -> tuple[float, float, float, float]:
-        return (self.s, self.v.x1, self.v.x2, self.v.x3)
+        return self[:]  # a plain tuple
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
-        v, w = self.v, other.v
-        return _quat(self.s + other.s, v.x1 + w.x1, v.x2 + w.x2, v.x3 + w.x3)
+        s, x1, x2, x3 = self
+        t, y1, y2, y3 = other
+        return _quat(s + t, x1 + y1, x2 + y2, x3 + y3)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
-        v, w = self.v, other.v
-        return _quat(self.s - other.s, v.x1 - w.x1, v.x2 - w.x2, v.x3 - w.x3)
+        s, x1, x2, x3 = self
+        t, y1, y2, y3 = other
+        return _quat(s - t, x1 - y1, x2 - y2, x3 - y3)
 
     def __neg__(self) -> "Quaternion":
-        v = self.v
-        return _quat(-self.s, -v.x1, -v.x2, -v.x3)
+        s, x1, x2, x3 = self
+        return _quat(-s, -x1, -x2, -x3)
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
             return mul(self, other)
         f = float(other)
-        v = self.v
-        return _quat(self.s * f, v.x1 * f, v.x2 * f, v.x3 * f)
+        s, x1, x2, x3 = self
+        return _quat(s * f, x1 * f, x2 * f, x3 * f)
 
     def __rmul__(self, factor: float) -> "Quaternion":
         return self * factor
@@ -220,21 +239,11 @@ class Quaternion(_Value):
         return self * (1.0 / factor)
 
 
-_set_s, _set_v = _setters(Quaternion)
-
-
 def _quat(s: float, x1: float, x2: float, x3: float) -> Quaternion:
     """Quaternion of floats computed in this module, admitted by one fused
     finiteness test like _vec."""
     if s * 0.0 + x1 * 0.0 + x2 * 0.0 + x3 * 0.0 == 0.0:
-        v = _new(Vec3)
-        _set_x1(v, x1)
-        _set_x2(v, x2)
-        _set_x3(v, x3)
-        q = _new(Quaternion)
-        _set_s(q, s)
-        _set_v(q, v)
-        return q
+        return _tuple_new(Quaternion, (s, x1, x2, x3))
     return Quaternion(s, Vec3(x1, x2, x3))
 
 
@@ -246,10 +255,7 @@ K = Quaternion(0.0, Vec3(0.0, 0.0, 1.0))
 
 def pure(v: Vec3) -> Quaternion:
     """Quaternion with zero scalar part and vector part v, built like _quat's results."""
-    q = _new(Quaternion)
-    _set_s(q, 0.0)
-    _set_v(q, v)
-    return q
+    return _tuple_new(Quaternion, (0.0, *v))
 
 
 def _mul4(x: tuple, y: tuple) -> tuple:
@@ -289,19 +295,18 @@ def _unit4(x: tuple) -> tuple:
 
 def mul(x: Quaternion, y: Quaternion) -> Quaternion:
     """Quaternion product, by _mul4."""
-    return _quat(*_mul4(x.components(), y.components()))
+    return _quat(*_mul4(x, y))
 
 
 def conj(x: Quaternion) -> Quaternion:
     """Conjugate: scalar part kept, vector part negated."""
-    v = x.v
-    return _quat(x.s, -v.x1, -v.x2, -v.x3)
+    s, x1, x2, x3 = x
+    return _quat(s, -x1, -x2, -x3)
 
 
 def norm_sq(x: Quaternion) -> float:
     """Squared norm, the sum of the four squared components."""
-    c = x.components()
-    return _dot4(c, c)
+    return _dot4(x, x)
 
 
 def norm(x: Quaternion) -> float:
@@ -323,11 +328,11 @@ def _det4(rows) -> float:
 
 def dot4(x: Quaternion, y: Quaternion) -> float:
     """Euclidean scalar product of the two 4-component points."""
-    return _dot4(x.components(), y.components())
+    return _dot4(x, y)
 
 
 def normalized(x: Quaternion) -> Quaternion:
-    return _quat(*_unit4(x.components()))
+    return _quat(*_unit4(x))
 
 
 def require_unit(x: Quaternion, what: str = "quaternion") -> None:
@@ -351,11 +356,12 @@ def unit_from_gibbs(g: Vec3) -> Quaternion:
     """Unit quaternion (1 + g)/sqrt(1 + |g|^2); scalar part always positive.
     Where 1 + |g|^2 overflows, 1 + g is first scaled by 1/max|g_i|."""
     scale = 1.0 + g.norm_sq()
+    g1, g2, g3 = g
     if scale == math.inf:
-        f = 1.0 / max(abs(g.x1), abs(g.x2), abs(g.x3))
-        return _quat(*_unit4((f, g.x1 * f, g.x2 * f, g.x3 * f)))
+        f = 1.0 / max(abs(g1), abs(g2), abs(g3))
+        return _quat(*_unit4((f, g1 * f, g2 * f, g3 * f)))
     scale = 1.0 / math.sqrt(scale)
-    return _quat(scale, g.x1 * scale, g.x2 * scale, g.x3 * scale)
+    return _quat(scale, g1 * scale, g2 * scale, g3 * scale)
 
 
 def _gibbs_rule(g1: tuple, g2: tuple, singular: str) -> tuple:
@@ -388,7 +394,5 @@ def rodrigues_compose(g1: Vec3, g2: Vec3) -> Vec3:
     Composition rule (g2 + g1 + g2 x g1) / (1 - g2.g1); singular exactly
     when the composed rotation angle reaches pi.
     """
-    x1, x2, x3, _ = _gibbs_rule(
-        g1.components(), g2.components(), "composed rotation angle is pi; no Gibbs vector exists"
-    )
+    x1, x2, x3, _ = _gibbs_rule(g1, g2, "composed rotation angle is pi; no Gibbs vector exists")
     return _vec(x1, x2, x3)

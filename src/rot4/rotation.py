@@ -71,21 +71,16 @@ class Rotation4(_Value):
     Construction validates both norms and canonicalizes the pair's common
     sign (_negated), so value equality of two instances means equality of
     rotations whenever the factors match bit-for-bit.  A factor that is not
-    a Quaternion is a TypeError naming it.
+    a Quaternion is a TypeError naming it, a plain tuple of four floats too.
     """
 
     __slots__ = ("a", "b")
 
     def __init__(self, a: Quaternion, b: Quaternion):
-        try:
-            negated = _negated(a.components(), b.components())
-        except AttributeError:
-            for name, x in (("a", a), ("b", b)):
-                if not isinstance(x, Quaternion):
-                    message = f"{name} must be a Quaternion, got {type(x).__name__}"
-                    raise TypeError(message) from None
-            raise
-        if negated:
+        if not isinstance(a, Quaternion) or not isinstance(b, Quaternion):
+            name, x = ("b", b) if isinstance(a, Quaternion) else ("a", a)
+            raise TypeError(f"{name} must be a Quaternion, got {type(x).__name__}")
+        if _negated(a, b):
             a, b = -a, -b
         _set_a(self, a)
         _set_b(self, b)
@@ -120,8 +115,8 @@ def to_matrix(r: Rotation4) -> list[list[float]]:
     apply(r, x): M = L(a) R(b), the matrices of x -> a x and x -> x b, whose
     entry (i, j) is row i of L(a) times column j of R(b), summed in that
     order.  np.array(to_matrix(r)) gives it as an array."""
-    s, x1, x2, x3 = r.a.components()
-    t, y1, y2, y3 = r.b.components()
+    s, x1, x2, x3 = r.a
+    t, y1, y2, y3 = r.b
     # rows of L(a): (s, -x1, -x2, -x3), (x1, s, -x3, x2), (x2, x3, s, -x1),
     # (x3, -x2, x1, s); columns of R(b): (t, y1, y2, y3), (-y1, t, -y3, y2),
     # (-y2, y3, t, -y1), (-y3, -y2, y1, t).  A negated factor is written as a
@@ -240,8 +235,8 @@ def _kind_of(s: float, t: float, na: float, nb: float, eps: float) -> type:
 
 def _kind(r: Rotation4, eps: float) -> type:
     """The class of r's kind, by _kind_of."""
-    s, a1, a2, a3 = r.a.components()
-    t, b1, b2, b3 = r.b.components()
+    s, a1, a2, a3 = r.a
+    t, b1, b2, b3 = r.b
     na = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
     return _kind_of(s, t, na, math.sqrt(b1 * b1 + b2 * b2 + b3 * b3), eps)
 
@@ -310,8 +305,8 @@ def _invariant_planes(r: Rotation4, simple: bool) -> tuple[tuple[Plane, float], 
     keeps (u, p u).  For a simple r the second, its fixed plane, is kept as
     built with angle 0.0.  Plane's gate is written out; Plane is called only
     to raise its refusal."""
-    a = s, a1, a2, a3 = r.a.components()
-    b = t, b1, b2, b3 = r.b.components()
+    a = s, a1, a2, a3 = r.a
+    b = t, b1, b2, b3 = r.b
     na = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
     nb = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
     ha, hb = math.atan2(na, s), math.atan2(nb, t)
@@ -355,20 +350,23 @@ def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
     plane is plane1 of a Double and the rotation plane of a Simple.  A
     Simple's fixed plane is reported as built, (u, p u), with angle 0.0.
     """
-    a, b = r.a, r.b
-    kind = _kind(r, eps)
+    s, a1, a2, a3 = r.a
+    t, b1, b2, b3 = r.b
+    na = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+    nb = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
+    kind = _kind_of(s, t, na, nb, eps)
     if kind is Identity:
         return Identity()
     if kind is RightIsoclinic:
-        return RightIsoclinic(math.atan2(b.v.norm(), math.copysign(1.0, a.s) * b.s))
+        return RightIsoclinic(math.atan2(nb, math.copysign(1.0, s) * t))
     if kind is LeftIsoclinic:
-        if a.v.norm() <= EPS_AXIS:
+        if na <= EPS_AXIS:
             return LeftIsoclinic(math.pi)  # x -> -x
-        return LeftIsoclinic(math.atan2(a.v.norm(), math.copysign(1.0, b.s) * a.s))
-    (p1, a1), (p2, a2) = _invariant_planes(r, kind is Simple)
+        return LeftIsoclinic(math.atan2(na, math.copysign(1.0, t) * s))
+    (p1, angle1), (p2, angle2) = _invariant_planes(r, kind is Simple)
     if kind is Simple:
-        return Simple(a1, p2, p1)
-    return Double(p1, a1, p2, a2)
+        return Simple(angle1, p2, p1)
+    return Double(p1, angle1, p2, angle2)
 
 
 def simple_to_reflections(
@@ -396,8 +394,8 @@ def _split(r: Rotation4, eps: float) -> tuple:
     Simple and Identity.  y is _eigenvector(p, q, -1.0), bit for bit the u
     of classify's rotation plane, or 1 for the identity, and z is
     _unit4(_mul4(a, y)) on the floats."""
-    a = s, a1, a2, a3 = r.a.components()
-    b = t, b1, b2, b3 = r.b.components()
+    a = s, a1, a2, a3 = r.a
+    b = t, b1, b2, b3 = r.b
     na = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
     nb = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
     kind = _kind_of(s, t, na, nb, eps)

@@ -1,5 +1,6 @@
 import copy
 import math
+import operator
 import pickle
 
 import numpy as np
@@ -138,7 +139,7 @@ class TestPure:
 
         monkeypatch.setattr(quat_module, "_finite", counting)
         q = pure(v)
-        assert q.v is v
+        assert q.v == v
         assert calls == []
         assert q.s == 0.0 and type(q.s) is float
         validated = Quaternion(0.0, v)  # the public constructor checks s
@@ -394,6 +395,34 @@ class TestValueSemantics:
         match x:
             case Quaternion(s, Vec3(x1, x2, x3)):
                 assert (s, x1, x2, x3) == x.components()
+
+    def test_unequal_to_a_plain_tuple(self):
+        plain = (1.0, 0.0, 0.0, 0.0)
+        q = Quaternion.of(1, 0, 0, 0)
+        assert q != plain and plain != q
+        assert not q == plain and not plain == q
+        assert Vec3(1, 2, 3) != (1.0, 2.0, 3.0) and (1.0, 2.0, 3.0) != Vec3(1, 2, 3)
+        assert type(q.components()) is tuple and q.components() == plain
+
+    @pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
+    @pytest.mark.parametrize("x, y", [(ONE, I), (Vec3(1, 2, 3), Vec3(1, 2, 4))], ids=["q", "v"])
+    def test_no_ordering(self, compare, x, y):
+        with pytest.raises(TypeError):
+            compare(x, y)
+
+    def test_sequence_and_numpy(self):
+        q = Quaternion.of(0.5, 0.5, 0.5, -0.5)
+        assert len(q) == 4 and list(q) == [0.5, 0.5, 0.5, -0.5] and q[3] == -0.5
+        assert len(q.v) == 3 and q.v == q.v and q.v is not q.v
+        array = np.array(q)
+        assert array.dtype == np.float64 and array.tolist() == list(q.components())
+        assert type(np.float64(2.0) * q) is Quaternion and type(np.float64(2.0) * q.v) is Vec3
+
+    def test_rotation_refuses_a_plain_tuple(self):
+        with pytest.raises(TypeError, match="^a must be a Quaternion, got tuple$"):
+            Rotation4((1.0, 0.0, 0.0, 0.0), ONE)
+        with pytest.raises(TypeError, match="^b must be a Quaternion, got tuple$"):
+            Rotation4(ONE, (1.0, 0.0, 0.0, 0.0))
 
 
 # One value of every other value class, with the repr the frozen dataclasses
