@@ -7,19 +7,16 @@ independent matrix oracle for cross-checking all of it, which reads the
 invariant planes off M + M^T in plain floats, without an eigensolver.
 
 Everything computes in plain floats with the standard library alone:
-to_matrix returns the matrix as rows of floats.  The oracle loads on first
-use, keeping its import time off the commands that never call it: its names
-below resolve through the module __getattr__.
+to_matrix returns the matrix as rows of floats.  rot4.compose and
+rot4.oracle are registered in sys.modules at `import rot4` but run no code
+until a name is first read from them, so a process compiles them only if
+it composes or consults the oracle.  Their names below resolve through the
+module __getattr__ on first use and are then plain package globals.
 """
 
-from .compose import (
-    GibbsPair,
-    SimplicityReport,
-    compose,
-    compose_gibbs,
-    composed_planes_from_gibbs,
-    is_composition_simple,
-)
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
 from .errors import (
     DegenerateAxis,
     GibbsSingular,
@@ -126,16 +123,41 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-_ORACLE_NAMES = ("OraclePlanes", "planes_from_matrix")
+
+def _lazy(name: str):
+    """The submodule rot4.<name>, put in sys.modules without running it:
+    LazyLoader runs its code on the first attribute access."""
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_compose = _lazy("compose")  # the name rot4.compose is the function, as it always was
+oracle = _lazy("oracle")  # the attribute `import rot4.oracle` would set
+
+_LAZY_NAMES = {
+    "GibbsPair": _compose,
+    "SimplicityReport": _compose,
+    "compose": _compose,
+    "compose_gibbs": _compose,
+    "composed_planes_from_gibbs": _compose,
+    "is_composition_simple": _compose,
+    "OraclePlanes": oracle,
+    "planes_from_matrix": oracle,
+}
 
 
 def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    try:
+        module = _LAZY_NAMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(module, name)
+    return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_ORACLE_NAMES))
+    return sorted(set(globals()) | set(_LAZY_NAMES))

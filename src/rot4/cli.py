@@ -14,7 +14,9 @@ import json
 import math
 import sys
 
-from .compose import GibbsPair, compose, compose_gibbs, is_composition_simple
+# rot4.compose and rot4.oracle as the package registers them: neither runs its
+# code until a command first reads a name from it
+from . import _compose, oracle
 from .errors import GibbsSingular, NotSimple, NotUnit, PairingFailure
 from .plane import Plane, _projector_rows, projector_distance
 from .quat import RANDOM_AXIS_MARGIN, Quaternion, normalized
@@ -183,11 +185,12 @@ def cmd_compose(args) -> int:
         raise _CliError(EXIT_MALFORMED, "f and g cannot both be - (stdin holds one document)")
     f = _rotation_from_doc(_read_text(args.f), args.normalize)
     g = _rotation_from_doc(_read_text(args.g), args.normalize)
-    h = compose(g, f)
+    h = _compose.compose(g, f)
     out = doc_of_rotation(h)
     if args.gibbs:
+        from_rotation = _compose.GibbsPair.from_rotation
         try:
-            gp = compose_gibbs(GibbsPair.from_rotation(f), GibbsPair.from_rotation(g))
+            gp = _compose.compose_gibbs(from_rotation(f), from_rotation(g))
             out["gibbs"] = {
                 "p_tilde": list(gp.p_tilde),
                 "q_tilde": list(gp.q_tilde),
@@ -198,7 +201,7 @@ def cmd_compose(args) -> int:
             out["gibbs"] = {"singular": str(exc)}
     if args.check_simple:
         try:
-            report = is_composition_simple(f, g, args.eps)
+            report = _compose.is_composition_simple(f, g, args.eps)
         except NotSimple as exc:
             raise _CliError(EXIT_MALFORMED, f"--check-simple: {exc}") from exc
         out["simplicity"] = {name: getattr(report, name) for name in report.__match_args__}
@@ -228,19 +231,17 @@ def _entry(plane: Plane | None, angle: float) -> dict:
 def build_verify_report(r: Rotation4, eps: float = DEFAULT_EPS) -> dict:
     """Compare classify's planes/angles with the matrix oracle, which reads
     them off M + M^T and M - M^T of the same rotation in floats."""
-    from .oracle import planes_from_matrix
-
     kind = classify(r, eps)
     fp1, fa1, fp2, fa2, planes_free = _formula_entries(kind)
     # eps governs the comparison verdict; the oracle's pairing test never needs
     # to be stricter than the default, or exact pairs would fail at rounding level
-    oracle = planes_from_matrix(to_matrix(r), max(eps, DEFAULT_EPS))
-    op1, oa1, op2, oa2 = oracle.plane1, oracle.angle1, oracle.plane2, oracle.angle2
+    found = oracle.planes_from_matrix(to_matrix(r), max(eps, DEFAULT_EPS))
+    op1, oa1, op2, oa2 = found.plane1, found.angle1, found.plane2, found.angle2
     # two possible pairings; take the one with the smaller total angle gap
     if abs(fa1 - oa2) + abs(fa2 - oa1) < abs(fa1 - oa1) + abs(fa2 - oa2):
         op1, oa1, op2, oa2 = op2, oa2, op1, oa1
     max_angle = max(abs(fa1 - oa1), abs(fa2 - oa2))
-    if planes_free or oracle.isoclinic:
+    if planes_free or found.isoclinic:
         max_proj = 0.0
     else:
         max_proj = max(projector_distance(fp1, op1), projector_distance(fp2, op2))

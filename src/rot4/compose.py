@@ -68,7 +68,7 @@ class GibbsPair(_Value):
         for name, tilde in (("p_tilde", p_tilde), ("q_tilde", q_tilde)):
             if not isinstance(tilde, Vec3):
                 raise TypeError(f"{name} must be a Vec3, got {type(tilde).__name__}")
-        _gibbs_pair(self, *p_tilde, *q_tilde, float(cos_alpha), float(cos_beta))
+        _gibbs_pair(self, *p_tilde, *q_tilde, float(cos_alpha), float(cos_beta), False)
 
     @classmethod
     def from_rotation(cls, r: Rotation4) -> "GibbsPair":
@@ -79,33 +79,36 @@ class GibbsPair(_Value):
                 "a factor has vanishing scalar part; the rotation has no Gibbs form"
             )
         f, g = 1.0 / s, 1.0 / t
-        return _gibbs_pair(_new(cls), a1 * f, a2 * f, a3 * f, b1 * g, b2 * g, b3 * g, s, t)
+        return _gibbs_pair(_new(cls), a1 * f, a2 * f, a3 * f, b1 * g, b2 * g, b3 * g, s, t, True)
 
     def to_rotation(self) -> Rotation4:
         a = Quaternion(self.cos_alpha, self.p_tilde * self.cos_alpha)
         b = Quaternion(self.cos_beta, self.q_tilde * self.cos_beta)
-        # the consistency gate scales with 1+|g|^2, so reconstruction can sit
-        # slightly off unit norm for long Gibbs vectors
+        # the gate admits factors up to EPS_UNIT off unit norm, as Rotation4 does
         return Rotation4(normalized(a), normalized(b))
 
 
 _set_p_tilde, _set_q_tilde, _set_cos_alpha, _set_cos_beta = _setters(GibbsPair)
 
 
-def _gibbs_pair(pair, p1, p2, p3, q1, q2, q3, cos_alpha: float, cos_beta: float) -> GibbsPair:
+def _gibbs_pair(
+    pair, p1, p2, p3, q1, q2, q3, cos_alpha: float, cos_beta: float, renormalize: bool
+) -> GibbsPair:
     """Fill the bare GibbsPair `pair` with the Gibbs vectors (p1, p2, p3),
-    (q1, q2, q3) and the float cosines, behind the consistency gate
-    cos^2 (1 + |g|^2) = 1 within EPS_UNIT (1 + |g|^2), left side first.
-    "not <=" fails a NaN cosine, which every ">" comparison lets through.
-    Where the scale 1 + |g|^2 overflows, the test no longer measures
-    anything, so "< math.inf" sends that side to _recheck as well."""
+    (q1, q2, q3) and the float cosines, behind the consistency gate, left
+    side first: each factor cos (1 + g) that to_rotation rebuilds is unit
+    within EPS_UNIT, as Rotation4 admits its factors, so
+    |cos^2 (1 + |g|^2) - 1| <= EPS_UNIT.  "not <=" fails a NaN, and an
+    overflowed 1 + |g|^2 fails it too, which sends that side to _recheck.
+    With renormalize, as for the pairs rot4 derives itself, _recheck scales
+    a cosine past the gate to unit norm instead of refusing it."""
     p, q = _vec(p1, p2, p3), _vec(q1, q2, q3)
     scale = 1.0 + (p1 * p1 + p2 * p2 + p3 * p3)
-    if not abs(cos_alpha * cos_alpha * scale - 1.0) <= EPS_UNIT * scale < math.inf:
-        _recheck("left", p1, p2, p3, cos_alpha, scale)
+    if not abs(cos_alpha * cos_alpha * scale - 1.0) <= EPS_UNIT:
+        cos_alpha = _recheck("left", p1, p2, p3, cos_alpha, scale, renormalize)
     scale = 1.0 + (q1 * q1 + q2 * q2 + q3 * q3)
-    if not abs(cos_beta * cos_beta * scale - 1.0) <= EPS_UNIT * scale < math.inf:
-        _recheck("right", q1, q2, q3, cos_beta, scale)
+    if not abs(cos_beta * cos_beta * scale - 1.0) <= EPS_UNIT:
+        cos_beta = _recheck("right", q1, q2, q3, cos_beta, scale, renormalize)
     _set_p_tilde(pair, p)
     _set_q_tilde(pair, q)
     _set_cos_alpha(pair, cos_alpha)
@@ -113,16 +116,22 @@ def _gibbs_pair(pair, p1, p2, p3, q1, q2, q3, cos_alpha: float, cos_beta: float)
     return pair
 
 
-def _recheck(side: str, g1: float, g2: float, g3: float, cos: float, scale: float) -> None:
-    """The slow end of _gibbs_pair's gate for one side: raise its ValueError,
-    unless the scale 1 + |g|^2 overflowed and the factor cos (1 + g) that
-    to_rotation rebuilds is unit, cos^2 + |cos g|^2 = 1 within EPS_UNIT."""
+def _recheck(
+    side: str, g1: float, g2: float, g3: float, cos: float, scale: float, renormalize: bool
+) -> float:
+    """The slow end of _gibbs_pair's gate for one side: the cosine to keep.
+    The squared norm of the factor cos (1 + g) is cos^2 (1 + |g|^2), or
+    cos^2 + |cos g|^2 where the scale 1 + |g|^2 overflowed.  cos is kept
+    when that is 1 within EPS_UNIT; with renormalize, a finite nonzero norm
+    is divided out of it; otherwise this raises the side's ValueError."""
     value = cos * cos * scale
     if scale == math.inf:
         x1, x2, x3 = cos * g1, cos * g2, cos * g3
         value = cos * cos + (x1 * x1 + x2 * x2 + x3 * x3)
-        if abs(value - 1.0) <= EPS_UNIT:
-            return
+    if abs(value - 1.0) <= EPS_UNIT:
+        return cos
+    if renormalize and 0.0 < value < math.inf:
+        return cos / math.sqrt(value)
     raise ValueError(f"{side} data is inconsistent: cos^2*(1+|g|^2) = {value!r}, expected 1")
 
 
@@ -136,7 +145,10 @@ def compose_gibbs(f: GibbsPair, g: GibbsPair) -> GibbsPair:
     The cross products take opposite orders on the two sides; that asymmetry
     is real, not a typo.  A vanishing denominator means the composed factor
     is a pure quaternion (cosine zero) and the chart breaks down.  Both
-    sides run quat._gibbs_rule on floats.
+    sides run quat._gibbs_rule on floats.  The composed cosines are
+    renormalized where the inputs' own distance from unit norm, up to
+    EPS_UNIT each, takes them past the consistency gate, as compose
+    renormalizes its factor products.
     """
     p1, p2, p3, den_p = _gibbs_rule(
         f.p_tilde, g.p_tilde, "left composed cosine vanishes (p-denominator is zero)"
@@ -146,7 +158,7 @@ def compose_gibbs(f: GibbsPair, g: GibbsPair) -> GibbsPair:
     )
     cos_a = f.cos_alpha * g.cos_alpha * den_p
     cos_b = f.cos_beta * g.cos_beta * den_q
-    return _gibbs_pair(_new(GibbsPair), p1, p2, p3, q1, q2, q3, cos_a, cos_b)
+    return _gibbs_pair(_new(GibbsPair), p1, p2, p3, q1, q2, q3, cos_a, cos_b, True)
 
 
 class SimplicityReport(_Value):

@@ -39,6 +39,14 @@ _new = object.__new__
 _tuple_new = tuple.__new__
 
 
+def _unsupported(op: str, x, y):
+    """Raise the TypeError Python gives for an operator that neither side
+    supports.  The values raise it themselves where NotImplemented would let
+    a plain tuple's concatenation answer for them."""
+    names = f"{type(x).__name__!r} and {type(y).__name__!r}"
+    raise TypeError(f"unsupported operand type(s) for {op}: {names}")
+
+
 def _setters(cls) -> tuple:
     """The own setter of each of the record cls's slots, in field order: it
     writes the slot past _Value.__setattr__, and faster than
@@ -48,10 +56,11 @@ def _setters(cls) -> tuple:
 
 class _Value:
     """Immutable value, its fields in order in __match_args__: equality and
-    hash by exact class, then the tuple of fields, and no ordering;
-    __reduce__ rebuilds through the constructor, so copy and pickle validate
-    again.  A record holds its fields in __slots__, which name them; Vec3
-    and Quaternion are tuples of their floats, read through properties."""
+    hash by exact class, then the tuple of fields; no ordering and no
+    concatenation, not even with a plain tuple; __reduce__ rebuilds through
+    the constructor, so copy and pickle validate again.  A record holds its
+    fields in __slots__, which name them; Vec3 and Quaternion are tuples of
+    their floats, read through properties."""
 
     __slots__ = ()
     __array_ufunc__ = None  # numpy's operators defer to the value's own
@@ -83,9 +92,13 @@ class _Value:
         return equal if equal is NotImplemented else not equal
 
     def __lt__(self, other):
-        return NotImplemented
+        # not NotImplemented, which would hand the comparison to a plain tuple
+        raise TypeError(f"no ordering between {type(self).__name__!r} and {type(other).__name__!r}")
 
     __le__ = __gt__ = __ge__ = __lt__
+
+    def __radd__(self, other):
+        _unsupported("+", other, self)
 
     def __hash__(self) -> int:
         return hash(self._fields())
@@ -137,11 +150,15 @@ class Vec3(_Value, tuple):
         return self[:]  # a plain tuple
 
     def __add__(self, other: "Vec3") -> "Vec3":
+        if other.__class__ is not Vec3:
+            _unsupported("+", self, other)
         x1, x2, x3 = self
         y1, y2, y3 = other
         return _vec(x1 + y1, x2 + y2, x3 + y3)
 
     def __sub__(self, other: "Vec3") -> "Vec3":
+        if other.__class__ is not Vec3:
+            _unsupported("-", self, other)
         x1, x2, x3 = self
         y1, y2, y3 = other
         return _vec(x1 - y1, x2 - y2, x3 - y3)
@@ -212,11 +229,15 @@ class Quaternion(_Value, tuple):
         return self[:]  # a plain tuple
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
+        if other.__class__ is not Quaternion:
+            _unsupported("+", self, other)
         s, x1, x2, x3 = self
         t, y1, y2, y3 = other
         return _quat(s + t, x1 + y1, x2 + y2, x3 + y3)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
+        if other.__class__ is not Quaternion:
+            _unsupported("-", self, other)
         s, x1, x2, x3 = self
         t, y1, y2, y3 = other
         return _quat(s - t, x1 - y1, x2 - y2, x3 - y3)

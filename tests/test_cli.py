@@ -463,15 +463,20 @@ class TestReflections:
 class TestNumpyLoading:
     """No command loads numpy: rot4 computes in floats with the standard
     library alone.  Neither `import rot4` nor any command loads dataclasses
-    or inspect, which would add their import to every start-up.  Only
-    verify loads rot4.oracle, which no other command needs.  Each case
-    runs in a fresh interpreter."""
+    or inspect, which would add their import to every start-up.  rot4.compose
+    and rot4.oracle are in sys.modules from `import rot4` on, but run their
+    code only when used: rot4.compose for compose alone, rot4.oracle for
+    verify alone.  A module that has run is a plain module; the check reads
+    its type, since any attribute access would run it.  Each case runs in a
+    fresh interpreter."""
 
     SCRIPT = """
-import sys
+import sys, types
 def loaded():
-    names = ("numpy", "dataclasses", "inspect", "rot4.oracle")
-    return ",".join(m for m in names if m in sys.modules) or "-"
+    names = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+    for m in ("rot4.compose", "rot4.oracle"):
+        names += [m] if type(sys.modules[m]) is types.ModuleType else []
+    return ",".join(names) or "-"
 import rot4, rot4.cli
 at_import = loaded()
 code = rot4.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
@@ -501,5 +506,5 @@ print(at_import, loaded(), code)
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        after = "rot4.oracle" if argv[:1] == ["verify"] else "-"
+        after = {"compose": "rot4.compose", "verify": "rot4.oracle"}.get("".join(argv[:1]), "-")
         assert proc.stdout.splitlines()[-1].split() == ["-", after, "0"]

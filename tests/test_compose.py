@@ -1,19 +1,22 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rot4 import (
+    EPS_UNIT,
     DegenerateAxis,
     Double,
     GibbsPair,
     GibbsSingular,
     Identity,
     NotSimple,
+    NotUnit,
     ONE,
     Plane,
     Quaternion,
@@ -406,6 +409,78 @@ class TestComposeGibbs:
             assert not consistent
             return
         assert abs(norm_sq(pair.to_rotation().a) - 1.0) <= EPS_ALG
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        digits=st.floats(-3.0, 308.0),
+        direction=st.sampled_from([(1.0, 0.0, 0.0), (0.6, -0.8, 0.0), (R2, R2, 0.5)]),
+        stretch=st.sampled_from([0.0, 1e-12, 4e-10, 6e-10, 1e-9, 1e-6, 0.1, 1e5])
+        | st.floats(-0.9, 1e5),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    @example(digits=100.0, direction=(1.0, 0.0, 0.0), stretch=1e95, sign=1.0)
+    @example(digits=150.0, direction=(1.0, 0.0, 0.0), stretch=-1.0 + 1e-10, sign=1.0)
+    def test_pair_gate_is_relative(self, digits, direction, stretch, sign):
+        # the gate asks the factor cos (1 + g) to be unit within EPS_UNIT at
+        # every |g|: judged exactly, a pair clearly off unit norm is refused,
+        # and one clearly within rebuilds its rotation
+        g = Vec3(*direction) * 10.0**digits
+        unit = unit_from_gibbs(g)
+        cos = sign * (1.0 + stretch) * unit.s
+        gap = abs(Fraction(cos) ** 2 * (1 + sum(Fraction(c) ** 2 for c in g.components())) - 1)
+        try:
+            pair = GibbsPair(g, Vec3(), cos, 1.0)
+        except ValueError:
+            assert gap > EPS_UNIT * (1 - 1e-6)
+            return
+        assert gap <= EPS_UNIT * (1 + 1e-6)
+        a = pair.to_rotation().a
+        assert abs(norm_sq(a) - 1.0) <= EPS_ALG
+        assert min(comp_diff(a, unit), comp_diff(a, -unit)) <= 1e-9
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        cosines=st.lists(
+            st.tuples(
+                st.sampled_from([1.5e-9, 1e-6, 1e-3, 0.5]) | st.floats(1.5e-9, 1.0),
+                st.sampled_from([1.5e-9, 1e-6, 0.01, 0.5]) | st.floats(1.5e-9, 1.0),
+            ),
+            min_size=2,
+            max_size=5,
+        ),
+        off=st.sampled_from([0.0, 0.9e-9, -0.9e-9, 0.5e-9]) | st.floats(-0.99e-9, 0.99e-9),
+        axes=st.permutations([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.6, 0.0, -0.8), (R2, -0.5, 0.5)]),
+    )
+    @example(
+        cosines=[(math.cos(0.01), math.cos(0.01))] * 2,
+        off=0.9e-9,
+        axes=[(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)],
+    )
+    def test_no_derived_pair_is_refused(self, cosines, off, axes):
+        # factors admitted at Rotation4's gate, up to EPS_UNIT off unit norm,
+        # with scalar parts down to near EPS_GIBBS: from_rotation and every
+        # link of a compose_gibbs chain keep a pair within the gate
+        k = math.sqrt(1.0 + off)
+        pairs = []
+        for n, (ca, cb) in enumerate(cosines):
+            factors = []
+            for c, axis in ((ca, axes[n % 4]), (cb, axes[(n + 1) % 4])):
+                s = math.sqrt(1.0 - c * c)
+                factors.append(Quaternion.of(c * k, *(x * s * k for x in axis)))
+            try:
+                r = Rotation4(*factors)
+            except NotUnit:
+                assume(False)
+            pairs.append(GibbsPair.from_rotation(r))
+        h = pairs[0]
+        for pair in pairs[1:]:
+            try:
+                h = compose_gibbs(h, pair)
+            except GibbsSingular:
+                break
+            for g, cos in ((h.p_tilde, h.cos_alpha), (h.q_tilde, h.cos_beta)):
+                norm = Fraction(cos) ** 2 * (1 + sum(Fraction(c) ** 2 for c in g.components()))
+                assert abs(norm - 1) <= EPS_UNIT * (1 + 1e-6)
 
     def test_pair_stores_float_cosines(self):
         pair = GibbsPair(Vec3(), Vec3(), np.float64(1.0), 1)

@@ -6,9 +6,15 @@ syntax tree with the standard library.  A name counts as used when it is
 read anywhere in the module, inside a string annotation included.
 __init__.py is left out of the import check: it imports names to re-export
 them.
+
+rot4.compose and rot4.oracle are registered lazily by the package; the last
+tests run each import order in a fresh interpreter.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,3 +138,62 @@ def test_catches_an_orphaned_private_helper():
         ),
     }
     assert _orphans(modules) == ["compose._helper", "rotation._clamp", "rotation._turn"]
+
+
+# Runs a first statement, then prints one fact a line: the rot4 modules that
+# have run their code, whether dir(rot4) lists every public name (and those
+# modules again, since dir must run nothing), and whether rot4.compose,
+# rot4.oracle and `from rot4 import *` resolve as they always have.
+_LAZY_SCRIPT = """
+import sys, types
+def ran():
+    run = [n for n, m in sys.modules.items() if type(m) is types.ModuleType]
+    return " ".join(sorted(n for n in run if n.startswith("rot4")))
+exec(sys.argv[1])
+import rot4
+print(ran())
+names = dir(rot4)
+print(names == sorted(names) and set(rot4.__all__) <= set(names), ran())
+compose, oracle = sys.modules["rot4.compose"], sys.modules["rot4.oracle"]
+print(rot4.compose is compose.compose and callable(rot4.compose))
+print(rot4.oracle is oracle and rot4.oracle.planes_from_matrix is rot4.planes_from_matrix)
+namespace = {}
+exec("from rot4 import *", namespace)
+star = set(namespace) - {"__builtins__"}
+print(star == set(rot4.__all__) and namespace["compose"] is rot4.compose)
+"""
+
+_RUN = "rot4 rot4.errors rot4.plane rot4.quat rot4.rotation"
+
+
+@pytest.mark.parametrize(
+    "first, ran",
+    [
+        ("import rot4", _RUN),
+        ("import rot4.cli", _RUN + " rot4.cli"),
+        ("import rot4.compose", _RUN),
+        ("from rot4.compose import _intersection_dim", _RUN + " rot4.compose"),
+        ("import importlib; importlib.import_module('rot4.compose')", _RUN),
+        (
+            "import rot4.oracle as m; assert m is sys.modules['rot4.oracle']; m.planes_from_matrix",
+            _RUN + " rot4.oracle",
+        ),
+        ("from rot4 import *", _RUN + " rot4.compose rot4.oracle"),
+    ],
+    ids=["rot4", "cli", "import-compose", "from-compose", "import_module", "oracle-as", "star"],
+)
+def test_lazy_modules_in_every_import_order(first, ran):
+    # rot4.compose and rot4.oracle sit in sys.modules from `import rot4` on
+    # and run only when a name is read from them; rot4.compose stays the
+    # function whichever statement comes first
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCRIPT, first],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    executed, listed, *resolved = proc.stdout.splitlines()
+    assert executed == " ".join(sorted(ran.split()))
+    assert listed == f"True {executed}"
+    assert resolved == ["True"] * 3

@@ -405,10 +405,47 @@ class TestValueSemantics:
         assert type(q.components()) is tuple and q.components() == plain
 
     @pytest.mark.parametrize("compare", [operator.lt, operator.le, operator.gt, operator.ge])
-    @pytest.mark.parametrize("x, y", [(ONE, I), (Vec3(1, 2, 3), Vec3(1, 2, 4))], ids=["q", "v"])
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (ONE, I),
+            (Vec3(1, 2, 3), Vec3(1, 2, 4)),
+            # NotImplemented would hand these to the plain tuple's ordering
+            (Vec3(1, 2, 3), (2.0, 0.0, 0.0)),
+            ((2.0, 0.0, 0.0), Vec3(1, 2, 3)),
+            (ONE, (0.0, 0.0, 0.0, 1.0)),
+            ((0.0, 0.0, 0.0, 1.0), ONE),
+        ],
+        ids=["q", "v", "v-tuple", "tuple-v", "q-tuple", "tuple-q"],
+    )
     def test_no_ordering(self, compare, x, y):
         with pytest.raises(TypeError):
             compare(x, y)
+
+    @pytest.mark.parametrize(
+        "value, other",
+        [
+            (Vec3(1, 2, 3), (1.0, 2.0, 3.0)),
+            (Quaternion.of(1, 0, 0, 0), (0.0, 0.0, 0.0, 1.0)),
+            (Quaternion.of(1, 0, 0, 0), Vec3(1, 2, 3)),
+            (Vec3(1, 2, 3), Quaternion.of(1, 0, 0, 0)),
+        ],
+        ids=["v-tuple", "q-tuple", "q-v", "v-q"],
+    )
+    def test_add_and_subtract_take_the_same_class(self, value, other):
+        name = f"{type(value).__name__!r} and {type(other).__name__!r}"
+        for op, symbol in ((operator.add, "+"), (operator.sub, "-"), (operator.iadd, "+")):
+            with pytest.raises(TypeError, match=f"for \\{symbol}: {name}$"):
+                op(value, other)
+        assert value + value == 2.0 * value and value - value == 0.0 * value
+
+    @pytest.mark.parametrize("value", [Vec3(1, 2, 3), Quaternion.of(1, 0, 0, 0)], ids=["v", "q"])
+    def test_no_concatenation_after_a_plain_tuple(self, value):
+        with pytest.raises(TypeError, match=f"for \\+: 'tuple' and {type(value).__name__!r}$"):
+            (1.0,) + value
+        plain = (1.0,)
+        with pytest.raises(TypeError):
+            plain += value
 
     def test_sequence_and_numpy(self):
         q = Quaternion.of(0.5, 0.5, 0.5, -0.5)
