@@ -17,18 +17,8 @@ module __getattr__ on first use and are then plain package globals.
 import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
 
-from .errors import (
-    DegenerateAxis,
-    GibbsSingular,
-    NotSimple,
-    NotUnit,
-    PairingFailure,
-    Rot4Error,
-)
-from .plane import (
-    Plane,
-    projector_distance,
-)
+from .errors import DegenerateAxis, GibbsSingular, NotSimple, NotUnit, PairingFailure, Rot4Error
+from .plane import Plane, projector_distance
 from .quat import (
     DEFAULT_EPS,
     EPS_AXIS,
@@ -42,14 +32,11 @@ from .quat import (
     Vec3,
     conj,
     dot4,
-    gibbs_from_unit,
     mul,
     norm,
     norm_sq,
     normalized,
     pure,
-    rodrigues_compose,
-    unit_from_gibbs,
 )
 from .rotation import (
     Double,
@@ -144,7 +131,10 @@ _LAZY_NAMES = {
     "compose": _compose,
     "compose_gibbs": _compose,
     "composed_planes_from_gibbs": _compose,
+    "gibbs_from_unit": _compose,
     "is_composition_simple": _compose,
+    "rodrigues_compose": _compose,
+    "unit_from_gibbs": _compose,
     "OraclePlanes": oracle,
     "planes_from_matrix": oracle,
 }

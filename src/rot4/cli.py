@@ -70,7 +70,7 @@ def parse_doc(text: str) -> tuple[Quaternion, Quaternion]:
     """Parse a rotation document into its raw (a, b) factors, unvalidated."""
     try:
         obj = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
         raise _CliError(EXIT_MALFORMED, f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
         raise _CliError(EXIT_MALFORMED, 'document must be an object with "a" and "b"')
@@ -363,79 +363,82 @@ def _non_negative(convert):
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rot4",
-        description="Classify, compose, and verify rotations of Euclidean "
-        "4-space given as unit-quaternion pairs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _document_args(*docs):
+    """An argument adder: the positionals docs, each a (name, help) pair,
+    then --eps, --json and --normalize."""
 
-    def common(p, docs):
+    def add(p):
         for name, help_text in docs:
             p.add_argument(name, help=help_text)
         eps_help = "tolerance, finite and >= 0; a negative value must be written --eps=-1e-3"
         p.add_argument("--eps", type=_non_negative(float), default=DEFAULT_EPS, help=eps_help)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--normalize",
-            action="store_true",
-            help="renormalize input factors instead of rejecting non-unit ones",
-        )
+        normalize_help = "renormalize input factors instead of rejecting non-unit ones"
+        p.add_argument("--normalize", action="store_true", help=normalize_help)
 
-    p_classify = sub.add_parser("classify", help="classify a rotation document")
-    common(p_classify, [("doc", "rotation document path, or - for stdin")])
-    p_classify.set_defaults(func=cmd_classify)
+    return add
 
-    p_compose = sub.add_parser(
-        "compose", help="compose two rotations (first argument applied first)"
-    )
-    common(
-        p_compose,
-        [
-            ("f", "rotation applied first (path or -)"),
-            ("g", "rotation applied second (path or -)"),
-        ],
-    )
-    p_compose.add_argument(
-        "--gibbs", action="store_true", help="also propagate Gibbs parameters"
-    )
-    p_compose.add_argument(
-        "--check-simple",
-        action="store_true",
-        help="report the simplicity verdict for two simple inputs",
-    )
-    p_compose.set_defaults(func=cmd_compose)
 
-    p_verify = sub.add_parser(
-        "verify", help="cross-check formula planes/angles against the matrix oracle"
-    )
-    common(p_verify, [("doc", "rotation document path, or - for stdin")])
-    p_verify.set_defaults(func=cmd_verify)
+def _compose_args(p):
+    first, second = "rotation applied first (path or -)", "rotation applied second (path or -)"
+    _document_args(("f", first), ("g", second))(p)
+    p.add_argument("--gibbs", action="store_true", help="also propagate Gibbs parameters")
+    check_help = "report the simplicity verdict for two simple inputs"
+    p.add_argument("--check-simple", action="store_true", help=check_help)
 
-    p_random = sub.add_parser("random", help="emit a seeded random rotation document")
-    p_random.add_argument("--seed", type=_non_negative(int), default=0)
-    p_random.add_argument(
-        "--kind",
-        choices=["any", "simple", "double", "left-isoclinic", "right-isoclinic"],
-        default="any",
-    )
-    p_random.add_argument("--eps", type=_non_negative(float), default=DEFAULT_EPS)
-    p_random.add_argument("--json", action="store_true")
-    p_random.set_defaults(func=cmd_random)
 
-    p_refl = sub.add_parser(
-        "reflections", help="decompose a simple rotation into two reflection normals"
-    )
-    common(p_refl, [("doc", "rotation document path, or - for stdin")])
-    p_refl.set_defaults(func=cmd_reflections)
+def _random_args(p):
+    kinds = ["any", "simple", "double", "left-isoclinic", "right-isoclinic"]
+    p.add_argument("--seed", type=_non_negative(int), default=0)
+    p.add_argument("--kind", choices=kinds, default="any")
+    p.add_argument("--eps", type=_non_negative(float), default=DEFAULT_EPS)
+    p.add_argument("--json", action="store_true")
 
+
+_one_doc = _document_args(("doc", "rotation document path, or - for stdin"))
+# (name, help, handler, argument adder) of each command, in the order of the help
+_COMMANDS = (
+    ("classify", "classify a rotation document", cmd_classify, _one_doc),
+    ("compose", "compose two rotations (first argument applied first)", cmd_compose, _compose_args),
+    ("verify", "cross-check formula planes/angles against the matrix oracle", cmd_verify, _one_doc),
+    ("random", "emit a seeded random rotation document", cmd_random, _random_args),
+    (
+        "reflections",
+        "decompose a simple rotation into two reflection normals",
+        cmd_reflections,
+        _one_doc,
+    ),
+)
+# the command argument as the full parser's usage line shows it
+_ALL_COMMANDS = "{" + ",".join(name for name, *_ in _COMMANDS) + "}"
+
+
+def _build_parser(head) -> argparse.ArgumentParser:
+    """The parser for an argument list whose first item, if any, is head's.
+    A head that names a command gets that command's subparser alone, since a
+    process runs one; any other (none, an option, a typo) gets all five, so
+    that the top-level help and argparse's errors list every command."""
+    parser = argparse.ArgumentParser(
+        prog="rot4",
+        description="Classify, compose, and verify rotations of Euclidean "
+        "4-space given as unit-quaternion pairs.",
+    )
+    chosen = [command for command in _COMMANDS if command[0] in head]
+    # the usage line lists every command either way; a metavar would also
+    # rename the argument in the errors that only the full parser raises
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=_ALL_COMMANDS if chosen else None
+    )
+    for name, help_text, handler, add_arguments in chosen or _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[:1]).parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

@@ -6,6 +6,10 @@ rules that generalize the classical 3D composition formula; and when both
 inputs are simple, a scalar residual decides whether the composition stays
 simple, equivalently whether the four reflection normals are linearly
 dependent, equivalently whether the fixed planes intersect nontrivially.
+
+The Gibbs chart of one unit quaternion lives here, beside compose_gibbs: the
+package runs this module on first use, so only a process that composes
+compiles it.
 """
 
 from __future__ import annotations
@@ -22,14 +26,15 @@ from .quat import (
     Quaternion,
     Vec3,
     _det4,
-    _gibbs_rule,
     _mul4,
     _new,
+    _quat,
     _setters,
     _unit4,
     _Value,
     _vec,
     normalized,
+    require_unit,
 )
 from .rotation import (
     DEFAULT_EPS,
@@ -50,6 +55,53 @@ def compose(g: Rotation4, f: Rotation4) -> Rotation4:
     admitted and its sign fixed on the floats (rotation._rotation), so only
     the two factors kept are built."""
     return _rotation(_unit4(_mul4(g.a, f.a)), _unit4(_mul4(f.b, g.b)))
+
+
+def gibbs_from_unit(a: Quaternion) -> Vec3:
+    """Gibbs vector of a unit quaternion: axis * tan(half_angle) = Va / Sa.
+    Raises GibbsSingular at half-angle pi/2, where the chart blows up."""
+    require_unit(a)
+    if abs(a.s) <= EPS_GIBBS:
+        raise GibbsSingular("scalar part vanishes; the Gibbs chart is singular here")
+    return a.v / a.s
+
+
+def unit_from_gibbs(g: Vec3) -> Quaternion:
+    """Unit quaternion (1 + g)/sqrt(1 + |g|^2); scalar part always positive.
+    Where 1 + |g|^2 overflows, quat._unit4 first scales 1 + g by 1/max|g_i|."""
+    return _quat(*_unit4((1.0, *g)))
+
+
+def _gibbs_rule(g1: tuple, g2: tuple, singular: str) -> tuple:
+    """The Gibbs composition rule 'g1 followed by g2' on component tuples:
+    (g2 + g1 + g2 x g1) / den and den = 1 - g2.g1, as four floats, the dot
+    and cross summed as Vec3.dot and _cross3 sum them and the quotient taken
+    as * (1/den).
+
+    Raises GibbsSingular with the message `singular` when den vanishes, and
+    Vec3's refusal for a result that is not finite, so that compose_gibbs
+    refuses its left side before it computes the right.
+    """
+    a1, a2, a3 = g1
+    b1, b2, b3 = g2
+    den = 1.0 - (b1 * a1 + b2 * a2 + b3 * a3)
+    if abs(den) <= EPS_GIBBS:
+        raise GibbsSingular(singular)
+    f = 1.0 / den
+    x1 = (b1 + a1 + (b2 * a3 - b3 * a2)) * f
+    x2 = (b2 + a2 + (b3 * a1 - b1 * a3)) * f
+    x3 = (b3 + a3 + (b1 * a2 - b2 * a1)) * f
+    if x1 * 0.0 + x2 * 0.0 + x3 * 0.0 != 0.0:
+        Vec3(x1, x2, x3)  # raises its refusal
+    return x1, x2, x3, den
+
+
+def rodrigues_compose(g1: Vec3, g2: Vec3) -> Vec3:
+    """Gibbs vector of the 3D rotation 'g1 followed by g2', by the rule
+    (g2 + g1 + g2 x g1) / (1 - g2.g1); singular exactly when the composed
+    rotation angle reaches pi."""
+    x1, x2, x3, _ = _gibbs_rule(g1, g2, "composed rotation angle is pi; no Gibbs vector exists")
+    return _vec(x1, x2, x3)
 
 
 class GibbsPair(_Value):
@@ -145,7 +197,7 @@ def compose_gibbs(f: GibbsPair, g: GibbsPair) -> GibbsPair:
     The cross products take opposite orders on the two sides; that asymmetry
     is real, not a typo.  A vanishing denominator means the composed factor
     is a pure quaternion (cosine zero) and the chart breaks down.  Both
-    sides run quat._gibbs_rule on floats.  The composed cosines are
+    sides run _gibbs_rule on floats.  The composed cosines are
     renormalized where the inputs' own distance from unit norm, up to
     EPS_UNIT each, takes them past the consistency gate, as compose
     renormalizes its factor products.

@@ -17,7 +17,6 @@ this module can arbitrate them.
 from __future__ import annotations
 
 import math
-from numbers import Real
 
 from .errors import PairingFailure
 from .plane import Plane
@@ -51,6 +50,8 @@ def _rows(matrix) -> list[list[float]]:
 
 
 def _real(x) -> float:
+    from numbers import Real  # imported here: only an entry that is not a float gets here
+
     if not isinstance(x, Real):
         raise TypeError(f"not a real number: {x!r}")
     return float(x)

@@ -1,9 +1,12 @@
-"""Quaternion arithmetic, the Gibbs (tangent-vector) form, and every tolerance.
+"""Quaternion arithmetic and every tolerance of the package.
 
 A quaternion x = s + x1*i + x2*j + x3*k is stored as the tuple of its four
 floats (s, x1, x2, x3), its vector part as (x1, x2, x3).  Its four
 components double as coordinates of a point of Euclidean 4-space, ordered
 [s, x1, x2, x3] (scalar first) everywhere in this package.
+
+The Gibbs chart lives in rot4.compose, beside compose_gibbs, so that only a
+process that composes compiles it; EPS_GIBBS stays in the block below.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 from operator import itemgetter
 
-from .errors import GibbsSingular, NotUnit
+from .errors import NotUnit
 
 # Every tolerance of the package.  Tiers: unit-norm admission of user input
 # is deliberately looser than rounding; EPS_AXIS tells a factor +-1 and
@@ -305,9 +308,13 @@ def _dot4(x: tuple, y: tuple) -> float:
 
 
 def _unit4(x: tuple) -> tuple:
-    """x scaled by 1/|x|, refused when |x| <= EPS_AXIS."""
+    """x scaled by 1/|x|, refused when |x| <= EPS_AXIS.  Where the squares
+    overflow, x is scaled by 1/max|x_i| first; a finite |x| skips that step."""
     s, x1, x2, x3 = x
     n = math.sqrt(s * s + (x1 * x1 + x2 * x2 + x3 * x3))
+    if n == math.inf:
+        f = 1.0 / max(abs(s), abs(x1), abs(x2), abs(x3))
+        return _unit4((s * f, x1 * f, x2 * f, x3 * f))
     if n <= EPS_AXIS:
         raise ValueError("cannot normalize a (near-)zero quaternion")
     f = 1.0 / n
@@ -360,60 +367,3 @@ def require_unit(x: Quaternion, what: str = "quaternion") -> None:
     """Raise NotUnit unless |x| = 1 within the admission tolerance."""
     if abs(norm_sq(x) - 1.0) > EPS_UNIT:
         raise NotUnit(f"{what} has norm_sq {norm_sq(x)!r}, expected 1")
-
-
-def gibbs_from_unit(a: Quaternion) -> Vec3:
-    """Gibbs vector of a unit quaternion: axis * tan(half_angle) = Va / Sa.
-
-    Raises GibbsSingular at half-angle pi/2, where the chart blows up.
-    """
-    require_unit(a)
-    if abs(a.s) <= EPS_GIBBS:
-        raise GibbsSingular("scalar part vanishes; the Gibbs chart is singular here")
-    return a.v / a.s
-
-
-def unit_from_gibbs(g: Vec3) -> Quaternion:
-    """Unit quaternion (1 + g)/sqrt(1 + |g|^2); scalar part always positive.
-    Where 1 + |g|^2 overflows, 1 + g is first scaled by 1/max|g_i|."""
-    scale = 1.0 + g.norm_sq()
-    g1, g2, g3 = g
-    if scale == math.inf:
-        f = 1.0 / max(abs(g1), abs(g2), abs(g3))
-        return _quat(*_unit4((f, g1 * f, g2 * f, g3 * f)))
-    scale = 1.0 / math.sqrt(scale)
-    return _quat(scale, g1 * scale, g2 * scale, g3 * scale)
-
-
-def _gibbs_rule(g1: tuple, g2: tuple, singular: str) -> tuple:
-    """The Gibbs composition rule 'g1 followed by g2' on component tuples:
-    (g2 + g1 + g2 x g1) / den and den = 1 - g2.g1, as four floats, the dot
-    and cross summed as Vec3.dot and _cross3 sum them and the quotient taken
-    as * (1/den).
-
-    Raises GibbsSingular with the message `singular` when den vanishes, and
-    Vec3's refusal for a result that is not finite, so that compose_gibbs
-    refuses its left side before it computes the right.
-    """
-    a1, a2, a3 = g1
-    b1, b2, b3 = g2
-    den = 1.0 - (b1 * a1 + b2 * a2 + b3 * a3)
-    if abs(den) <= EPS_GIBBS:
-        raise GibbsSingular(singular)
-    f = 1.0 / den
-    x1 = (b1 + a1 + (b2 * a3 - b3 * a2)) * f
-    x2 = (b2 + a2 + (b3 * a1 - b1 * a3)) * f
-    x3 = (b3 + a3 + (b1 * a2 - b2 * a1)) * f
-    if x1 * 0.0 + x2 * 0.0 + x3 * 0.0 != 0.0:
-        Vec3(x1, x2, x3)  # raises its refusal
-    return x1, x2, x3, den
-
-
-def rodrigues_compose(g1: Vec3, g2: Vec3) -> Vec3:
-    """Gibbs vector of the 3D rotation 'g1 followed by g2'.
-
-    Composition rule (g2 + g1 + g2 x g1) / (1 - g2.g1); singular exactly
-    when the composed rotation angle reaches pi.
-    """
-    x1, x2, x3, _ = _gibbs_rule(g1, g2, "composed rotation angle is pi; no Gibbs vector exists")
-    return _vec(x1, x2, x3)

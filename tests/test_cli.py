@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -123,6 +124,30 @@ class TestClassify:
         code, out = run(capsys, "classify", write_doc(doc), "--normalize", "--json")
         assert code == 0
         assert json.loads(out)["kind"] == "left-isoclinic"
+
+    def test_normalize_where_the_squared_norm_overflows(self, capsys, write_doc):
+        # |a|^2 overflows; --normalize still scales a to (R2, R2, 0, 0)
+        huge = json.dumps({"a": [1e308, 1e308, 0.0, 0.0], "b": [1.0, 0.0, 0.0, 0.0]})
+        code, out = run(capsys, "classify", write_doc(huge), "--normalize", "--json")
+        assert code == 0
+        unit = json.dumps({"a": [R2, R2, 0.0, 0.0], "b": [1.0, 0.0, 0.0, 0.0]})
+        assert json.loads(out) == json.loads(run(capsys, "classify", write_doc(unit), "--json")[1])
+
+    # json's decoder raises neither as JSONDecodeError: RecursionError on deep
+    # nesting, and ValueError past the interpreter's limit on integer digits
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 100000, "maximum recursion depth"),
+            ('{"a": [1%s, 0, 0, 0], "b": [1, 0, 0, 0]}' % ("0" * 5000), "Exceeds the limit"),
+        ],
+        ids=["deep", "5001-digits"],
+    )
+    @pytest.mark.parametrize("command", ["classify", "verify", "reflections", "compose"])
+    def test_undecodable_document_is_malformed(self, capsys, write_doc, command, text, message):
+        docs = [write_doc(text)] * (2 if command == "compose" else 1)
+        assert main([command, *docs]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid JSON: {message}")
 
 
 class TestCompose:
@@ -422,6 +447,50 @@ class TestArguments:
         assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
 
 
+class TestParser:
+    """A process builds the subparser of the command it runs and no other;
+    every text argparse prints stays that of the parser with all five."""
+
+    COMMANDS = ["classify", "compose", "verify", "random", "reflections"]
+
+    @staticmethod
+    def _built(head):
+        parser = cli_module._build_parser(head)
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return parser, action.choices
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_subparser_helps_as_in_the_full_parser(self, command):
+        full, every = self._built([])
+        alone, chosen = self._built([command])
+        assert list(chosen) == [command]
+        assert chosen[command].format_help() == every[command].format_help()
+        # the usage line of argparse's own errors, "unrecognized arguments" among them
+        assert alone.format_usage() == full.format_usage()
+
+    @pytest.mark.parametrize("head", [[], ["-h"], ["--help"], ["classfy"], ["--eps"]])
+    def test_any_other_head_builds_every_subparser(self, head):
+        parser, choices = self._built(head)
+        assert list(choices) == self.COMMANDS
+        assert parser.format_help() == self._built([])[0].format_help()
+
+    def test_unknown_command_lists_every_command(self, capsys, write_doc):
+        with pytest.raises(SystemExit) as exc:
+            main(["classfy", write_doc(F_DOC)])
+        assert exc.value.code == 2
+        choices = ", ".join(repr(c) for c in self.COMMANDS)
+        want = f"error: argument command: invalid choice: 'classfy' (choose from {choices})"
+        assert want in capsys.readouterr().err
+
+    def test_extra_argument_reports_the_full_usage(self, capsys, write_doc):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", write_doc(F_DOC), "extra"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rot4 [-h] {classify,compose,verify,random,reflections} ...")
+        assert err.endswith("error: unrecognized arguments: extra\n")
+
+
 class TestReflections:
     def test_golden(self, capsys, write_doc):
         code, out = run(capsys, "reflections", write_doc(F_DOC))
@@ -462,8 +531,9 @@ class TestReflections:
 
 class TestNumpyLoading:
     """No command loads numpy: rot4 computes in floats with the standard
-    library alone.  Neither `import rot4` nor any command loads dataclasses
-    or inspect, which would add their import to every start-up.  rot4.compose
+    library alone.  Neither `import rot4` nor any command loads dataclasses,
+    inspect or numbers, which would add their import to every start-up (the
+    oracle reads numbers only for a matrix entry that is not a float).  rot4.compose
     and rot4.oracle are in sys.modules from `import rot4` on, but run their
     code only when used: rot4.compose for compose alone, rot4.oracle for
     verify alone.  A module that has run is a plain module; the check reads
@@ -473,7 +543,7 @@ class TestNumpyLoading:
     SCRIPT = """
 import sys, types
 def loaded():
-    names = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
+    names = [m for m in ("numpy", "dataclasses", "inspect", "numbers") if m in sys.modules]
     for m in ("rot4.compose", "rot4.oracle"):
         names += [m] if type(sys.modules[m]) is types.ModuleType else []
     return ",".join(names) or "-"

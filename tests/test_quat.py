@@ -33,6 +33,7 @@ from rot4 import (
     gibbs_from_unit,
     mul,
     norm_sq,
+    normalized,
     planes_from_matrix,
     pure,
     rodrigues_compose,
@@ -109,6 +110,30 @@ class TestConjNorm:
             rhs = mul(x, mul(y, z))
             scale = max(1.0, math.sqrt(norm_sq(x) * norm_sq(y) * norm_sq(z)))
             assert comp_diff(lhs, rhs) <= EPS_ALG * scale
+
+
+class TestNormalized:
+    def test_finite_norm_as_written(self):
+        # just below the overflow of the squared norm, x * (1/|x|) as written
+        x = Quaternion.of(1e154, -3.0, 0.5, 1e153)
+        f = 1.0 / math.sqrt(1e154 * 1e154 + (9.0 + 0.25 + 1e153 * 1e153))
+        assert normalized(x).components() == (1e154 * f, -3.0 * f, 0.5 * f, 1e153 * f)
+
+    def test_examples_where_the_squared_norm_overflows(self):
+        assert comp_diff(normalized(Quaternion.of(1e200, 0, 0, 0)), ONE) <= EPS_ALG
+        got = normalized(Quaternion.of(1e308, 1e308, 0, 0))
+        assert comp_diff(got, Quaternion.of(R2, R2, 0, 0)) <= EPS_ALG
+        got = normalized(Quaternion.of(-1.7e308, 1.7e308, 1.7e308, -1.7e308))
+        assert comp_diff(got, Quaternion.of(-0.5, 0.5, 0.5, -0.5)) <= EPS_ALG
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300, 1.7e308])
+    def test_where_the_squared_norm_overflows(self, rng, scale):
+        # |x|^2 is inf, yet x/|x| is the unit quaternion along x
+        for _ in range(50):
+            a = rand_unit_quat(rng)
+            got = normalized(a * scale)
+            assert abs(norm_sq(got) - 1.0) <= EPS_ALG
+            assert comp_diff(got, a) <= EPS_ALG
 
 
 class TestDot4:
