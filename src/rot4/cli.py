@@ -4,43 +4,46 @@ Rotations travel as JSON documents {"a": [s, x1, x2, x3], "b": [...]}; planes
 as {"u": [...], "w": [...]}.  Exit codes are a stable contract: 0 success,
 1 verification discrepancy (or an input that is valid JSON but unusable for
 the requested operation), 2 malformed input, 3 non-unit factors without
---normalize.
+--normalize, 141 stdout closed by its reader.
+
+_COMMANDS declares every command.  A well-formed command line is read from
+it without argparse, which parses any other, so all help, usage and error
+text is argparse's.  verify and random run from rot4.verify and rot4.sample.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import os
 import sys
+from importlib import import_module
+from types import SimpleNamespace
 
-# rot4.compose and rot4.oracle as the package registers them: neither runs its
-# code until a command first reads a name from it
-from . import _compose, oracle
-from .errors import GibbsSingular, NotSimple, NotUnit, PairingFailure
-from .plane import Plane, _projector_rows, projector_distance
-from .quat import RANDOM_AXIS_MARGIN, Quaternion, normalized
+# rot4.compose as the package registers it: it runs no code until a command
+# first reads a name from it
+from . import _compose
+from .errors import GibbsSingular, NotSimple, NotUnit
+from .plane import Plane, _projector_rows
+from .quat import Quaternion, normalized
 from .rotation import (
     DEFAULT_EPS,
     Double,
     Identity,
     LeftIsoclinic,
-    ReflectionNormal,
     RightIsoclinic,
     Rotation4,
     Simple,
-    _kind,
-    _leading_negative,
     classify,
-    from_reflections,
     simple_to_reflections,
-    to_matrix,
 )
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
 EXIT_MALFORMED = 2
 EXIT_NOT_UNIT = 3
+# 128 + SIGPIPE, as a shell reports a process that the signal ended
+EXIT_BROKEN_PIPE = 141
 
 
 class _CliError(Exception):
@@ -209,129 +212,6 @@ def cmd_compose(args) -> int:
     return EXIT_OK
 
 
-# --- verify ----------------------------------------------------------------
-
-
-def _formula_entries(kind) -> tuple:
-    """(plane1, angle1, plane2, angle2) predicted by the closed-form side,
-    plus a flag marking plane identities as non-unique (isoclinic-like)."""
-    if isinstance(kind, Identity):
-        return None, 0.0, None, 0.0, True
-    if isinstance(kind, (LeftIsoclinic, RightIsoclinic)):
-        return None, kind.angle, None, kind.angle, True
-    if isinstance(kind, Simple):
-        return kind.rotation_plane, kind.angle, kind.fixed_plane, 0.0, False
-    return kind.plane1, kind.angle1, kind.plane2, kind.angle2, False
-
-
-def _entry(plane: Plane | None, angle: float) -> dict:
-    return {"angle": angle, "plane": None if plane is None else _plane_json(plane)}
-
-
-def build_verify_report(r: Rotation4, eps: float = DEFAULT_EPS) -> dict:
-    """Compare classify's planes/angles with the matrix oracle, which reads
-    them off M + M^T and M - M^T of the same rotation in floats."""
-    kind = classify(r, eps)
-    fp1, fa1, fp2, fa2, planes_free = _formula_entries(kind)
-    # eps governs the comparison verdict; the oracle's pairing test never needs
-    # to be stricter than the default, or exact pairs would fail at rounding level
-    found = oracle.planes_from_matrix(to_matrix(r), max(eps, DEFAULT_EPS))
-    op1, oa1, op2, oa2 = found.plane1, found.angle1, found.plane2, found.angle2
-    # two possible pairings; take the one with the smaller total angle gap
-    if abs(fa1 - oa2) + abs(fa2 - oa1) < abs(fa1 - oa1) + abs(fa2 - oa2):
-        op1, oa1, op2, oa2 = op2, oa2, op1, oa1
-    max_angle = max(abs(fa1 - oa1), abs(fa2 - oa2))
-    if planes_free or found.isoclinic:
-        max_proj = 0.0
-    else:
-        max_proj = max(projector_distance(fp1, op1), projector_distance(fp2, op2))
-    return {
-        "kind": _KIND_NAMES[type(kind)],
-        "formula": [_entry(fp1, fa1), _entry(fp2, fa2)],
-        "oracle": [_entry(op1, oa1), _entry(op2, oa2)],
-        "max_projector_distance": max_proj,
-        "max_angle_difference": max_angle,
-        "ok": bool(max_proj <= eps and max_angle <= eps),
-    }
-
-
-def cmd_verify(args) -> int:
-    r = _rotation_from_doc(_read_text(args.doc), args.normalize)
-    try:
-        report = build_verify_report(r, args.eps)
-    except (PairingFailure, ValueError) as exc:
-        raise _CliError(EXIT_DISCREPANCY, f"oracle could not process the rotation: {exc}") from exc
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(f"kind: {report['kind']}")
-        for label in ("formula", "oracle"):
-            print(f"{label}:")
-            for entry in report[label]:
-                line = f"  angle {_fmt_angle(entry['angle'])}"
-                if entry["plane"] is not None:
-                    line += (
-                        f"  u = {_fmt_vec(entry['plane']['u'])}"
-                        f"  w = {_fmt_vec(entry['plane']['w'])}"
-                    )
-                print(line)
-        print(f"max projector distance: {report['max_projector_distance']:.3e}")
-        print(f"max angle difference:   {report['max_angle_difference']:.3e}")
-        print("ok" if report["ok"] else "DISCREPANCY")
-    return EXIT_OK if report["ok"] else EXIT_DISCREPANCY
-
-
-# --- random ----------------------------------------------------------------
-
-
-def _random_unit(rng) -> Quaternion:
-    """A uniform random unit quaternion: four Gaussian draws, normalised."""
-    s, x1, x2, x3 = (rng.gauss(0.0, 1.0) for _ in range(4))
-    norm = math.sqrt(s * s + x1 * x1 + x2 * x2 + x3 * x3)
-    return Quaternion.of(s / norm, x1 / norm, x2 / norm, x3 / norm)
-
-
-def random_rotation(rng, kind: str, eps: float = DEFAULT_EPS) -> Rotation4:
-    """Deterministic (per state of the random.Random rng) rotation of the
-    requested kind."""
-    for _ in range(1000):
-        if kind == "any":
-            return Rotation4(_random_unit(rng), _random_unit(rng))
-        if kind == "simple":
-            r = from_reflections(
-                ReflectionNormal(_random_unit(rng)), ReflectionNormal(_random_unit(rng))
-            )
-            if _kind(r, eps) is Simple:
-                return r
-        elif kind == "double":
-            r = Rotation4(_random_unit(rng), _random_unit(rng))
-            if _kind(r, eps) is Double:
-                return r
-        elif kind == "left-isoclinic":
-            a = _random_unit(rng)
-            a = -a if _leading_negative(a) else a
-            if a.v.norm() > RANDOM_AXIS_MARGIN:
-                return Rotation4(a, Quaternion(1.0))
-        elif kind == "right-isoclinic":
-            b = _random_unit(rng)
-            if b.v.norm() > RANDOM_AXIS_MARGIN:
-                return Rotation4(Quaternion(1.0), b)
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-    raise RuntimeError(f"failed to generate a {kind} rotation")
-
-
-def cmd_random(args) -> int:
-    import random
-
-    try:
-        r = random_rotation(random.Random(args.seed), args.kind, args.eps)
-    except RuntimeError as exc:
-        raise _CliError(EXIT_DISCREPANCY, f"{exc} at eps = {args.eps:g}") from exc
-    print(json.dumps(doc_of_rotation(r)))
-    return EXIT_OK
-
-
 # --- reflections -----------------------------------------------------------
 
 
@@ -345,17 +225,47 @@ def cmd_reflections(args) -> int:
     return EXIT_OK
 
 
-# --- entry point -----------------------------------------------------------
+# --- verify and random, whose code is in rot4.verify and rot4.sample --------
+
+
+def cmd_verify(args) -> int:
+    from . import verify
+
+    return verify.cmd_verify(args)
+
+
+def cmd_random(args) -> int:
+    from . import sample
+
+    return sample.cmd_random(args)
+
+
+# the names that moved to the module of the command that runs them; each
+# becomes a plain global here on its first read
+_MOVED = {"build_verify_report": ".verify", "random_rotation": ".sample"}
+
+
+def __getattr__(name: str):
+    try:
+        module = _MOVED[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(module, __package__), name)
+    return value
+
+
+# --- the command table -----------------------------------------------------
 
 
 def _non_negative(convert):
-    """An argparse type: convert(text), refused unless finite and >= 0.
-    It keeps convert's name, so malformed text still reads "invalid float
-    value"."""
+    """A converter: convert(text), refused unless finite and >= 0.  It keeps
+    convert's name, so malformed text still reads "invalid float value"."""
 
     def parse(text: str):
         value = convert(text)
         if not 0 <= value < math.inf:  # false for NaN too
+            import argparse
+
             raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
         return value
 
@@ -363,82 +273,135 @@ def _non_negative(convert):
     return parse
 
 
-def _document_args(*docs):
-    """An argument adder: the positionals docs, each a (name, help) pair,
-    then --eps, --json and --normalize."""
-
-    def add(p):
-        for name, help_text in docs:
-            p.add_argument(name, help=help_text)
-        eps_help = "tolerance, finite and >= 0; a negative value must be written --eps=-1e-3"
-        p.add_argument("--eps", type=_non_negative(float), default=DEFAULT_EPS, help=eps_help)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        normalize_help = "renormalize input factors instead of rejecting non-unit ones"
-        p.add_argument("--normalize", action="store_true", help=normalize_help)
-
-    return add
-
-
-def _compose_args(p):
-    first, second = "rotation applied first (path or -)", "rotation applied second (path or -)"
-    _document_args(("f", first), ("g", second))(p)
-    p.add_argument("--gibbs", action="store_true", help="also propagate Gibbs parameters")
-    check_help = "report the simplicity verdict for two simple inputs"
-    p.add_argument("--check-simple", action="store_true", help=check_help)
-
-
-def _random_args(p):
-    kinds = ["any", "simple", "double", "left-isoclinic", "right-isoclinic"]
-    p.add_argument("--seed", type=_non_negative(int), default=0)
-    p.add_argument("--kind", choices=kinds, default="any")
-    p.add_argument("--eps", type=_non_negative(float), default=DEFAULT_EPS)
-    p.add_argument("--json", action="store_true")
-
-
-_one_doc = _document_args(("doc", "rotation document path, or - for stdin"))
-# (name, help, handler, argument adder) of each command, in the order of the help
-_COMMANDS = (
-    ("classify", "classify a rotation document", cmd_classify, _one_doc),
-    ("compose", "compose two rotations (first argument applied first)", cmd_compose, _compose_args),
-    ("verify", "cross-check formula planes/angles against the matrix oracle", cmd_verify, _one_doc),
-    ("random", "emit a seeded random rotation document", cmd_random, _random_args),
-    (
-        "reflections",
+# Options map each flag to (converter, default, choices, help); a converter of
+# None marks a switch, which stores True.
+_EPS = _non_negative(float)
+_FINITE = "finite and >= 0; a negative value must be written --eps=-1e-3"
+_IGNORED = (None, False, None, "accepted and ignored: the output is always JSON")
+_NORMALIZE = "renormalize input factors instead of rejecting non-unit ones"
+_DOC_OPTIONS = {
+    "--eps": (_EPS, DEFAULT_EPS, None, f"tolerance, {_FINITE}"),
+    "--json": (None, False, None, "machine-readable output"),
+    "--normalize": (None, False, None, _NORMALIZE),
+}
+_COMPOSE_OPTIONS = {
+    **_DOC_OPTIONS,
+    "--eps": (_EPS, DEFAULT_EPS, None, f"tolerance of --check-simple, {_FINITE}"),
+    "--json": _IGNORED,
+    "--gibbs": (None, False, None, "also propagate Gibbs parameters"),
+    "--check-simple": (None, False, None, "report the simplicity verdict for two simple inputs"),
+}
+_DRAW_EPS = f"tolerance of the kind test for --kind simple or double, {_FINITE}"
+_KINDS = ["any", "simple", "double", "left-isoclinic", "right-isoclinic"]
+_RANDOM_OPTIONS = {
+    "--seed": (_non_negative(int), 0, None, "seed of the random generator, an integer >= 0"),
+    "--kind": (str, "any", _KINDS, "kind of rotation to draw"),
+    "--eps": (_EPS, DEFAULT_EPS, None, _DRAW_EPS),
+    "--json": _IGNORED,
+}
+_DOC = (("doc", "rotation document path, or - for stdin"),)
+_F_G = (("f", "rotation applied first (path or -)"), ("g", "rotation applied second (path or -)"))
+_COMPOSE_HELP = "compose two rotations (first argument applied first)"
+_VERIFY_HELP = "cross-check formula planes/angles against the matrix oracle"
+# name: (help, handler, positionals as (name, help) pairs, options), in the
+# order of the help
+_COMMANDS = {
+    "classify": ("classify a rotation document", cmd_classify, _DOC, _DOC_OPTIONS),
+    "compose": (_COMPOSE_HELP, cmd_compose, _F_G, _COMPOSE_OPTIONS),
+    "verify": (_VERIFY_HELP, cmd_verify, _DOC, _DOC_OPTIONS),
+    "random": ("emit a seeded random rotation document", cmd_random, (), _RANDOM_OPTIONS),
+    "reflections": (
         "decompose a simple rotation into two reflection normals",
         cmd_reflections,
-        _one_doc,
+        _DOC,
+        {**_DOC_OPTIONS, "--json": _IGNORED},
     ),
-)
+}
 # the command argument as the full parser's usage line shows it
-_ALL_COMMANDS = "{" + ",".join(name for name, *_ in _COMMANDS) + "}"
+_ALL_COMMANDS = "{" + ",".join(_COMMANDS) + "}"
 
 
-def _build_parser(head) -> argparse.ArgumentParser:
-    """The parser for an argument list whose first item, if any, is head's.
-    A head that names a command gets that command's subparser alone, since a
-    process runs one; any other (none, an option, a typo) gets all five, so
-    that the top-level help and argparse's errors list every command."""
+def _read_argv(argv):
+    """The namespace argparse builds for argv, read from _COMMANDS alone when
+    argv is a command, its positionals and its own options in any order, each
+    flag whole and each value accepted; else None, and argparse parses argv:
+    -h, an unknown or abbreviated flag, "--", a value or positional that
+    starts with "-" (bar "-"), a refused value, a wrong count of positionals."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, positionals, options = _COMMANDS[argv[0]]
+    values = {flag[2:].replace("-", "_"): option[1] for flag, option in options.items()}
+    docs = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            docs.append(token)
+            continue
+        flag, equals, text = token.partition("=")
+        if flag not in options:
+            return None
+        convert, _, choices, _ = options[flag]
+        if convert is None:
+            if equals:
+                return None
+            value = True
+        else:
+            if not equals:
+                text = next(tokens, "-")  # a missing value defers, as "-..." does
+                if text[:1] == "-":
+                    return None
+            try:
+                value = convert(text)
+            except Exception:  # ValueError, or the refusal of _non_negative
+                return None
+            if choices is not None and value not in choices:
+                return None
+        values[flag[2:].replace("-", "_")] = value
+    if len(docs) != len(positionals):
+        return None
+    values.update(zip((name for name, _ in positionals), docs))
+    return SimpleNamespace(command=argv[0], func=handler, **values)
+
+
+def _build_parser(head):
+    """The argparse parser for an argument list whose first item, if any, is
+    head's.  A head that names a command gets that command's subparser alone,
+    since a process runs one; any other (none, an option, a typo) gets all
+    five, so that the top-level help and argparse's errors list every
+    command."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="rot4",
         description="Classify, compose, and verify rotations of Euclidean "
         "4-space given as unit-quaternion pairs.",
     )
-    chosen = [command for command in _COMMANDS if command[0] in head]
+    chosen = [name for name in _COMMANDS if name in head]
     # the usage line lists every command either way; a metavar would also
     # rename the argument in the errors that only the full parser raises
     sub = parser.add_subparsers(
         dest="command", required=True, metavar=_ALL_COMMANDS if chosen else None
     )
-    for name, help_text, handler, add_arguments in chosen or _COMMANDS:
+    for name in chosen or _COMMANDS:
+        help_text, handler, positionals, options = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
+        for positional, help_text in positionals:
+            p.add_argument(positional, help=help_text)
+        for flag, (convert, default, choices, help_text) in options.items():
+            if convert is None:
+                p.add_argument(flag, action="store_true", help=help_text)
+            else:
+                p.add_argument(flag, type=convert, default=default, choices=choices, help=help_text)
         p.set_defaults(func=handler)
     return parser
 
 
+# --- entry point -----------------------------------------------------------
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv[:1]).parse_args(argv)
+    args = _read_argv(argv) or _build_parser(argv[:1]).parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:
@@ -450,8 +413,21 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    sys.exit(main())
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's help and usage errors
+            code = exc.code
+        sys.stdout.flush()  # now rather than at exit, where a failure is only reported
+    except BrokenPipeError:
+        # the reader of stdout has gone: as Python's note on SIGPIPE advises,
+        # point stdout at devnull, so that the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    entrypoint()
+    # rot4.verify and rot4.sample raise rot4.cli's _CliError, so run the entry
+    # point of the module rot4.cli, not that of this __main__ copy
+    import_module(__spec__.name).entrypoint()

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -9,8 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rot4.cli as cli_module
+import rot4.verify as verify_module
 from rot4 import (
     DEFAULT_EPS,
     Double,
@@ -304,23 +308,53 @@ class TestVerify:
         assert json.loads(out)["ok"]
 
 
+class TestMovedNames:
+    def test_plain_globals_after_the_first_read(self):
+        import rot4.sample
+
+        assert cli_module.build_verify_report is verify_module.build_verify_report
+        assert cli_module.random_rotation is rot4.sample.random_rotation
+        assert {"build_verify_report", "random_rotation"} <= set(vars(cli_module))
+        with pytest.raises(AttributeError, match="has no attribute 'cmd_nothing'"):
+            cli_module.cmd_nothing
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["verify", "/nonexistent.json"], 2, "error: cannot read /nonexistent.json: "),
+            (["random", "--kind", "double", "--eps", "2"], 1, "error: failed to generate a double"),
+        ],
+        ids=["verify", "random"],
+    )
+    def test_python_m_rot4_cli(self, argv, code, err):
+        # the moved modules raise rot4.cli's _CliError, which python -m must catch
+        proc = subprocess.run(
+            [sys.executable, "-m", "rot4.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        )
+        assert proc.returncode == code and proc.stderr.startswith(err), proc.stderr
+
+
 class TestVerifyCatchesWrongFormula:
     """verify compares classify's planes and angles with the oracle's, so a
-    wrong formula plane or angle is reported: here classify is replaced by
-    one that alters the true Double of DOC (angles 105 and 15 degrees)."""
+    wrong formula plane or angle is reported: here the classify that
+    rot4.verify calls is replaced by one that alters the true Double of DOC
+    (angles 105 and 15 degrees)."""
 
     DOC = json.dumps({"a": [0.5, 0.5, 0.5, -0.5], "b": [R2, R2, 0.0, 0.0]})
 
     @staticmethod
     def _classify_with(monkeypatch, alter):
-        true_classify = cli_module.classify
+        true_classify = verify_module.classify
 
         def altered(r, eps=DEFAULT_EPS):
             kind = true_classify(r, eps)
             assert isinstance(kind, Double)
             return alter(kind)
 
-        monkeypatch.setattr(cli_module, "classify", altered)
+        monkeypatch.setattr(verify_module, "classify", altered)
 
     @staticmethod
     def _tilted(kind: Double, tilt: float) -> Double:
@@ -491,6 +525,130 @@ class TestParser:
         assert err.endswith("error: unrecognized arguments: extra\n")
 
 
+class TestReader:
+    """A well-formed command line is read from the command table, without
+    argparse; any other goes to argparse unchanged.  Whatever the reader
+    reads, argparse parses to the same namespace, handler included; wherever
+    argparse prints help or refuses, the reader has deferred to it."""
+
+    SWITCHES = ["--json", "--normalize", "--gibbs", "--check-simple"]
+    VALUED = ["--eps", "--seed", "--kind"]
+    # -0e0 and -0e-3 are values that argparse reads as flags, so it exits 2
+    VALUES = ["1e-6", "0", "7", "-1e-3", "-0e0", "-0e-3", "-0", "-1", "nan", "inf", "tiny", ""]
+    VALUES += ["any", "simple", "sideways"]
+    STRAYS = ["--js", "--", "-h", "--help", "--bogus", "-x", "--json=1", "--eps"]
+    GROUPS = st.one_of(
+        st.sampled_from(SWITCHES + STRAYS).map(lambda token: [token]),
+        st.tuples(st.sampled_from(VALUED), st.sampled_from(VALUES)).map(list),
+        st.tuples(st.sampled_from(VALUED), st.sampled_from(VALUES)).map(lambda p: ["=".join(p)]),
+    )
+
+    @staticmethod
+    @st.composite
+    def argvs(draw):
+        commands = TestParser.COMMANDS
+        command = draw(st.sampled_from(commands * 3 + ["classfy", "-h", "--json"]))
+        wanted = {"compose": 2, "random": 0}.get(command, 1)
+        count = draw(st.sampled_from([wanted] * 3 + [wanted + 1, max(wanted - 1, 0)]))
+        doc = st.sampled_from(["f.json", "-", "", "verify"]).map(lambda token: [token])
+        docs = draw(st.lists(doc, min_size=count, max_size=count))
+        groups = draw(st.lists(TestReader.GROUPS, max_size=5))
+        order = draw(st.permutations(docs + groups))
+        return [command, *(token for group in order for token in group)]
+
+    @staticmethod
+    def _argparse(argv):
+        """vars() of argparse's namespace for argv, or the code it exits with."""
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                return vars(cli_module._build_parser(argv[:1]).parse_args(argv))
+            except SystemExit as exc:
+                return exc.code
+
+    @staticmethod
+    def _same(read, parsed) -> bool:
+        # repr tells -0.0 from 0.0, and one handler from another
+        return repr(sorted(vars(read).items())) == repr(sorted(parsed.items()))
+
+    @settings(derandomize=True, max_examples=800, deadline=None)
+    @given(argv=argvs())
+    @example(argv=["classify", "f.json", "--js"])
+    @example(argv=["classify", "--eps", "-0e-3", "f.json"])
+    @example(argv=["random", "--seed", "1", "--eps", "-0e0"])
+    def test_reader_agrees_with_argparse(self, argv):
+        read = cli_module._read_argv(argv)
+        parsed = self._argparse(argv)
+        if not isinstance(parsed, dict):
+            assert read is None, f"argparse exited {parsed} on {argv}"
+        elif read is not None:
+            assert self._same(read, parsed), argv
+            # an abbreviation is argparse's to resolve, or to call ambiguous
+            assert "--js" not in argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--json", "f.json"],
+            ["compose", "--gibbs", "--check-simple", "f.json", "g.json"],
+            ["verify", "--json", "f.json"],
+            ["reflections", "f.json"],
+            ["random", "--seed", "7", "--kind", "simple", "--eps=1e-6", "--json"],
+            ["classify", "-", "--eps", "0", "--eps=-0", "--normalize", "--json", "--json"],
+            ["compose", "f.json", "--eps", "1e-9", "-"],
+        ],
+    )
+    def test_reads_well_formed_argv(self, argv):
+        read = cli_module._read_argv(argv)
+        assert read is not None and self._same(read, self._argparse(argv))
+
+
+class TestClosedStdout:
+    """A reader that has closed stdout (rot4 ... | true) gets exit code 141
+    and no traceback, whether stdout is buffered or not."""
+
+    @staticmethod
+    def _run_closed(argv, unbuffered=False):
+        """rot4 argv as its console script runs it, on a pipe whose reader is
+        gone before rot4 writes a byte."""
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            return subprocess.run(
+                [sys.executable, "-c", "from rot4.cli import entrypoint; entrypoint()", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["classify", "F"], ["verify", "F", "--json"], ["random"]],
+        ids=["classify", "verify", "random"],
+    )
+    def test_exits_141_quietly(self, write_doc, argv, unbuffered):
+        proc = self._run_closed([write_doc(F_DOC) if a == "F" else a for a in argv], unbuffered)
+        assert (proc.returncode, proc.stderr) == (cli_module.EXIT_BROKEN_PIPE, "")
+
+    def test_help(self):
+        # unbuffered, argparse itself ignores the failed write of its help and exits 0
+        proc = self._run_closed(["-h"])
+        assert (proc.returncode, proc.stderr) == (cli_module.EXIT_BROKEN_PIPE, "")
+
+    def test_other_codes_stand(self):
+        # nothing was written to stdout, so its closing changes nothing
+        proc = self._run_closed(["classfy"])
+        assert proc.returncode == 2
+        assert "invalid choice: 'classfy'" in proc.stderr
+
+
 class TestReflections:
     def test_golden(self, capsys, write_doc):
         code, out = run(capsys, "reflections", write_doc(F_DOC))
@@ -537,36 +695,68 @@ class TestNumpyLoading:
     and rot4.oracle are in sys.modules from `import rot4` on, but run their
     code only when used: rot4.compose for compose alone, rot4.oracle for
     verify alone.  A module that has run is a plain module; the check reads
-    its type, since any attribute access would run it.  Each case runs in a
-    fresh interpreter."""
+    its type, since any attribute access would run it.  rot4.verify and
+    rot4.sample are imported by verify and random alone.  A well-formed
+    command line never imports argparse, nor gettext and locale with it;
+    help and usage errors do.  Each case runs in a fresh interpreter."""
 
     SCRIPT = """
 import sys, types
 def loaded():
-    names = [m for m in ("numpy", "dataclasses", "inspect", "numbers") if m in sys.modules]
+    watched = ("numpy", "dataclasses", "inspect", "numbers", "argparse", "gettext", "locale")
+    names = [m for m in watched if m in sys.modules]
     for m in ("rot4.compose", "rot4.oracle"):
         names += [m] if type(sys.modules[m]) is types.ModuleType else []
+    names += [m for m in ("rot4.verify", "rot4.sample") if m in sys.modules]
     return ",".join(names) or "-"
 import rot4, rot4.cli
 at_import = loaded()
-code = rot4.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+try:
+    code = rot4.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+except SystemExit as exc:
+    code = exc.code
 print(at_import, loaded(), code)
 """
 
+    ARGPARSE = "argparse,gettext,locale"
+
     @pytest.mark.parametrize(
-        "argv",
+        "argv, after, code",
         [
-            [],
-            ["classify", "F", "--json"],
-            ["reflections", "F"],
-            ["compose", "F", "G", "--gibbs"],
-            ["verify", "F"],
-            ["compose", "F", "G", "--check-simple"],
-            ["random", "--seed", "0"],
+            ([], "-", 0),
+            (["classify", "F", "--json"], "-", 0),
+            (["reflections", "F"], "-", 0),
+            (["compose", "F", "G", "--gibbs"], "rot4.compose", 0),
+            (["verify", "F"], "rot4.oracle,rot4.verify", 0),
+            (["compose", "F", "G", "--check-simple"], "rot4.compose", 0),
+            (["random", "--seed", "0"], "rot4.sample", 0),
+            # the four command lines of the benchmark's cli workload
+            (["classify", "--json", "F"], "-", 0),
+            (["compose", "--gibbs", "--check-simple", "F", "G"], "rot4.compose", 0),
+            (["verify", "--json", "F"], "rot4.oracle,rot4.verify", 0),
+            (["-h"], ARGPARSE, 0),
+            (["classify", "--help"], ARGPARSE, 0),
+            (["classfy", "F"], ARGPARSE, 2),
+            (["classify", "F", "--js"], ARGPARSE, 0),
         ],
-        ids=["import", "classify", "reflections", "gibbs", "verify", "check-simple", "random"],
+        ids=[
+            "import",
+            "classify",
+            "reflections",
+            "gibbs",
+            "verify",
+            "check-simple",
+            "random",
+            "bench-classify",
+            "bench-compose",
+            "bench-verify",
+            "help",
+            "classify-help",
+            "typo",
+            "abbreviation",
+        ],
     )
-    def test_numpy_only_where_arrays_are_used(self, write_doc, argv):
+    def test_numpy_only_where_arrays_are_used(self, write_doc, argv, after, code):
         docs = {"F": write_doc(F_DOC), "G": write_doc(G_DOC)}
         src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
@@ -576,5 +766,4 @@ print(at_import, loaded(), code)
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
-        after = {"compose": "rot4.compose", "verify": "rot4.oracle"}.get("".join(argv[:1]), "-")
-        assert proc.stdout.splitlines()[-1].split() == ["-", after, "0"]
+        assert proc.stdout.splitlines()[-1].split() == ["-", after, str(code)]

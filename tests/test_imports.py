@@ -7,8 +7,9 @@ read anywhere in the module, inside a string annotation included.
 __init__.py is left out of the import check: it imports names to re-export
 them.
 
-rot4.compose and rot4.oracle are registered lazily by the package; the last
-tests run each import order in a fresh interpreter.
+rot4.compose and rot4.oracle are registered lazily by the package, and
+rot4.cli imports rot4.verify and rot4.sample only for the names that moved
+there; the last tests run each import order in a fresh interpreter.
 """
 
 import ast
@@ -179,8 +180,24 @@ _RUN = "rot4 rot4.errors rot4.plane rot4.quat rot4.rotation"
             _RUN + " rot4.oracle",
         ),
         ("from rot4 import *", _RUN + " rot4.compose rot4.oracle"),
+        ("import rot4.verify", _RUN + " rot4.cli rot4.verify"),
+        ("import rot4.sample", _RUN + " rot4.cli rot4.sample"),
+        ("from rot4.cli import build_verify_report", _RUN + " rot4.cli rot4.verify"),
+        ("from rot4.cli import random_rotation", _RUN + " rot4.cli rot4.sample"),
     ],
-    ids=["rot4", "cli", "import-compose", "from-compose", "import_module", "oracle-as", "star"],
+    ids=[
+        "rot4",
+        "cli",
+        "import-compose",
+        "from-compose",
+        "import_module",
+        "oracle-as",
+        "star",
+        "verify",
+        "sample",
+        "cli-verify",
+        "cli-sample",
+    ],
 )
 def test_lazy_modules_in_every_import_order(first, ran):
     # rot4.compose and rot4.oracle sit in sys.modules from `import rot4` on
