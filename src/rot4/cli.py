@@ -194,12 +194,7 @@ def cmd_compose(args) -> int:
         from_rotation = _compose.GibbsPair.from_rotation
         try:
             gp = _compose.compose_gibbs(from_rotation(f), from_rotation(g))
-            out["gibbs"] = {
-                "p_tilde": list(gp.p_tilde),
-                "q_tilde": list(gp.q_tilde),
-                "cos_alpha": gp.cos_alpha,
-                "cos_beta": gp.cos_beta,
-            }
+            out["gibbs"] = {name: getattr(gp, name) for name in gp.__match_args__}
         except GibbsSingular as exc:
             out["gibbs"] = {"singular": str(exc)}
     if args.check_simple:
@@ -317,8 +312,6 @@ _COMMANDS = {
         {**_DOC_OPTIONS, "--json": _IGNORED},
     ),
 }
-# the command argument as the full parser's usage line shows it
-_ALL_COMMANDS = "{" + ",".join(_COMMANDS) + "}"
 
 
 def _read_argv(argv):
@@ -363,12 +356,9 @@ def _read_argv(argv):
     return SimpleNamespace(command=argv[0], func=handler, **values)
 
 
-def _build_parser(head):
-    """The argparse parser for an argument list whose first item, if any, is
-    head's.  A head that names a command gets that command's subparser alone,
-    since a process runs one; any other (none, an option, a typo) gets all
-    five, so that the top-level help and argparse's errors list every
-    command."""
+def _build_parser():
+    """The argparse parser of every command in _COMMANDS, for the command
+    lines that _read_argv leaves to it: help and usage errors."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -376,14 +366,8 @@ def _build_parser(head):
         description="Classify, compose, and verify rotations of Euclidean "
         "4-space given as unit-quaternion pairs.",
     )
-    chosen = [name for name in _COMMANDS if name in head]
-    # the usage line lists every command either way; a metavar would also
-    # rename the argument in the errors that only the full parser raises
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar=_ALL_COMMANDS if chosen else None
-    )
-    for name in chosen or _COMMANDS:
-        help_text, handler, positionals, options = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, positionals, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for positional, help_text in positionals:
             p.add_argument(positional, help=help_text)
@@ -401,7 +385,7 @@ def _build_parser(head):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _read_argv(argv) or _build_parser(argv[:1]).parse_args(argv)
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

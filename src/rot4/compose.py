@@ -19,7 +19,6 @@ import math
 from .errors import DegenerateAxis, GibbsSingular, NotSimple
 from .plane import Plane
 from .quat import (
-    EPS_AXIS,
     EPS_GIBBS,
     EPS_UNIT,
     PIVOT_TOL,
@@ -36,15 +35,7 @@ from .quat import (
     normalized,
     require_unit,
 )
-from .rotation import (
-    DEFAULT_EPS,
-    Rotation4,
-    Simple,
-    _invariant_planes,
-    _kind,
-    _rotation,
-    _split,
-)
+from .rotation import DEFAULT_EPS, Rotation4, _planes_of, _rotation, _split, classify
 
 
 def compose(g: Rotation4, f: Rotation4) -> Rotation4:
@@ -197,7 +188,9 @@ def compose_gibbs(f: GibbsPair, g: GibbsPair) -> GibbsPair:
     The cross products take opposite orders on the two sides; that asymmetry
     is real, not a typo.  A vanishing denominator means the composed factor
     is a pure quaternion (cosine zero) and the chart breaks down.  Both
-    sides run _gibbs_rule on floats.  The composed cosines are
+    sides run _gibbs_rule on floats.  GibbsSingular, left side first, where
+    a denominator or a composed cosine is at or below EPS_GIBBS, as
+    GibbsPair.from_rotation refuses such a factor.  The composed cosines are
     renormalized where the inputs' own distance from unit norm, up to
     EPS_UNIT each, takes them past the consistency gate, as compose
     renormalizes its factor products.
@@ -205,11 +198,15 @@ def compose_gibbs(f: GibbsPair, g: GibbsPair) -> GibbsPair:
     p1, p2, p3, den_p = _gibbs_rule(
         f.p_tilde, g.p_tilde, "left composed cosine vanishes (p-denominator is zero)"
     )
+    cos_a = f.cos_alpha * g.cos_alpha * den_p
+    if abs(cos_a) <= EPS_GIBBS:
+        raise GibbsSingular(f"left composed cosine {cos_a!r} is within EPS_GIBBS of zero")
     q1, q2, q3, den_q = _gibbs_rule(
         g.q_tilde, f.q_tilde, "right composed cosine vanishes (q-denominator is zero)"
     )
-    cos_a = f.cos_alpha * g.cos_alpha * den_p
     cos_b = f.cos_beta * g.cos_beta * den_q
+    if abs(cos_b) <= EPS_GIBBS:
+        raise GibbsSingular(f"right composed cosine {cos_b!r} is within EPS_GIBBS of zero")
     return _gibbs_pair(_new(GibbsPair), p1, p2, p3, q1, q2, q3, cos_a, cos_b, True)
 
 
@@ -313,19 +310,19 @@ def is_composition_simple(
 def composed_planes_from_gibbs(h: GibbsPair) -> tuple[Plane, Plane, float, float]:
     """Invariant planes and angles of the rotation described by Gibbs data.
 
-    Rebuilds the rotation from the stored vectors and cosines and hands it to
-    classify's plane step: the planes are the eigenspaces of x -> p x q for
-    the unit axes p, q, and the angles follow from the factor half-angles.
-    Returns (plane1, plane2, angle1, angle2) with plane1 carrying the reduced
-    half-angle sum and plane2 the reduced difference, in classify's order.
-    When the rebuilt rotation is simple at DEFAULT_EPS, plane2 is its fixed
-    plane as built and angle2 is 0.0, as classify reports them.
+    Rebuilds the rotation from the stored vectors and cosines and reads its
+    planes off classify at DEFAULT_EPS (rotation._planes_of): the planes are
+    the eigenspaces of x -> p x q for the unit axes p, q, and the angles
+    follow from the factor half-angles.  Returns (plane1, plane2, angle1,
+    angle2) with plane1 carrying the reduced half-angle sum and plane2 the
+    reduced difference, in classify's order; for a simple rotation plane2 is
+    its fixed plane as built and angle2 is 0.0.  DegenerateAxis when classify
+    calls the rotation the identity or isoclinic, whose planes are not unique.
     """
-    if h.p_tilde.norm() <= EPS_AXIS or h.q_tilde.norm() <= EPS_AXIS:
+    p1, a1, p2, a2 = _planes_of(classify(h.to_rotation()))
+    if p1 is None:
         raise DegenerateAxis(
             "a Gibbs vector vanishes; the rotation is isoclinic-like and its "
             "planes are not unique"
         )
-    r = h.to_rotation()
-    (p1, a1), (p2, a2) = _invariant_planes(r, _kind(r, DEFAULT_EPS) is Simple)
     return p1, p2, a1, a2

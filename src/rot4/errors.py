@@ -19,8 +19,8 @@ class GibbsSingular(Rot4Error):
 
 
 class DegenerateAxis(Rot4Error):
-    """composed_planes_from_gibbs got a vanishing Gibbs vector, so the
-    axis it would read the planes from is undefined."""
+    """composed_planes_from_gibbs got Gibbs data of an identity or
+    isoclinic rotation, whose invariant planes are not unique."""
 
 
 class PairingFailure(Rot4Error):

@@ -291,25 +291,24 @@ def _eigenvector(p: tuple, q: tuple, sign: float) -> tuple:
     return v0 * f, v1 * f, v2 * f, v3 * f
 
 
-def _invariant_planes(r: Rotation4, simple: bool) -> tuple[tuple[Plane, float], ...]:
-    """Both invariant planes of r with their angles, on floats until each
-    plane is built.
+def _invariant_planes(
+    a: tuple, b: tuple, na: float, nb: float, simple: bool
+) -> tuple[tuple[Plane, float], ...]:
+    """Both invariant planes, with their angles, of the rotation whose
+    factors have components a, b and vector-part norms na, nb, on floats
+    until each plane is built.
 
     With a = cos(ha) + p sin(ha), b = cos(hb) + q sin(hb) for the unit axes
     p, q of _axes and the half-angles atan2(|V|, S) in [0, pi], the first
     plane is (u, p u) for u = _eigenvector(p, q, -1.0), the second the same
     for the +1 eigenvector: x -> p x commutes with x -> p x q, so p u is
-    orthogonal to u in the same eigenspace.  On the first p u = u q, so r
-    turns (u, p u) by ha + hb; on the second p u = -u q, so by ha - hb.
-    Each turn is reduced to [0, pi] by flipping w, and a turn by exactly pi
-    keeps (u, p u).  For a simple r the second, its fixed plane, is kept as
-    built with angle 0.0.  Plane's gate is written out; Plane is called only
-    to raise its refusal."""
-    a = s, a1, a2, a3 = r.a
-    b = t, b1, b2, b3 = r.b
-    na = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
-    nb = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
-    ha, hb = math.atan2(na, s), math.atan2(nb, t)
+    orthogonal to u in the same eigenspace.  On the first p u = u q, so the
+    rotation turns (u, p u) by ha + hb; on the second p u = -u q, so by
+    ha - hb.  Each turn is reduced to [0, pi] by flipping w, and a turn by
+    exactly pi keeps (u, p u).  For a simple rotation the second, its fixed
+    plane, is kept as built with angle 0.0.  Plane's gate is written out;
+    Plane is called only to raise its refusal."""
+    ha, hb = math.atan2(na, a[0]), math.atan2(nb, b[0])
     p, q = _axes(a, b, na, nb)
     total = ha + hb
     turns = (
@@ -349,9 +348,10 @@ def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
     isoclinic ones included; none is measured by applying r.  The first
     plane is plane1 of a Double and the rotation plane of a Simple.  A
     Simple's fixed plane is reported as built, (u, p u), with angle 0.0.
+    _planes_of reads the planes and angles of a result back in this order.
     """
-    s, a1, a2, a3 = r.a
-    t, b1, b2, b3 = r.b
+    a = s, a1, a2, a3 = r.a
+    b = t, b1, b2, b3 = r.b
     na = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
     nb = math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
     kind = _kind_of(s, t, na, nb, eps)
@@ -363,10 +363,24 @@ def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
         if na <= EPS_AXIS:
             return LeftIsoclinic(math.pi)  # x -> -x
         return LeftIsoclinic(math.atan2(na, math.copysign(1.0, t) * s))
-    (p1, angle1), (p2, angle2) = _invariant_planes(r, kind is Simple)
+    (p1, angle1), (p2, angle2) = _invariant_planes(a, b, na, nb, kind is Simple)
     if kind is Simple:
         return Simple(angle1, p2, p1)
     return Double(p1, angle1, p2, angle2)
+
+
+def _planes_of(kind: RotationKind) -> tuple:
+    """(plane1, angle1, plane2, angle2) of a classify result, in classify's
+    plane order: a Simple's rotation plane and angle, then its fixed plane
+    and 0.0.  The identity and isoclinic kinds turn every plane by one
+    angle, so none is unique: their planes are None."""
+    if isinstance(kind, Identity):
+        return None, 0.0, None, 0.0
+    if isinstance(kind, (LeftIsoclinic, RightIsoclinic)):
+        return None, kind.angle, None, kind.angle
+    if isinstance(kind, Simple):
+        return kind.rotation_plane, kind.angle, kind.fixed_plane, 0.0
+    return kind.plane1, kind.angle1, kind.plane2, kind.angle2
 
 
 def simple_to_reflections(

@@ -13,20 +13,7 @@ from .cli import EXIT_DISCREPANCY, EXIT_OK, _KIND_NAMES, _CliError, _fmt_angle, 
 from .cli import _plane_json, _read_text, _rotation_from_doc
 from .errors import PairingFailure
 from .plane import Plane, projector_distance
-from .rotation import DEFAULT_EPS, Identity, LeftIsoclinic, RightIsoclinic, Rotation4, Simple
-from .rotation import classify, to_matrix
-
-
-def _formula_entries(kind) -> tuple:
-    """(plane1, angle1, plane2, angle2) predicted by the closed-form side,
-    plus a flag marking plane identities as non-unique (isoclinic-like)."""
-    if isinstance(kind, Identity):
-        return None, 0.0, None, 0.0, True
-    if isinstance(kind, (LeftIsoclinic, RightIsoclinic)):
-        return None, kind.angle, None, kind.angle, True
-    if isinstance(kind, Simple):
-        return kind.rotation_plane, kind.angle, kind.fixed_plane, 0.0, False
-    return kind.plane1, kind.angle1, kind.plane2, kind.angle2, False
+from .rotation import DEFAULT_EPS, Rotation4, _planes_of, classify, to_matrix
 
 
 def _entry(plane: Plane | None, angle: float) -> dict:
@@ -37,7 +24,7 @@ def build_verify_report(r: Rotation4, eps: float = DEFAULT_EPS) -> dict:
     """Compare classify's planes/angles with the matrix oracle, which reads
     them off M + M^T and M - M^T of the same rotation in floats."""
     kind = classify(r, eps)
-    fp1, fa1, fp2, fa2, planes_free = _formula_entries(kind)
+    fp1, fa1, fp2, fa2 = _planes_of(kind)
     # eps governs the comparison verdict; the oracle's pairing test never needs
     # to be stricter than the default, or exact pairs would fail at rounding level
     found = oracle.planes_from_matrix(to_matrix(r), max(eps, DEFAULT_EPS))
@@ -46,7 +33,7 @@ def build_verify_report(r: Rotation4, eps: float = DEFAULT_EPS) -> dict:
     if abs(fa1 - oa2) + abs(fa2 - oa1) < abs(fa1 - oa1) + abs(fa2 - oa2):
         op1, oa1, op2, oa2 = op2, oa2, op1, oa1
     max_angle = max(abs(fa1 - oa1), abs(fa2 - oa2))
-    if planes_free or found.isoclinic:
+    if fp1 is None or found.isoclinic:  # isoclinic-like: the planes are not unique
         max_proj = 0.0
     else:
         max_proj = max(projector_distance(fp1, op1), projector_distance(fp2, op2))

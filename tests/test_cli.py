@@ -482,31 +482,15 @@ class TestArguments:
 
 
 class TestParser:
-    """A process builds the subparser of the command it runs and no other;
-    every text argparse prints stays that of the parser with all five."""
+    """argparse parses only what the reader leaves to it, help and usage
+    errors, with every command's subparser."""
 
     COMMANDS = ["classify", "compose", "verify", "random", "reflections"]
 
-    @staticmethod
-    def _built(head):
-        parser = cli_module._build_parser(head)
+    def test_builds_every_subparser_in_order(self):
+        parser = cli_module._build_parser()
         (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        return parser, action.choices
-
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_one_subparser_helps_as_in_the_full_parser(self, command):
-        full, every = self._built([])
-        alone, chosen = self._built([command])
-        assert list(chosen) == [command]
-        assert chosen[command].format_help() == every[command].format_help()
-        # the usage line of argparse's own errors, "unrecognized arguments" among them
-        assert alone.format_usage() == full.format_usage()
-
-    @pytest.mark.parametrize("head", [[], ["-h"], ["--help"], ["classfy"], ["--eps"]])
-    def test_any_other_head_builds_every_subparser(self, head):
-        parser, choices = self._built(head)
-        assert list(choices) == self.COMMANDS
-        assert parser.format_help() == self._built([])[0].format_help()
+        assert list(action.choices) == self.COMMANDS
 
     def test_unknown_command_lists_every_command(self, capsys, write_doc):
         with pytest.raises(SystemExit) as exc:
@@ -561,7 +545,7 @@ class TestReader:
         """vars() of argparse's namespace for argv, or the code it exits with."""
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
-                return vars(cli_module._build_parser(argv[:1]).parse_args(argv))
+                return vars(cli_module._build_parser().parse_args(argv))
             except SystemExit as exc:
                 return exc.code
 

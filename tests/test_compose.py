@@ -356,6 +356,26 @@ class TestComposeGibbs:
         h = compose(g, f)
         assert isinstance(classify(h), (Simple, Double, Identity))
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_singular_composed_cosine(self, side):
+        # half-angles pi/2 - 1e-5 and 1e-5 - 1e-10 about one axis compose to
+        # a cosine of about 1e-10, below EPS_GIBBS, though the denominator
+        # 1 - g2.g1 is about 1e-5: refused as from_rotation refuses it
+        def turn(h):
+            return Quaternion(math.cos(h), Vec3(1, 0, 0) * math.sin(h))
+
+        factors = [(turn(math.pi / 2 - 1e-5), ONE), (turn(1e-5 - 1e-10), ONE)]
+        order = 1 if side == "left" else -1
+        f, g = (Rotation4(*pair[::order]) for pair in factors)
+        with pytest.raises(GibbsSingular, match=f"^{side} composed cosine"):
+            compose_gibbs(GibbsPair.from_rotation(f), GibbsPair.from_rotation(g))
+        with pytest.raises(GibbsSingular):
+            GibbsPair.from_rotation(compose(g, f))
+        # both sides singular: the left side is refused first
+        f, g = (Rotation4(a, a) for a, _ in factors)
+        with pytest.raises(GibbsSingular, match="^left composed cosine"):
+            compose_gibbs(GibbsPair.from_rotation(f), GibbsPair.from_rotation(g))
+
     def test_from_rotation_rejects_pure_factor(self):
         r = Rotation4(Quaternion.of(0, 1, 0, 0), ONE)
         with pytest.raises(GibbsSingular):
@@ -593,8 +613,9 @@ class TestComposedPlanes:
             composed_planes_from_gibbs(pair)
 
     def test_simple_fixed_plane_as_built(self):
-        # the fixed plane and its angle 0.0 as classify reports them, not
-        # oriented or measured by the rounding noise of its turn
+        # the planes and angles as classify reports them, for a simple
+        # rotation its fixed plane and angle 0.0 as built, not oriented or
+        # measured by the rounding noise of its turn
         rng = random.Random(1)
         for _ in range(2000):
             pair = GibbsPair.from_rotation(random_rotation(rng, "simple"))
@@ -603,3 +624,9 @@ class TestComposedPlanes:
             plane1, plane2, angle1, angle2 = composed_planes_from_gibbs(pair)
             assert (plane1, angle1) == (kind.rotation_plane, kind.angle)
             assert (plane2, angle2) == (kind.fixed_plane, 0.0)
+        for _ in range(2000):
+            pair = GibbsPair.from_rotation(random_rotation(rng, "double"))
+            kind = classify(pair.to_rotation())
+            assert isinstance(kind, Double)
+            got = composed_planes_from_gibbs(pair)
+            assert got == (kind.plane1, kind.plane2, kind.angle1, kind.angle2)

@@ -159,9 +159,17 @@ def ref_gibbs_rule(g1: Vec3, g2: Vec3) -> tuple[Vec3, float]:
 
 
 def ref_compose_gibbs(f: GibbsPair, g: GibbsPair) -> GibbsPair:
+    """Each side refused where its denominator or its composed cosine is at
+    or below EPS_GIBBS, the left side first."""
     p, den_p = ref_gibbs_rule(f.p_tilde, g.p_tilde)
+    cos_a = f.cos_alpha * g.cos_alpha * den_p
+    if abs(cos_a) <= EPS_GIBBS:
+        raise GibbsSingular("left composed cosine vanishes")
     q, den_q = ref_gibbs_rule(g.q_tilde, f.q_tilde)
-    return GibbsPair(p, q, f.cos_alpha * g.cos_alpha * den_p, f.cos_beta * g.cos_beta * den_q)
+    cos_b = f.cos_beta * g.cos_beta * den_q
+    if abs(cos_b) <= EPS_GIBBS:
+        raise GibbsSingular("right composed cosine vanishes")
+    return GibbsPair(p, q, cos_a, cos_b)
 
 
 def ref_split(r: Rotation4, eps: float) -> tuple[Quaternion, Quaternion]:
