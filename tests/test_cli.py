@@ -487,10 +487,19 @@ class TestParser:
 
     COMMANDS = ["classify", "compose", "verify", "random", "reflections"]
 
-    def test_builds_every_subparser_in_order(self):
+    @pytest.mark.parametrize("head", [[], ["-h"], ["--help"], ["classfy"], ["--eps"]])
+    def test_any_other_head_builds_every_subparser(self, capsys, head):
         parser = cli_module._build_parser()
         (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         assert list(action.choices) == self.COMMANDS
+        # the reader leaves these heads to argparse, whose output names every command
+        assert cli_module._read_argv(head) is None
+        with pytest.raises(SystemExit):
+            main(head)
+        out, err = capsys.readouterr()
+        usage = f"usage: rot4 [-h] {{{','.join(self.COMMANDS)}}} ...\n"
+        assert parser.format_usage() == usage
+        assert (out + err).startswith(usage)
 
     def test_unknown_command_lists_every_command(self, capsys, write_doc):
         with pytest.raises(SystemExit) as exc:
