@@ -3,8 +3,11 @@
 Classification (identity / simple / isoclinic / double) with invariant
 planes and angles, composition with geometric-parameter propagation in the
 Gibbs chart, the simplicity criterion for composed simple rotations, and an
-independent matrix oracle for cross-checking all of it, which reads the
-invariant planes off M + M^T in plain floats, without an eigensolver.
+independent matrix oracle, which reads the invariant planes off M + M^T in
+plain floats, without an eigensolver.  It checks only classify's planes
+and angles, through build_verify_report and `rot4 verify`; the Gibbs
+composition, the simplicity verdict and the reflections have no oracle
+check yet.
 
 Everything computes in plain floats with the standard library alone:
 to_matrix returns the matrix as rows of floats.  rot4.compose and

@@ -216,11 +216,13 @@ class SimplicityReport(_Value):
     and u, w of g realise: a = z conj(y), b = conj(y) z, c = w conj(u),
     d = conj(u) w.
 
-    s_condition is the residual Vc.Va - Vb.Vd of the factor vector parts; it
-    equals -2 * det_normals, the determinant of the four reflection normals
-    (components ordered vector-first, scalar last: the ordering under which
-    that identity holds with the minus sign), and it vanishes exactly when
-    the two fixed planes intersect nontrivially (intersection_dim >= 1)."""
+    s_condition is the residual Vc.Va - Vb.Vd of the factor vector parts,
+    sin(ha_f) sin(ha_g) (p_f.p_g - q_f.q_g) for exactly simple factors with
+    half-angles ha and unit axes p, q.  It equals -2 * det_normals, the
+    determinant of the four reflection normals (components ordered
+    vector-first, scalar last: the ordering under which that identity holds
+    with the minus sign), and it vanishes exactly when the two fixed planes
+    intersect nontrivially (intersection_dim >= 1)."""
 
     __slots__ = ("s_condition", "det_normals", "intersection_dim", "is_simple")
 
@@ -268,12 +270,12 @@ def is_composition_simple(
     Splits f and g as simple_to_reflections does (_split, on floats, with
     rotation's kind rule and eigenvector helper) and computes all three
     routes on the pair the normals realise, (f, g) itself when both are
-    exactly simple, in plain floats: the scalar residual of its factors,
-    the determinant of the stacked reflection normals (quat._det4), and the
-    dimension of the intersection of the two fixed planes
-    (_intersection_dim), 2 when either is the identity, which fixes all of
-    E4.  The four factor products are written out as _mul4 sums them; only
-    their vector parts are needed."""
+    exactly simple, in plain floats: the scalar residual of the vector parts
+    of that pair, which _split returns beside the normals; the determinant
+    of the stacked reflection normals (quat._det4); and the dimension of the
+    intersection of the two fixed planes (_intersection_dim), 2 when either
+    is the identity, which fixes all of E4.  The residual does not read the
+    normals, so s_condition = -2 det_normals checks two computations."""
     splits = []
     for name, rot in (("f", f), ("g", g)):
         try:
@@ -281,26 +283,12 @@ def is_composition_simple(
         except NotSimple as exc:
             exc.args = (f"{name} is not a simple rotation: {exc}",)
             raise  # in place, so the traceback still ends in the split
-    (_, q, y, z), (p, _, u, w) = splits
+    (_, q, y, z, (a1, a2, a3), (b1, b2, b3)), (p, _, u, w, (c1, c2, c3), (d1, d2, d3)) = splits
+    s_condition = (c1 * a1 + c2 * a2 + c3 * a3) - (b1 * d1 + b2 * d2 + b3 * d3)
     y0, y1, y2, y3 = y
     z0, z1, z2, z3 = z
     u0, u1, u2, u3 = u
     w0, w1, w2, w3 = w
-    yc1, yc2, yc3 = -y1, -y2, -y3  # conj(y)
-    uc1, uc2, uc3 = -u1, -u2, -u3  # conj(u)
-    a1 = yc1 * z0 + z1 * y0 + (z2 * yc3 - z3 * yc2)  # V(z conj(y))
-    a2 = yc2 * z0 + z2 * y0 + (z3 * yc1 - z1 * yc3)
-    a3 = yc3 * z0 + z3 * y0 + (z1 * yc2 - z2 * yc1)
-    b1 = z1 * y0 + yc1 * z0 + (yc2 * z3 - yc3 * z2)  # V(conj(y) z)
-    b2 = z2 * y0 + yc2 * z0 + (yc3 * z1 - yc1 * z3)
-    b3 = z3 * y0 + yc3 * z0 + (yc1 * z2 - yc2 * z1)
-    c1 = uc1 * w0 + w1 * u0 + (w2 * uc3 - w3 * uc2)  # V(w conj(u))
-    c2 = uc2 * w0 + w2 * u0 + (w3 * uc1 - w1 * uc3)
-    c3 = uc3 * w0 + w3 * u0 + (w1 * uc2 - w2 * uc1)
-    d1 = w1 * u0 + uc1 * w0 + (uc2 * w3 - uc3 * w2)  # V(conj(u) w)
-    d2 = w2 * u0 + uc2 * w0 + (uc3 * w1 - uc1 * w3)
-    d3 = w3 * u0 + uc3 * w0 + (uc1 * w2 - uc2 * w1)
-    s_condition = (c1 * a1 + c2 * a2 + c3 * a3) - (b1 * d1 + b2 * d2 + b3 * d3)
     # the normals as columns, scalar last
     det = _det4(((y1, z1, u1, w1), (y2, z2, u2, w2), (y3, z3, u3, w3), (y0, z0, u0, w0)))
     dim = 2 if q is None or p is None else _intersection_dim(y, u, q, p)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NotSimple, NotUnit
+from .errors import NotSimple
 from .plane import Plane, _set_u, _set_w
 from .quat import (
     DEFAULT_EPS,
@@ -33,7 +33,6 @@ from .quat import (
     _new,
     _quat,
     _setters,
-    _unit4,
     _Value,
     conj,
     mul,
@@ -244,28 +243,22 @@ def _kind(r: Rotation4, eps: float) -> type:
 def _axes(a: tuple, b: tuple, na: float, nb: float) -> tuple:
     """The unit axes p = V(a)/|V(a)|, q = V(b)/|V(b)| of the factors'
     components a, b, given na = |V(a)| and nb = |V(b)|, as pure component
-    tuples; NotUnit unless both are unit within EPS_UNIT."""
+    tuples; each is unit to rounding, a vector over its own norm."""
     f, g = 1.0 / na, 1.0 / nb
-    p1, p2, p3 = a[1] * f, a[2] * f, a[3] * f
-    q1, q2, q3 = b[1] * g, b[2] * g, b[3] * g
-    if (
-        abs(math.sqrt(p1 * p1 + p2 * p2 + p3 * p3) - 1.0) > EPS_UNIT
-        or abs(math.sqrt(q1 * q1 + q2 * q2 + q3 * q3) - 1.0) > EPS_UNIT
-    ):
-        raise NotUnit("axes must be unit 3-vectors")
-    return (0.0, p1, p2, p3), (0.0, q1, q2, q3)
+    return (0.0, a[1] * f, a[2] * f, a[3] * f), (0.0, b[1] * g, b[2] * g, b[3] * g)
 
 
 def _eigenvector(p: tuple, q: tuple, sign: float) -> tuple:
     """The unit eigenvector of T x = p x q for the eigenvalue sign (+-1), for
     the unit axes p, q of _axes: column k of I + sign T, twice the
     eigenspace's projector P, at the first largest (+1) or smallest (-1)
-    diagonal entry, scaled as _unit4 scales it; its norm^2 is 4 P_kk >= 2,
-    as trace P = 2.  The diagonal of T is (-p.q, p.q - 2 p_i q_i), and the
-    column is sign (p e_k) q + e_k, with p e_k the signed permutation of p
-    below.  The products of its zero and of q's zero scalar part are left
-    out: each is an exact +-0, and each component ends in + e_i, which
-    clears the sign of a zero, so the column is bit for bit _mul4's."""
+    diagonal entry, divided by its norm, which is never small: its norm^2
+    is 4 P_kk >= 2, as trace P = 2.  The diagonal of T is
+    (-p.q, p.q - 2 p_i q_i), and the column is sign (p e_k) q + e_k, with
+    p e_k the signed permutation of p below.  The products of its zero and
+    of q's zero scalar part are left out: each is an exact +-0, and each
+    component ends in + e_i, which clears the sign of a zero, so the column
+    is bit for bit _mul4's."""
     _, p1, p2, p3 = p
     _, q1, q2, q3 = q
     d = p1 * q1 + p2 * q2 + p3 * q3
@@ -284,10 +277,7 @@ def _eigenvector(p: tuple, q: tuple, sign: float) -> tuple:
     v1 = (q1 * m0 + (m2 * q3 - m3 * q2)) * sign + e1
     v2 = (q2 * m0 + (m3 * q1 - m1 * q3)) * sign + e2
     v3 = (q3 * m0 + (m1 * q2 - m2 * q1)) * sign + e3
-    n = math.sqrt(v0 * v0 + (v1 * v1 + v2 * v2 + v3 * v3))
-    if n <= EPS_AXIS:
-        _unit4((v0, v1, v2, v3))  # raises its refusal
-    f = 1.0 / n
+    f = 1.0 / math.sqrt(v0 * v0 + (v1 * v1 + v2 * v2 + v3 * v3))
     return v0 * f, v1 * f, v2 * f, v3 * f
 
 
@@ -306,8 +296,9 @@ def _invariant_planes(
     rotation turns (u, p u) by ha + hb; on the second p u = -u q, so by
     ha - hb.  Each turn is reduced to [0, pi] by flipping w, and a turn by
     exactly pi keeps (u, p u).  For a simple rotation the second, its fixed
-    plane, is kept as built with angle 0.0.  Plane's gate is written out;
-    Plane is called only to raise its refusal."""
+    plane, is kept as built with angle 0.0.  Each plane passes Plane's gate
+    by construction, so none is checked: u is unit and w = +-p u for the
+    unit pure p, which is unit and orthogonal to u."""
     ha, hb = math.atan2(na, a[0]), math.atan2(nb, b[0])
     p, q = _axes(a, b, na, nb)
     total = ha + hb
@@ -321,16 +312,9 @@ def _invariant_planes(
         w0, w1, w2, w3 = _mul4(p, u)
         if flip:
             w0, w1, w2, w3 = -w0, -w1, -w2, -w3
-        u, w = _quat(u0, u1, u2, u3), _quat(w0, w1, w2, w3)
-        if (
-            abs(u0 * u0 + (u1 * u1 + u2 * u2 + u3 * u3) - 1.0) > EPS_UNIT
-            or abs(w0 * w0 + (w1 * w1 + w2 * w2 + w3 * w3) - 1.0) > EPS_UNIT
-            or abs(u0 * w0 + (u1 * w1 + u2 * w2 + u3 * w3)) > EPS_UNIT
-        ):
-            Plane(u, w)  # raises its refusal
         plane = _new(Plane)
-        _set_u(plane, u)
-        _set_w(plane, w)
+        _set_u(plane, _quat(u0, u1, u2, u3))
+        _set_w(plane, _quat(w0, w1, w2, w3))
         planes.append((plane, angle))
     return tuple(planes)
 
@@ -397,17 +381,21 @@ def simple_to_reflections(
     b' = S(a) + |V(a)| q: from_reflections(y, z) is (a, b'), r itself when
     S(a) = S(b), else the simple rotation with a's angle and b's axis.
     """
-    _, _, y, z = _split(r, eps)
+    _, _, y, z, _, _ = _split(r, eps)
     return ReflectionNormal(_quat(*y)), ReflectionNormal(_quat(*z))
 
 
 def _split(r: Rotation4, eps: float) -> tuple:
-    """simple_to_reflections in floats: (p, q, y, z) with the unit axes p, q
-    of a and b (_axes), None for the identity, and the normals y, z, all
-    component tuples.  The kind is _kind_of's; NotSimple on every kind but
-    Simple and Identity.  y is _eigenvector(p, q, -1.0), bit for bit the u
-    of classify's rotation plane, or 1 for the identity, and z is
-    _unit4(_mul4(a, y)) on the floats."""
+    """simple_to_reflections in floats: (p, q, y, z, va, vb) with the unit
+    axes p, q of a and b (_axes), None for the identity, the normals y, z,
+    and the vector parts va, vb of the pair (z conj(y), conj(y) z) that the
+    normals realise, all component tuples.  The kind is _kind_of's;
+    NotSimple on every kind but Simple and Identity.  y is
+    _eigenvector(p, q, -1.0), bit for bit the u of classify's rotation
+    plane, or 1 for the identity, and z is a y scaled by 1/|a y|, which is
+    never small: |a y| = |a| for the unit y.  As a y = y b' with
+    b' = S(a) + |V(a)| q, the pair is (a, b')/|a y|, so va = V(a)/|a y| and
+    vb = |V(a)| q/|a y|; for the identity, y = 1 and the pair is (a, a)/|a|."""
     a = s, a1, a2, a3 = r.a
     b = t, b1, b2, b3 = r.b
     na = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
@@ -426,8 +414,9 @@ def _split(r: Rotation4, eps: float) -> tuple:
     v1 = y1 * s + a1 * y0 + (a2 * y3 - a3 * y2)
     v2 = y2 * s + a2 * y0 + (a3 * y1 - a1 * y3)
     v3 = y3 * s + a3 * y0 + (a1 * y2 - a2 * y1)
-    n = math.sqrt(v0 * v0 + (v1 * v1 + v2 * v2 + v3 * v3))
-    if n <= EPS_AXIS:
-        _unit4((v0, v1, v2, v3))  # raises its refusal
-    f = 1.0 / n
-    return p, q, y, (v0 * f, v1 * f, v2 * f, v3 * f)
+    f = 1.0 / math.sqrt(v0 * v0 + (v1 * v1 + v2 * v2 + v3 * v3))
+    z, va = (v0 * f, v1 * f, v2 * f, v3 * f), (a1 * f, a2 * f, a3 * f)
+    if q is None:
+        return p, q, y, z, va, va
+    g = na * f
+    return p, q, y, z, va, (q[1] * g, q[2] * g, q[3] * g)

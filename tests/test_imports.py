@@ -1,5 +1,6 @@
-"""Every name a rot4 module imports is used in that module, and every
-module-level private name rot4 defines is read somewhere in rot4.
+"""Every name a rot4 module imports is used in that module, every
+module-level private name rot4 defines is read somewhere in rot4, and every
+tolerance lives in quat.py's block of constants.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree with the standard library.  A name counts as used when it is
@@ -139,6 +140,45 @@ def test_catches_an_orphaned_private_helper():
         ),
     }
     assert _orphans(modules) == ["compose._helper", "rotation._clamp", "rotation._turn"]
+
+
+def _tolerance_literals(tree: ast.Module, module: str) -> list[int]:
+    """Lines of the nonzero float literals below 1e-3 in magnitude, but for
+    the whole value of a module-level UPPER_CASE name in quat, the block
+    that holds every tolerance of the package."""
+    block = set()
+    if module == "quat":
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and all(
+                isinstance(t, ast.Name) and t.id.isupper() for t in node.targets
+            ):
+                block.add(node.value)
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, float)
+        and 0.0 < abs(node.value) < 1e-3
+        and node not in block
+    ]
+
+
+def test_every_tolerance_is_in_the_quat_block():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        lines = _tolerance_literals(ast.parse(path.read_text(), filename=str(path)), path.stem)
+        if lines:
+            found[path.name] = lines
+    assert found == {}
+
+
+def test_catches_a_tolerance_outside_the_block():
+    quat = ast.parse("EPS_AXIS = 1e-9\n\ndef _unit(x):\n    return x if x > 1e-12 else 0.0\n")
+    rotation = ast.parse(
+        "_TOL = 1e-9\nHALF = 0.5\n\ndef f(x):\n    return abs(x) <= -2e-10 * HALF or x == 0.0\n"
+    )
+    assert _tolerance_literals(quat, "quat") == [4]
+    assert _tolerance_literals(rotation, "rotation") == [1, 5]
 
 
 # Runs a first statement, then prints one fact a line: the rot4 modules that

@@ -713,6 +713,72 @@ class TestEigenvector:
         assert comp_diff(image, u * sign) <= EPS_ALG
 
 
+_EDGE_NORMS = st.sampled_from([1.01 * EPS_AXIS, 1e-8, 1e-4, 0.6, 1.0])
+# norm^2 - 1 at the unit gate, less a millionth so that rounding keeps it in
+_EDGE_OFFS = st.sampled_from([-EPS_UNIT, 0.0, EPS_UNIT]).map(lambda x: x * (1.0 - 1e-6))
+
+
+class TestKernelInvariants:
+    """What the float kernels no longer re-check holds by construction, on
+    factors at the admission edges: norm^2 EPS_UNIT off 1, vector parts from
+    1.01 EPS_AXIS up, and b's axis drawn or within 1e-10 of +-p.  _axes
+    returns unit axes, the column _eigenvector scales has norm^2 4 P_kk >= 2,
+    classify's plane bases are orthonormal, and the a y that _split scales
+    is never small."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(
+        p_raw=_VEC,
+        d_raw=_VEC,
+        na=_EDGE_NORMS,
+        nb=_EDGE_NORMS,
+        offs=st.tuples(_EDGE_OFFS, _EDGE_OFFS),
+        signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
+        q_is=st.sampled_from(["drawn", "p", "-p"]),
+        tilt=st.sampled_from([0.0, 1e-10]),
+        simple=st.booleans(),
+    )
+    def test_at_the_admission_edges(self, p_raw, d_raw, na, nb, offs, signs, q_is, tilt, simple):
+        p, d = _unit3(p_raw), _unit3(d_raw)
+        if q_is == "drawn":
+            q = d
+        else:
+            d = _unit3((d - p * d.dot(p)).components())
+            q = p * (1.0 if q_is == "p" else -1.0) + d * tilt
+            q = q / q.norm()
+        if simple:
+            nb, signs = na, (signs[0], signs[0])
+        a, b = (
+            Quaternion(sign * math.sqrt(1.0 - n * n), axis * n) * math.sqrt(1.0 + off)
+            for sign, axis, n, off in zip(signs, (p, q), (na, nb), offs)
+        )
+        r = Rotation4(a, b)
+        s, a1, a2, a3 = r.a
+        t, b1, b2, b3 = r.b
+        norms = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3), math.sqrt(b1 * b1 + b2 * b2 + b3 * b3)
+        pu, qu = (Quaternion.of(*x) for x in rotation_module._axes(r.a, r.b, *norms))
+        assert abs(pu.v.norm() - 1.0) <= 1e-15 and abs(qu.v.norm() - 1.0) <= 1e-15
+        for sign in (-1.0, 1.0):
+            dot = pu.v.dot(qu.v)
+            diag = [-dot] + [dot - 2.0 * x * y for x, y in zip(pu.v, qu.v)]
+            e = (ONE, I, J, K)[diag.index(max(diag) if sign > 0.0 else min(diag))]
+            column = mul(mul(pu, e), qu) * sign + e
+            assert math.sqrt(norm_sq(column)) >= math.sqrt(2.0) - 1e-12
+        kind = classify(r)
+        if isinstance(kind, Simple):
+            planes = (kind.rotation_plane, kind.fixed_plane)
+        else:
+            assert isinstance(kind, Double)
+            planes = (kind.plane1, kind.plane2)
+        for plane in planes:
+            assert abs(norm_sq(plane.u) - 1.0) <= 1e-15
+            assert abs(norm_sq(plane.w) - 1.0) <= 1e-15
+            assert abs(dot4(plane.u, plane.w)) <= 1e-15
+        if isinstance(kind, Simple):
+            y = Quaternion.of(*rotation_module._split(r, DEFAULT_EPS)[2])
+            assert math.sqrt(norm_sq(mul(r.a, y))) >= 1.0 - EPS_UNIT
+
+
 class TestOneKindRule:
     """rotation._kind_of is the one place the kind rule is written: classify,
     simple_to_reflections, is_composition_simple and cli.random_rotation
