@@ -222,44 +222,31 @@ class SimplicityReport(_Value):
     determinant of the four reflection normals (components ordered
     vector-first, scalar last: the ordering under which that identity holds
     with the minus sign), and it vanishes exactly when the two fixed planes
-    intersect nontrivially (intersection_dim >= 1)."""
+    intersect nontrivially (intersection_dim >= 1).  intersection_dim counts
+    the principal angles of the fixed planes, in radians, at or below
+    PIVOT_TOL; they follow from the pair's unit axes p, q alone."""
 
     __slots__ = ("s_condition", "det_normals", "intersection_dim", "is_simple")
 
 
-def _intersection_dim(y: tuple, u: tuple, q: tuple, p: tuple) -> int:
+def _intersection_dim(pf: tuple, qf: tuple, pg: tuple, qg: tuple) -> int:
     """Dimension of the intersection of the fixed planes of two simple
-    rotations f and g, from the first normals y of f and u of g and the unit
-    axes q of f.b and p of g.a, all component tuples.  f's fixed plane is
-    {y k : k pure, k.q = 0}, and (u, p u) is an orthonormal basis of g's
-    rotation plane.  Up to an isometry, x1 = V(conj(y) u) x q and
-    x2 = V(conj(y) p u) x q are its parts in f's fixed plane, so the singular
-    values s1, s2 of [x1 x2] are the sines of the principal angles of the
-    fixed planes: s1^2 + s2^2 = |x1|^2 + |x2|^2, s1 s2 = |x1 x x2|.  Counts
-    those at or below PIVOT_TOL.  The three quaternion products and two
-    cross products are written out as _mul4 and _cross3 sum them."""
-    y0, yc1, yc2, yc3 = y[0], -y[1], -y[2], -y[3]  # conj(y)
-    u0, u1, u2, u3 = u
-    _, q1, q2, q3 = q
-    p0, p1, p2, p3 = p
-    m1 = u1 * y0 + yc1 * u0 + (yc2 * u3 - yc3 * u2)  # V(conj(y) u)
-    m2 = u2 * y0 + yc2 * u0 + (yc3 * u1 - yc1 * u3)
-    m3 = u3 * y0 + yc3 * u0 + (yc1 * u2 - yc2 * u1)
-    n0 = y0 * p0 - (yc1 * p1 + yc2 * p2 + yc3 * p3)  # conj(y) p
-    n1 = p1 * y0 + yc1 * p0 + (yc2 * p3 - yc3 * p2)
-    n2 = p2 * y0 + yc2 * p0 + (yc3 * p1 - yc1 * p3)
-    n3 = p3 * y0 + yc3 * p0 + (yc1 * p2 - yc2 * p1)
-    k1 = u1 * n0 + n1 * u0 + (n2 * u3 - n3 * u2)  # V(conj(y) p u)
-    k2 = u2 * n0 + n2 * u0 + (n3 * u1 - n1 * u3)
-    k3 = u3 * n0 + n3 * u0 + (n1 * u2 - n2 * u1)
-    a1, a2, a3 = m2 * q3 - m3 * q2, m3 * q1 - m1 * q3, m1 * q2 - m2 * q1  # x1
-    b1, b2, b3 = k2 * q3 - k3 * q2, k3 * q1 - k1 * q3, k1 * q2 - k2 * q1  # x2
-    total = (a1 * a1 + a2 * a2 + a3 * a3) + (b1 * b1 + b2 * b2 + b3 * b3)
+    rotations f and g, from the unit axes pf, qf of f's factors and pg, qg
+    of g's (_axes), pure component tuples.  A fixed plane {x : p x = -x q}
+    is the pair (p, -q), so with the angles left between pf and pg and
+    right between qf and qg, each atan2(|x X x'|, x.x'), which keeps its
+    digits near 0 and pi, the principal angles of the two planes are
+    |left - right|/2 and t = (left + right)/2, the latter reduced to
+    min(t, pi - t) for the planes' orientation.  Counts those at or below
+    PIVOT_TOL, in radians."""
+    (_, a1, a2, a3), (_, b1, b2, b3) = pf, pg
     c1, c2, c3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
-    area = math.sqrt(c1 * c1 + c2 * c2 + c3 * c3)
-    s1 = math.sqrt((total + math.sqrt(max(0.0, total * total - 4.0 * area * area))) / 2.0)
-    s2 = area / s1 if s1 > 0.0 else 0.0
-    return (s1 <= PIVOT_TOL) + (s2 <= PIVOT_TOL)
+    left = math.atan2(math.sqrt(c1 * c1 + c2 * c2 + c3 * c3), a1 * b1 + a2 * b2 + a3 * b3)
+    (_, a1, a2, a3), (_, b1, b2, b3) = qf, qg
+    c1, c2, c3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
+    right = math.atan2(math.sqrt(c1 * c1 + c2 * c2 + c3 * c3), a1 * b1 + a2 * b2 + a3 * b3)
+    t = (left + right) / 2.0
+    return (abs(left - right) / 2.0 <= PIVOT_TOL) + (min(t, math.pi - t) <= PIVOT_TOL)
 
 
 def is_composition_simple(
@@ -273,9 +260,10 @@ def is_composition_simple(
     exactly simple, in plain floats: the scalar residual of the vector parts
     of that pair, which _split returns beside the normals; the determinant
     of the stacked reflection normals (quat._det4); and the dimension of the
-    intersection of the two fixed planes (_intersection_dim), 2 when either
-    is the identity, which fixes all of E4.  The residual does not read the
-    normals, so s_condition = -2 det_normals checks two computations."""
+    intersection of the two fixed planes, from the four unit axes that
+    _split also returns (_intersection_dim), 2 when either is the identity,
+    which fixes all of E4.  Only det_normals reads the normals, so
+    s_condition = -2 det_normals checks two computations."""
     splits = []
     for name, rot in (("f", f), ("g", g)):
         try:
@@ -283,7 +271,7 @@ def is_composition_simple(
         except NotSimple as exc:
             exc.args = (f"{name} is not a simple rotation: {exc}",)
             raise  # in place, so the traceback still ends in the split
-    (_, q, y, z, (a1, a2, a3), (b1, b2, b3)), (p, _, u, w, (c1, c2, c3), (d1, d2, d3)) = splits
+    (pf, qf, y, z, (a1, a2, a3), (b1, b2, b3)), (pg, qg, u, w, (c1, c2, c3), (d1, d2, d3)) = splits
     s_condition = (c1 * a1 + c2 * a2 + c3 * a3) - (b1 * d1 + b2 * d2 + b3 * d3)
     y0, y1, y2, y3 = y
     z0, z1, z2, z3 = z
@@ -291,7 +279,7 @@ def is_composition_simple(
     w0, w1, w2, w3 = w
     # the normals as columns, scalar last
     det = _det4(((y1, z1, u1, w1), (y2, z2, u2, w2), (y3, z3, u3, w3), (y0, z0, u0, w0)))
-    dim = 2 if q is None or p is None else _intersection_dim(y, u, q, p)
+    dim = 2 if pf is None or pg is None else _intersection_dim(pf, qf, pg, qg)
     return SimplicityReport(s_condition, det, dim, abs(s_condition) <= eps)
 
 

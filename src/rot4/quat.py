@@ -20,7 +20,7 @@ from .errors import NotUnit
 # is deliberately looser than rounding; EPS_AXIS tells a factor +-1 and
 # EPS_GIBBS a Gibbs-chart breakdown.  Then the default classification
 # tolerance, the oracle's matrix admission, the seeded isoclinic margin, and
-# the cut at which a sine of a principal angle of two planes is zero.  The
+# the cut at which a principal angle of two planes, in radians, is zero.  The
 # bounds the tests hold algebra and planes to live with the tests.
 EPS_UNIT = 1e-9
 EPS_AXIS = 1e-9

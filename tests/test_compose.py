@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rot4 import (
+    DEFAULT_EPS,
     EPS_UNIT,
     DegenerateAxis,
     Double,
@@ -45,6 +46,7 @@ from rot4 import (
 )
 from rot4.cli import random_rotation
 from rot4.quat import PIVOT_TOL
+from rot4.rotation import _split
 from conftest import EPS_ALG, comp_diff, matrix_of, rand_unit_quat, rand_unit_vec3, same_plane
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -189,6 +191,17 @@ class TestSimplicity:
             "f is not a simple rotation: a Double rotation, not simple at eps = nan"
         )
 
+    def test_same_fixed_plane_either_orientation(self, rng):
+        # f^-1 = (conj a, conj b) and f o f keep f's fixed plane.  f^-1 has
+        # the axes -p and -q, and so has f o f for some f: the angles
+        # between the axes then sum to 2 pi, and the principal angle
+        # (left + right)/2 = pi reduces to 0
+        for _ in range(50):
+            f = rand_simple(rng)
+            inverse = Rotation4(conj(f.a), conj(f.b))
+            for pair in ((f, inverse), (inverse, f), (f, compose(f, f))):
+                assert is_composition_simple(*pair).intersection_dim == 2
+
     def test_identity_fixes_all_of_e4(self, rng):
         # the identity's fixed plane is all of E4, so it meets any fixed
         # plane in that plane; a turn of 1e-10 is the identity at EPS_AXIS
@@ -260,10 +273,44 @@ _COORD = st.floats(-1.0, 1.0)
 _VEC4 = st.tuples(_COORD, _COORD, _COORD, _COORD)
 
 
+def _axis_angle(x: tuple, y: tuple) -> float:
+    """The angle between the pure unit quaternions x and y, by numpy."""
+    return math.atan2(np.linalg.norm(np.cross(x[1:], y[1:])), np.dot(x[1:], y[1:]))
+
+
 class TestIntersectionDim:
-    """intersection_dim counts the principal sines between the two fixed
-    planes at or below PIVOT_TOL; det_normals is the determinant of the
-    stacked normals."""
+    """intersection_dim counts the principal angles between the two fixed
+    planes at or below PIVOT_TOL, from the angles left and right between
+    the axes of f.a and g.a and of f.b and g.b; det_normals is the
+    determinant of the stacked normals."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        v_raw=_VEC4,
+        raws=st.tuples(_VEC4, _VEC4, _VEC4, _VEC4),
+        log_t=st.floats(-12.0, -6.0),
+        shared=st.booleans(),
+    )
+    def test_axis_angles_give_the_principal_sines(self, v_raw, raws, log_t, shared):
+        """The paper's rule, apart from the cut: the principal angles are
+        |left - right|/2 and min(t, pi - t) for t = (left + right)/2, on
+        generic pairs and on pairs tilted off a shared line by 1e-12 to
+        1e-6, against numpy's SVD of the fixed planes."""
+        assume(np.linalg.norm(v_raw) >= 0.1)
+        v = _unit(v_raw)
+        vectors = [np.array(raw) for raw in raws]
+        if shared:
+            vectors = [x - (x @ v) * v for x in vectors]
+        assume(min(np.linalg.norm(x) for x in vectors) >= 0.1)
+        y, z, u, w = (_unit(x) for x in vectors)
+        assume(abs(y @ z) <= 0.99 and abs(u @ w) <= 0.99)
+        f, g = _from_normals(y, z), _from_normals(u, _unit(w + 10.0**log_t * v) if shared else w)
+        (pf, qf, *_), (pg, qg, *_) = _split(f, DEFAULT_EPS), _split(g, DEFAULT_EPS)
+        left, right = _axis_angle(pf, pg), _axis_angle(qf, qg)
+        t = (left + right) / 2.0
+        sines = [math.sin(abs(left - right) / 2.0), math.sin(min(t, math.pi - t))]
+        want = _principal_sines(_split_normals(f, g))  # descending
+        assert np.abs(np.array(sorted(sines, reverse=True)) - want).max() <= 1e-13
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(v_raw=_VEC4, raws=st.tuples(_VEC4, _VEC4, _VEC4, _VEC4), log_t=st.floats(-12.0, -6.0))

@@ -203,7 +203,26 @@ def ref_normals_residual(f: Rotation4, g: Rotation4, eps: float) -> float:
     return c.v.dot(a.v) - b.v.dot(d.v)
 
 
+def ref_normals_dim(f: Rotation4, g: Rotation4, eps: float) -> tuple[int, tuple[float, ...]]:
+    """intersection_dim counted from the normals, as earlier releases did,
+    and the sines it cut (none when f or g is the identity): s1, s2 are the
+    singular values of [x1 x2], the parts of g's rotation plane (u, p u) in
+    f's fixed plane, with x1 = V(conj(y) u) x q and x2 = V(conj(y) p u) x q."""
+    if rotation_module._kind(f, eps) is Identity or rotation_module._kind(g, eps) is Identity:
+        return 2, ()
+    (y, _), (u, _) = ref_split(f, eps), ref_split(g, eps)
+    q, yc = ref_axis(f.b).v, ref_conj(y)
+    x1 = ref_mul(yc, u).v.cross(q)
+    x2 = ref_mul(ref_mul(yc, ref_axis(g.a)), u).v.cross(q)
+    total, area = x1.norm_sq() + x2.norm_sq(), x1.cross(x2).norm()
+    s1 = math.sqrt((total + math.sqrt(max(0.0, total * total - 4.0 * area * area))) / 2.0)
+    s2 = area / s1 if s1 > 0.0 else 0.0
+    return (s1 <= PIVOT_TOL) + (s2 <= PIVOT_TOL), (s1, s2)
+
+
 def ref_simplicity(f: Rotation4, g: Rotation4, eps: float) -> SimplicityReport:
+    """intersection_dim by the angle rule: left between the axes of f.a and
+    g.a, right between those of f.b and g.b."""
     (y, z), (u, w) = ref_split(f, eps), ref_split(g, eps)
     (a, b), (c, d) = ref_realised(f, y, eps), ref_realised(g, u, eps)
     s_condition = c.dot(a) - b.dot(d)
@@ -211,13 +230,15 @@ def ref_simplicity(f: Rotation4, g: Rotation4, eps: float) -> SimplicityReport:
     if rotation_module._kind(f, eps) is Identity or rotation_module._kind(g, eps) is Identity:
         dim = 2
     else:
-        q, yc = ref_axis(f.b).v, ref_conj(y)
-        x1 = ref_mul(yc, u).v.cross(q)
-        x2 = ref_mul(ref_mul(yc, ref_axis(g.a)), u).v.cross(q)
-        total, area = x1.norm_sq() + x2.norm_sq(), x1.cross(x2).norm()
-        s1 = math.sqrt((total + math.sqrt(max(0.0, total * total - 4.0 * area * area))) / 2.0)
-        s2 = area / s1 if s1 > 0.0 else 0.0
-        dim = (s1 <= PIVOT_TOL) + (s2 <= PIVOT_TOL)
+        left, right = (
+            math.atan2(one.cross(other).norm(), one.dot(other))
+            for one, other in (
+                (ref_axis(f.a).v, ref_axis(g.a).v),
+                (ref_axis(f.b).v, ref_axis(g.b).v),
+            )
+        )
+        t = (left + right) / 2.0
+        dim = (abs(left - right) / 2.0 <= PIVOT_TOL) + (min(t, math.pi - t) <= PIVOT_TOL)
     return SimplicityReport(s_condition, det, dim, abs(s_condition) <= eps)
 
 
@@ -508,8 +529,11 @@ class TestMatchesObjectArithmetic:
         got = outcome(is_composition_simple, f, g, eps)
         assert got == outcome(ref_simplicity, f, g, eps)
         if got.startswith("SimplicityReport"):
-            s = is_composition_simple(f, g, eps).s_condition
-            assert abs(s - ref_normals_residual(f, g, eps)) <= 4e-15
+            report = is_composition_simple(f, g, eps)
+            assert abs(report.s_condition - ref_normals_residual(f, g, eps)) <= 4e-15
+            dim, sines = ref_normals_dim(f, g, eps)
+            if all(abs(x - PIVOT_TOL) > 1e-14 for x in sines):
+                assert report.intersection_dim == dim
         if min(abs(f.a.s), abs(f.b.s), abs(g.a.s), abs(g.b.s)) > EPS_GIBBS:
             gf, gg = GibbsPair.from_rotation(f), GibbsPair.from_rotation(g)
             assert outcome(compose_gibbs, gf, gg) == outcome(ref_compose_gibbs, gf, gg)
