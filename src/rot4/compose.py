@@ -21,7 +21,6 @@ from .plane import Plane
 from .quat import (
     EPS_GIBBS,
     EPS_UNIT,
-    PIVOT_TOL,
     Quaternion,
     Vec3,
     _det4,
@@ -223,13 +222,14 @@ class SimplicityReport(_Value):
     vector-first, scalar last: the ordering under which that identity holds
     with the minus sign), and it vanishes exactly when the two fixed planes
     intersect nontrivially (intersection_dim >= 1).  intersection_dim counts
-    the principal angles of the fixed planes, in radians, at or below
-    PIVOT_TOL; they follow from the pair's unit axes p, q alone."""
+    the principal angles of the fixed planes, in radians, at or below the
+    eps that is_simple cuts |s_condition| at; they follow from the pair's
+    unit axes p, q alone."""
 
     __slots__ = ("s_condition", "det_normals", "intersection_dim", "is_simple")
 
 
-def _intersection_dim(pf: tuple, qf: tuple, pg: tuple, qg: tuple) -> int:
+def _intersection_dim(pf: tuple, qf: tuple, pg: tuple, qg: tuple, eps: float) -> int:
     """Dimension of the intersection of the fixed planes of two simple
     rotations f and g, from the unit axes pf, qf of f's factors and pg, qg
     of g's (_axes), pure component tuples.  A fixed plane {x : p x = -x q}
@@ -238,7 +238,7 @@ def _intersection_dim(pf: tuple, qf: tuple, pg: tuple, qg: tuple) -> int:
     digits near 0 and pi, the principal angles of the two planes are
     |left - right|/2 and t = (left + right)/2, the latter reduced to
     min(t, pi - t) for the planes' orientation.  Counts those at or below
-    PIVOT_TOL, in radians."""
+    eps, in radians."""
     (_, a1, a2, a3), (_, b1, b2, b3) = pf, pg
     c1, c2, c3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
     left = math.atan2(math.sqrt(c1 * c1 + c2 * c2 + c3 * c3), a1 * b1 + a2 * b2 + a3 * b3)
@@ -246,7 +246,7 @@ def _intersection_dim(pf: tuple, qf: tuple, pg: tuple, qg: tuple) -> int:
     c1, c2, c3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
     right = math.atan2(math.sqrt(c1 * c1 + c2 * c2 + c3 * c3), a1 * b1 + a2 * b2 + a3 * b3)
     t = (left + right) / 2.0
-    return (abs(left - right) / 2.0 <= PIVOT_TOL) + (min(t, math.pi - t) <= PIVOT_TOL)
+    return (abs(left - right) / 2.0 <= eps) + (min(t, math.pi - t) <= eps)
 
 
 def is_composition_simple(
@@ -263,7 +263,10 @@ def is_composition_simple(
     intersection of the two fixed planes, from the four unit axes that
     _split also returns (_intersection_dim), 2 when either is the identity,
     which fixes all of E4.  Only det_normals reads the normals, so
-    s_condition = -2 det_normals checks two computations."""
+    s_condition = -2 det_normals checks two computations.  Both verdicts cut
+    at eps; as |s_condition| = k sin(t_min), k = 2 sin(ha_f) sin(ha_g)
+    sin(t_max), for the principal angles t_min <= t_max, they can differ
+    only while t_min lies between eps and eps / k."""
     splits = []
     for name, rot in (("f", f), ("g", g)):
         try:
@@ -279,7 +282,7 @@ def is_composition_simple(
     w0, w1, w2, w3 = w
     # the normals as columns, scalar last
     det = _det4(((y1, z1, u1, w1), (y2, z2, u2, w2), (y3, z3, u3, w3), (y0, z0, u0, w0)))
-    dim = 2 if pf is None or pg is None else _intersection_dim(pf, qf, pg, qg)
+    dim = 2 if pf is None or pg is None else _intersection_dim(pf, qf, pg, qg, eps)
     return SimplicityReport(s_condition, det, dim, abs(s_condition) <= eps)
 
 

@@ -18,17 +18,15 @@ from .errors import NotUnit
 
 # Every tolerance of the package.  Tiers: unit-norm admission of user input
 # is deliberately looser than rounding; EPS_AXIS tells a factor +-1 and
-# EPS_GIBBS a Gibbs-chart breakdown.  Then the default classification
-# tolerance, the oracle's matrix admission, the seeded isoclinic margin, and
-# the cut at which a principal angle of two planes, in radians, is zero.  The
-# bounds the tests hold algebra and planes to live with the tests.
+# EPS_GIBBS a Gibbs-chart breakdown.  Then the default of every eps, the
+# one cut of the kind rule and of the simplicity report, and the oracle's
+# matrix admission.  The bounds the tests hold algebra and planes to live
+# with the tests.
 EPS_UNIT = 1e-9
 EPS_AXIS = 1e-9
 EPS_GIBBS = 1e-9
 DEFAULT_EPS = 1e-8
 EPS_MATRIX = 1e-8
-RANDOM_AXIS_MARGIN = 1e-6
-PIVOT_TOL = 1e-10
 
 
 def _finite(name: str, value) -> float:

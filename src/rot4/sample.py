@@ -10,9 +10,9 @@ import json
 import math
 import random
 
-from .cli import EXIT_DISCREPANCY, EXIT_OK, _CliError, doc_of_rotation
-from .quat import RANDOM_AXIS_MARGIN, Quaternion
-from .rotation import DEFAULT_EPS, Double, ReflectionNormal, Rotation4, Simple, _kind
+from .cli import EXIT_DISCREPANCY, EXIT_OK, _KIND_NAMES, _KINDS, _CliError, doc_of_rotation
+from .quat import Quaternion
+from .rotation import DEFAULT_EPS, ReflectionNormal, Rotation4, _kind
 from .rotation import _leading_negative, from_reflections
 
 
@@ -25,31 +25,26 @@ def _random_unit(rng) -> Quaternion:
 
 def random_rotation(rng, kind: str, eps: float = DEFAULT_EPS) -> Rotation4:
     """Deterministic (per state of the random.Random rng) rotation of the
-    requested kind."""
+    requested kind, one of cli._KINDS.  Draws candidates of that kind (two
+    reflections for simple, (a, 1) with a signed by the sign rule for
+    left-isoclinic, (1, b) for right-isoclinic, two unit factors otherwise)
+    until the kind rule at eps names the kind; "any" takes the first."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
     for _ in range(1000):
-        if kind == "any":
-            return Rotation4(_random_unit(rng), _random_unit(rng))
         if kind == "simple":
             r = from_reflections(
                 ReflectionNormal(_random_unit(rng)), ReflectionNormal(_random_unit(rng))
             )
-            if _kind(r, eps) is Simple:
-                return r
-        elif kind == "double":
-            r = Rotation4(_random_unit(rng), _random_unit(rng))
-            if _kind(r, eps) is Double:
-                return r
         elif kind == "left-isoclinic":
             a = _random_unit(rng)
-            a = -a if _leading_negative(a) else a
-            if a.v.norm() > RANDOM_AXIS_MARGIN:
-                return Rotation4(a, Quaternion(1.0))
+            r = Rotation4(-a if _leading_negative(a) else a, Quaternion(1.0))
         elif kind == "right-isoclinic":
-            b = _random_unit(rng)
-            if b.v.norm() > RANDOM_AXIS_MARGIN:
-                return Rotation4(Quaternion(1.0), b)
+            r = Rotation4(Quaternion(1.0), _random_unit(rng))
         else:
-            raise ValueError(f"unknown kind {kind!r}")
+            r = Rotation4(_random_unit(rng), _random_unit(rng))
+        if kind == "any" or _KIND_NAMES[_kind(r, eps)] == kind:
+            return r
     raise RuntimeError(f"failed to generate a {kind} rotation")
 
 

@@ -45,7 +45,6 @@ from rot4 import (
     unit_from_gibbs,
 )
 from rot4.cli import random_rotation
-from rot4.quat import PIVOT_TOL
 from rot4.rotation import _split
 from conftest import EPS_ALG, comp_diff, matrix_of, rand_unit_quat, rand_unit_vec3, same_plane
 
@@ -248,10 +247,10 @@ def _principal_sines(normals: np.ndarray) -> np.ndarray:
     return np.linalg.svd(fixed_f @ span_g, compute_uv=False)
 
 
-def _stacked_dim(f: Rotation4, g: Rotation4) -> int:
-    """The nullity of the stacked normals at PIVOT_TOL, by numpy's SVD."""
+def _stacked_dim(f: Rotation4, g: Rotation4, eps: float) -> int:
+    """The nullity of the stacked normals at eps, by numpy's SVD."""
     values = np.linalg.svd(_split_normals(f, g), compute_uv=False)
-    return 4 - int((values > PIVOT_TOL).sum())
+    return 4 - int((values > eps).sum())
 
 
 def _shared_tilted(rng, t: float) -> tuple[Rotation4, Rotation4]:
@@ -280,7 +279,7 @@ def _axis_angle(x: tuple, y: tuple) -> float:
 
 class TestIntersectionDim:
     """intersection_dim counts the principal angles between the two fixed
-    planes at or below PIVOT_TOL, from the angles left and right between
+    planes at or below eps, from the angles left and right between
     the axes of f.a and g.a and of f.b and g.b; det_normals is the
     determinant of the stacked normals."""
 
@@ -324,10 +323,42 @@ class TestIntersectionDim:
         f, g = _from_normals(y, z), _from_normals(u, _unit(w + 10.0**log_t * v))
         report = is_composition_simple(f, g)
         normals = _split_normals(f, g)
-        sines = _principal_sines(normals)
-        assume(np.abs(sines - PIVOT_TOL).min() > 1e-14)
-        assert report.intersection_dim == int((sines <= PIVOT_TOL).sum())
+        angles = np.arcsin(np.minimum(_principal_sines(normals), 1.0))
+        assume(np.abs(angles - DEFAULT_EPS).min() > 1e-14)
+        assert report.intersection_dim == int((angles <= DEFAULT_EPS).sum())
         assert abs(report.det_normals - np.linalg.det(normals)) <= 1e-15
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(
+        v_raw=_VEC4,
+        raws=st.tuples(_VEC4, _VEC4, _VEC4, _VEC4),
+        log_t=st.floats(-13.0, -3.0),
+        eps=st.sampled_from([1e-12, 1e-8, 1e-6]),
+    )
+    def test_verdicts_agree_outside_the_band(self, v_raw, raws, log_t, eps):
+        """|s_condition| = k sin(t_min) with k = 2 sin(ha_f) sin(ha_g)
+        sin(t_max), for the principal angles t_min <= t_max and the factor
+        half-angles ha, so is_simple (|s_condition| <= eps) and
+        intersection_dim >= 1 (t_min <= eps) agree but where t_min lies
+        between eps and about eps / k, on pairs tilted off a shared line."""
+        assume(np.linalg.norm(v_raw) >= 0.1)
+        v = _unit(v_raw)
+        projected = [np.array(raw) - (np.array(raw) @ v) * v for raw in raws]
+        assume(min(np.linalg.norm(x) for x in projected) >= 0.1)
+        y, z, u, w = (_unit(x) for x in projected)
+        assume(abs(y @ z) <= 0.99 and abs(u @ w) <= 0.99)
+        f, g = _from_normals(y, z), _from_normals(u, _unit(w + 10.0**log_t * v))
+        report = is_composition_simple(f, g, eps)
+        (pf, qf, *_), (pg, qg, *_) = _split(f, eps), _split(g, eps)
+        left, right = _axis_angle(pf, pg), _axis_angle(qf, qg)
+        t = (left + right) / 2.0
+        t_min, t_max = sorted([abs(left - right) / 2.0, min(t, math.pi - t)])
+        k = 2.0 * f.a.v.norm() * g.a.v.norm() * math.sin(t_max)
+        assert abs(abs(report.s_condition) - k * math.sin(t_min)) <= 4e-15
+        low = min(eps, (eps - 4e-15) / k)
+        high = max(eps, math.asin(min(1.0, (eps + 4e-15) / k)))
+        if not low <= t_min <= high:
+            assert report.is_simple == (report.intersection_dim >= 1)
 
     @pytest.mark.parametrize(
         "make, t, count, changed",
@@ -339,18 +370,20 @@ class TestIntersectionDim:
         ids=["tilt-1e-9", "tilt-1e-10", "turn-2.5e-9"],
     )
     def test_band_against_stacked_normals(self, make, t, count, changed):
-        """The nullity of the stacked normals at PIVOT_TOL also reads 0 or 1
-        here, but their singular values are not the principal sines.  Near
-        the cut the two differ, always as the stacked normals' 1 against 0.
-        With f turning by 2.5e-9 the stacked normals are ill-conditioned,
-        while f's fixed plane is well defined and meets g's only at 0."""
-        rng = np.random.default_rng(7)
+        """The nullity of the stacked normals at eps also reads 0 or 1 here,
+        but their singular values are not the principal sines.  Near the cut
+        the two differ, always as the stacked normals' 1 against 0.  With f
+        turning by 2.5e-9 the stacked normals are ill-conditioned, while f's
+        fixed plane is well defined and meets g's only at 0.  eps = 1e-10
+        puts the cut among these tilts."""
+        rng, eps = np.random.default_rng(7), 1e-10
         pairs = Counter()
         for _ in range(count):
             f, g = make(rng, t)
-            dim = is_composition_simple(f, g).intersection_dim
-            assert dim == int((_principal_sines(_split_normals(f, g)) <= PIVOT_TOL).sum())
-            pairs[_stacked_dim(f, g), dim] += 1
+            dim = is_composition_simple(f, g, eps).intersection_dim
+            angles = np.arcsin(np.minimum(_principal_sines(_split_normals(f, g)), 1.0))
+            assert dim == int((angles <= eps).sum())
+            pairs[_stacked_dim(f, g, eps), dim] += 1
         assert {k: n for k, n in pairs.items() if k[0] != k[1]} == {(1, 0): changed}
 
 

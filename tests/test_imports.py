@@ -1,6 +1,6 @@
 """Every name a rot4 module imports is used in that module, every
 module-level private name rot4 defines is read somewhere in rot4, and every
-tolerance lives in quat.py's block of constants.
+tolerance lives in quat.py's block of constants and is read somewhere in rot4.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree with the standard library.  A name counts as used when it is
@@ -142,17 +142,23 @@ def test_catches_an_orphaned_private_helper():
     assert _orphans(modules) == ["compose._helper", "rotation._clamp", "rotation._turn"]
 
 
+def _block(tree: ast.Module) -> list[ast.Assign]:
+    """The module-level assignments of a float literal to UPPER_CASE names
+    only: in quat, the block that holds every tolerance of the package."""
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and all(isinstance(t, ast.Name) and t.id.isupper() for t in node.targets)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, float)
+    ]
+
+
 def _tolerance_literals(tree: ast.Module, module: str) -> list[int]:
     """Lines of the nonzero float literals below 1e-3 in magnitude, but for
-    the whole value of a module-level UPPER_CASE name in quat, the block
-    that holds every tolerance of the package."""
-    block = set()
-    if module == "quat":
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and all(
-                isinstance(t, ast.Name) and t.id.isupper() for t in node.targets
-            ):
-                block.add(node.value)
+    the values of quat's block."""
+    block = {node.value for node in _block(tree)} if module == "quat" else set()
     return [
         node.lineno
         for node in ast.walk(tree)
@@ -179,6 +185,40 @@ def test_catches_a_tolerance_outside_the_block():
     )
     assert _tolerance_literals(quat, "quat") == [4]
     assert _tolerance_literals(rotation, "rotation") == [1, 5]
+
+
+def _unread_tolerances(modules: dict[str, ast.Module]) -> list[str]:
+    """Each name of quat's block that no statement reads, as a loaded name
+    or an attribute, but the one that assigns it; an import is no read."""
+    unread = []
+    for node in _block(modules["quat"]):
+        statements = [s for tree in modules.values() for s in tree.body if s is not node]
+        read = set()
+        for statement in statements:
+            read |= _used(statement)
+            read |= {n.attr for n in ast.walk(statement) if isinstance(n, ast.Attribute)}
+        unread += [t.id for t in node.targets if t.id not in read]
+    return sorted(unread)
+
+
+def test_every_tolerance_is_read():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert _unread_tolerances(modules) == []
+
+
+def test_catches_an_unread_tolerance():
+    modules = {
+        "quat": ast.parse(
+            "EPS_A = 1e-9\nEPS_B = 1e-8\nEPS_C = 1e-6\nEPS_D = 1e-10\nEPS_E = 1e-7\n\n"
+            "def _gate(x):\n    return abs(x) <= EPS_A\n\nONE = _gate(1.0)\n"
+        ),
+        "rotation": ast.parse(
+            "from . import quat\nfrom .quat import EPS_B, EPS_C\n\n"
+            "def f(x, eps=EPS_B):\n    return x <= quat.EPS_D or x <= eps\n"
+        ),
+        "__init__": ast.parse("from .quat import EPS_E\n\n__all__ = ['EPS_E']\n"),
+    }
+    assert _unread_tolerances(modules) == ["EPS_C", "EPS_E"]
 
 
 # Runs a first statement, then prints one fact a line: the rot4 modules that

@@ -64,7 +64,7 @@ from rot4 import (
 import rot4.quat as quat_module
 import rot4.rotation as rotation_module
 from rot4.oracle import _FIXED_SPLIT, OraclePlanes, _basis, _rows
-from rot4.quat import EPS_MATRIX, PIVOT_TOL, _det4
+from rot4.quat import EPS_MATRIX, _det4
 
 # `import rot4.compose as ...` would bind the function rot4.compose
 compose_module = importlib.import_module("rot4.compose")
@@ -205,9 +205,10 @@ def ref_normals_residual(f: Rotation4, g: Rotation4, eps: float) -> float:
 
 def ref_normals_dim(f: Rotation4, g: Rotation4, eps: float) -> tuple[int, tuple[float, ...]]:
     """intersection_dim counted from the normals, as earlier releases did,
-    and the sines it cut (none when f or g is the identity): s1, s2 are the
-    singular values of [x1 x2], the parts of g's rotation plane (u, p u) in
-    f's fixed plane, with x1 = V(conj(y) u) x q and x2 = V(conj(y) p u) x q."""
+    but at eps in radians, and the angles it cut (none when f or g is the
+    identity): the arcsines of s1, s2, the singular values of [x1 x2], the
+    parts of g's rotation plane (u, p u) in f's fixed plane, with
+    x1 = V(conj(y) u) x q and x2 = V(conj(y) p u) x q."""
     if rotation_module._kind(f, eps) is Identity or rotation_module._kind(g, eps) is Identity:
         return 2, ()
     (y, _), (u, _) = ref_split(f, eps), ref_split(g, eps)
@@ -217,12 +218,13 @@ def ref_normals_dim(f: Rotation4, g: Rotation4, eps: float) -> tuple[int, tuple[
     total, area = x1.norm_sq() + x2.norm_sq(), x1.cross(x2).norm()
     s1 = math.sqrt((total + math.sqrt(max(0.0, total * total - 4.0 * area * area))) / 2.0)
     s2 = area / s1 if s1 > 0.0 else 0.0
-    return (s1 <= PIVOT_TOL) + (s2 <= PIVOT_TOL), (s1, s2)
+    t1, t2 = math.asin(min(s1, 1.0)), math.asin(min(s2, 1.0))
+    return (t1 <= eps) + (t2 <= eps), (t1, t2)
 
 
 def ref_simplicity(f: Rotation4, g: Rotation4, eps: float) -> SimplicityReport:
-    """intersection_dim by the angle rule: left between the axes of f.a and
-    g.a, right between those of f.b and g.b."""
+    """intersection_dim by the angle rule at eps: left between the axes of
+    f.a and g.a, right between those of f.b and g.b."""
     (y, z), (u, w) = ref_split(f, eps), ref_split(g, eps)
     (a, b), (c, d) = ref_realised(f, y, eps), ref_realised(g, u, eps)
     s_condition = c.dot(a) - b.dot(d)
@@ -238,7 +240,7 @@ def ref_simplicity(f: Rotation4, g: Rotation4, eps: float) -> SimplicityReport:
             )
         )
         t = (left + right) / 2.0
-        dim = (abs(left - right) / 2.0 <= PIVOT_TOL) + (min(t, math.pi - t) <= PIVOT_TOL)
+        dim = (abs(left - right) / 2.0 <= eps) + (min(t, math.pi - t) <= eps)
     return SimplicityReport(s_condition, det, dim, abs(s_condition) <= eps)
 
 
@@ -531,8 +533,8 @@ class TestMatchesObjectArithmetic:
         if got.startswith("SimplicityReport"):
             report = is_composition_simple(f, g, eps)
             assert abs(report.s_condition - ref_normals_residual(f, g, eps)) <= 4e-15
-            dim, sines = ref_normals_dim(f, g, eps)
-            if all(abs(x - PIVOT_TOL) > 1e-14 for x in sines):
+            dim, angles = ref_normals_dim(f, g, eps)
+            if all(abs(x - eps) > 1e-14 for x in angles):
                 assert report.intersection_dim == dim
         if min(abs(f.a.s), abs(f.b.s), abs(g.a.s), abs(g.b.s)) > EPS_GIBBS:
             gf, gg = GibbsPair.from_rotation(f), GibbsPair.from_rotation(g)
