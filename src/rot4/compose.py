@@ -31,20 +31,16 @@ from .quat import (
     _unit4,
     _Value,
     _vec,
-    normalized,
     require_unit,
 )
 from .rotation import DEFAULT_EPS, Rotation4, _planes_of, _rotation, _split, classify
 
 
 def compose(g: Rotation4, f: Rotation4) -> Rotation4:
-    """The rotation 'f followed by g': factors (g.a * f.a, f.b * g.b).
-
-    The factor products are renormalized: inputs admitted at the unit-norm
-    tolerance would otherwise drift past it when multiplied.  The pair is
-    admitted and its sign fixed on the floats (rotation._rotation), so only
-    the two factors kept are built."""
-    return _rotation(_unit4(_mul4(g.a, f.a)), _unit4(_mul4(f.b, g.b)))
+    """The rotation 'f followed by g': factors (g.a * f.a, f.b * g.b), on
+    floats.  rotation._rotation renormalizes the two products, admits the
+    pair and fixes its sign, so only the two factors kept are built."""
+    return _rotation(_mul4(g.a, f.a), _mul4(f.b, g.b))
 
 
 def gibbs_from_unit(a: Quaternion) -> Vec3:
@@ -124,10 +120,13 @@ class GibbsPair(_Value):
         return _gibbs_pair(_new(cls), a1 * f, a2 * f, a3 * f, b1 * g, b2 * g, b3 * g, s, t, True)
 
     def to_rotation(self) -> Rotation4:
-        a = Quaternion(self.cos_alpha, self.p_tilde * self.cos_alpha)
-        b = Quaternion(self.cos_beta, self.q_tilde * self.cos_beta)
-        # the gate admits factors up to EPS_UNIT off unit norm, as Rotation4 does
-        return Rotation4(normalized(a), normalized(b))
+        """The rotation of the factors cos_alpha (1 + p_tilde) and
+        cos_beta (1 + q_tilde), which the gate admits up to EPS_UNIT off
+        unit norm, as Rotation4 does; rotation._rotation renormalizes them."""
+        c, d = self.cos_alpha, self.cos_beta
+        p1, p2, p3 = self.p_tilde
+        q1, q2, q3 = self.q_tilde
+        return _rotation((c, p1 * c, p2 * c, p3 * c), (d, q1 * d, q2 * d, q3 * d))
 
 
 _set_p_tilde, _set_q_tilde, _set_cos_alpha, _set_cos_beta = _setters(GibbsPair)
@@ -229,26 +228,6 @@ class SimplicityReport(_Value):
     __slots__ = ("s_condition", "det_normals", "intersection_dim", "is_simple")
 
 
-def _intersection_dim(pf: tuple, qf: tuple, pg: tuple, qg: tuple, eps: float) -> int:
-    """Dimension of the intersection of the fixed planes of two simple
-    rotations f and g, from the unit axes pf, qf of f's factors and pg, qg
-    of g's (_axes), pure component tuples.  A fixed plane {x : p x = -x q}
-    is the pair (p, -q), so with the angles left between pf and pg and
-    right between qf and qg, each atan2(|x X x'|, x.x'), which keeps its
-    digits near 0 and pi, the principal angles of the two planes are
-    |left - right|/2 and t = (left + right)/2, the latter reduced to
-    min(t, pi - t) for the planes' orientation.  Counts those at or below
-    eps, in radians."""
-    (_, a1, a2, a3), (_, b1, b2, b3) = pf, pg
-    c1, c2, c3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
-    left = math.atan2(math.sqrt(c1 * c1 + c2 * c2 + c3 * c3), a1 * b1 + a2 * b2 + a3 * b3)
-    (_, a1, a2, a3), (_, b1, b2, b3) = qf, qg
-    c1, c2, c3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1
-    right = math.atan2(math.sqrt(c1 * c1 + c2 * c2 + c3 * c3), a1 * b1 + a2 * b2 + a3 * b3)
-    t = (left + right) / 2.0
-    return (abs(left - right) / 2.0 <= eps) + (min(t, math.pi - t) <= eps)
-
-
 def is_composition_simple(
     f: Rotation4, g: Rotation4, eps: float = DEFAULT_EPS
 ) -> SimplicityReport:
@@ -260,13 +239,21 @@ def is_composition_simple(
     exactly simple, in plain floats: the scalar residual of the vector parts
     of that pair, which _split returns beside the normals; the determinant
     of the stacked reflection normals (quat._det4); and the dimension of the
-    intersection of the two fixed planes, from the four unit axes that
-    _split also returns (_intersection_dim), 2 when either is the identity,
+    intersection of the two fixed planes, 2 when either is the identity,
     which fixes all of E4.  Only det_normals reads the normals, so
-    s_condition = -2 det_normals checks two computations.  Both verdicts cut
-    at eps; as |s_condition| = k sin(t_min), k = 2 sin(ha_f) sin(ha_g)
-    sin(t_max), for the principal angles t_min <= t_max, they can differ
-    only while t_min lies between eps and eps / k."""
+    s_condition = -2 det_normals checks two computations.
+
+    The dimension comes from the unit axes pf, qf of f's factors and pg, qg
+    of g's, which _split also returns.  A fixed plane {x : p x = -x q} is
+    the pair (p, -q), so with the angles left between pf and pg and right
+    between qf and qg, each atan2(|x X x'|, x.x'), which keeps its digits
+    near 0 and pi, the principal angles of the two planes are
+    |left - right|/2 and t = (left + right)/2, the latter reduced to
+    min(t, pi - t) for the planes' orientation.  The dimension counts those
+    at or below eps, in radians.  Both verdicts cut at eps; as
+    |s_condition| = k sin(t_min), k = 2 sin(ha_f) sin(ha_g) sin(t_max), for
+    the principal angles t_min <= t_max, they can differ only while t_min
+    lies between eps and eps / k."""
     splits = []
     for name, rot in (("f", f), ("g", g)):
         try:
@@ -282,7 +269,16 @@ def is_composition_simple(
     w0, w1, w2, w3 = w
     # the normals as columns, scalar last
     det = _det4(((y1, z1, u1, w1), (y2, z2, u2, w2), (y3, z3, u3, w3), (y0, z0, u0, w0)))
-    dim = 2 if pf is None or pg is None else _intersection_dim(pf, qf, pg, qg, eps)
+    dim = 2
+    if pf is not None and pg is not None:
+        (_, m1, m2, m3), (_, n1, n2, n3) = pf, pg
+        k1, k2, k3 = m2 * n3 - m3 * n2, m3 * n1 - m1 * n3, m1 * n2 - m2 * n1
+        left = math.atan2(math.sqrt(k1 * k1 + k2 * k2 + k3 * k3), m1 * n1 + m2 * n2 + m3 * n3)
+        (_, m1, m2, m3), (_, n1, n2, n3) = qf, qg
+        k1, k2, k3 = m2 * n3 - m3 * n2, m3 * n1 - m1 * n3, m1 * n2 - m2 * n1
+        right = math.atan2(math.sqrt(k1 * k1 + k2 * k2 + k3 * k3), m1 * n1 + m2 * n2 + m3 * n3)
+        t = (left + right) / 2.0
+        dim = (abs(left - right) / 2.0 <= eps) + (min(t, math.pi - t) <= eps)
     return SimplicityReport(s_condition, det, dim, abs(s_condition) <= eps)
 
 

@@ -17,11 +17,13 @@ class Plane(_Value):
     __slots__ = ("u", "w")
 
     def __init__(self, u: Quaternion, w: Quaternion):
-        us, ws = u.components(), w.components()
+        if not isinstance(u, Quaternion) or not isinstance(w, Quaternion):
+            name, x = ("w", w) if isinstance(u, Quaternion) else ("u", u)
+            raise TypeError(f"{name} must be a Quaternion, got {type(x).__name__}")
         if (
-            abs(_dot4(us, us) - 1.0) > EPS_UNIT
-            or abs(_dot4(ws, ws) - 1.0) > EPS_UNIT
-            or abs(_dot4(us, ws)) > EPS_UNIT
+            abs(_dot4(u, u) - 1.0) > EPS_UNIT
+            or abs(_dot4(w, w) - 1.0) > EPS_UNIT
+            or abs(_dot4(u, w)) > EPS_UNIT
         ):
             raise ValueError("plane basis is not orthonormal")
         _set_u(self, u)

@@ -33,10 +33,10 @@ from .quat import (
     _new,
     _quat,
     _setters,
+    _unit4,
     _Value,
     conj,
     mul,
-    normalized,
     require_unit,
 )
 
@@ -93,9 +93,12 @@ _set_a, _set_b = _setters(Rotation4)
 
 
 def _rotation(a: tuple, b: tuple) -> Rotation4:
-    """Rotation4 of the factors' components a and b, admitted as the
-    constructor admits its factors (_negated), negated on the floats, and
-    built with only its two factors."""
+    """The one admission of a rotation rot4 derives, from the component
+    tuples a, b of its two factor products: each renormalized (quat._unit4),
+    as factors admitted at the unit-norm tolerance drift past it when
+    multiplied, then admitted as the constructor admits them (_negated),
+    negated on the floats and built with only its two factors."""
+    a, b = _unit4(a), _unit4(b)
     if _negated(a, b):
         a, b = (-a[0], -a[1], -a[2], -a[3]), (-b[0], -b[1], -b[2], -b[3])
     r = _new(Rotation4)
@@ -154,6 +157,8 @@ class ReflectionNormal(_Value):
     __slots__ = ("q",)
 
     def __init__(self, q: Quaternion):
+        if not isinstance(q, Quaternion):
+            raise TypeError(f"q must be a Quaternion, got {type(q).__name__}")
         require_unit(q, "reflection normal")
         _set_q(self, q)
 
@@ -170,11 +175,10 @@ def from_reflections(first: ReflectionNormal, second: ReflectionNormal) -> Rotat
     """Rotation realizing reflection in `first` followed by reflection in
     `second`: factors a = z conj(y), b = conj(y) z.  Always simple (or the
     identity), since both factors share the scalar part dot4(y, z).
-
-    Factor products are renormalized so normals admitted at the unit-norm
-    tolerance cannot push the result past the same gate."""
-    y, z = first.q, second.q
-    return Rotation4(normalized(mul(z, conj(y))), normalized(mul(conj(y), z)))
+    _rotation renormalizes the products, so normals admitted at the
+    unit-norm tolerance cannot push the result past the same gate."""
+    z, c = second.q, conj(first.q)
+    return _rotation(_mul4(z, c), _mul4(c, z))
 
 
 # --- classification -------------------------------------------------------
@@ -232,14 +236,6 @@ def _kind_of(s: float, t: float, na: float, nb: float, eps: float) -> type:
     return Simple if abs(s - t) <= eps else Double
 
 
-def _kind(r: Rotation4, eps: float) -> type:
-    """The class of r's kind, by _kind_of."""
-    s, a1, a2, a3 = r.a
-    t, b1, b2, b3 = r.b
-    na = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
-    return _kind_of(s, t, na, math.sqrt(b1 * b1 + b2 * b2 + b3 * b3), eps)
-
-
 def _axes(a: tuple, b: tuple, na: float, nb: float) -> tuple:
     """The unit axes p = V(a)/|V(a)|, q = V(b)/|V(b)| of the factors'
     components a, b, given na = |V(a)| and nb = |V(b)|, as pure component
@@ -281,58 +277,25 @@ def _eigenvector(p: tuple, q: tuple, sign: float) -> tuple:
     return v0 * f, v1 * f, v2 * f, v3 * f
 
 
-def _invariant_planes(
-    a: tuple, b: tuple, na: float, nb: float, simple: bool
-) -> tuple[tuple[Plane, float], ...]:
-    """Both invariant planes, with their angles, of the rotation whose
-    factors have components a, b and vector-part norms na, nb, on floats
-    until each plane is built.
-
-    With a = cos(ha) + p sin(ha), b = cos(hb) + q sin(hb) for the unit axes
-    p, q of _axes and the half-angles atan2(|V|, S) in [0, pi], the first
-    plane is (u, p u) for u = _eigenvector(p, q, -1.0), the second the same
-    for the +1 eigenvector: x -> p x commutes with x -> p x q, so p u is
-    orthogonal to u in the same eigenspace.  On the first p u = u q, so the
-    rotation turns (u, p u) by ha + hb; on the second p u = -u q, so by
-    ha - hb.  Each turn is reduced to [0, pi] by flipping w, and a turn by
-    exactly pi keeps (u, p u).  For a simple rotation the second, its fixed
-    plane, is kept as built with angle 0.0.  Each plane passes Plane's gate
-    by construction, so none is checked: u is unit and w = +-p u for the
-    unit pure p, which is unit and orthogonal to u."""
-    ha, hb = math.atan2(na, a[0]), math.atan2(nb, b[0])
-    p, q = _axes(a, b, na, nb)
-    total = ha + hb
-    turns = (
-        (-1.0, total > math.pi, min(total, 2.0 * math.pi - total)),
-        (1.0, False, 0.0) if simple else (1.0, ha < hb, abs(ha - hb)),
-    )
-    planes = []
-    for sign, flip, angle in turns:
-        u = u0, u1, u2, u3 = _eigenvector(p, q, sign)
-        w0, w1, w2, w3 = _mul4(p, u)
-        if flip:
-            w0, w1, w2, w3 = -w0, -w1, -w2, -w3
-        plane = _new(Plane)
-        _set_u(plane, _quat(u0, u1, u2, u3))
-        _set_w(plane, _quat(w0, w1, w2, w3))
-        planes.append((plane, angle))
-    return tuple(planes)
-
-
 def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
     """Classify the rotation and extract its geometric parameters.
 
     The kind is decided by _kind_of, the one kind rule, which
-    simple_to_reflections and is_composition_simple share.  Simple and
-    Double take their planes from _invariant_planes in one order: the -1
-    eigenvector of x -> p x q (_eigenvector) for the unit axes p, q (_axes)
-    first, which carries the half-angle sum, then the +1 eigenvector, which
-    carries the difference.  Every angle
-    comes from the factor half-angles atan2(|V|, S) in closed form, the
-    isoclinic ones included; none is measured by applying r.  The first
-    plane is plane1 of a Double and the rotation plane of a Simple.  A
-    Simple's fixed plane is reported as built, (u, p u), with angle 0.0.
-    _planes_of reads the planes and angles of a result back in this order.
+    simple_to_reflections, is_composition_simple and rot4 random share.
+    Every angle comes from the factor half-angles ha, hb = atan2(|V|, S) in
+    [0, pi], the isoclinic ones included; none is measured by applying r.
+    Simple and Double build both planes on floats, in one order.  For
+    a = cos(ha) + p sin(ha), b = cos(hb) + q sin(hb) with the unit axes p, q
+    of _axes, the first is (u, p u) for the -1 eigenvector u of x -> p x q
+    (_eigenvector), the second the same for the +1 eigenvector: x -> p x
+    commutes with x -> p x q, so p u is orthogonal to u in the same
+    eigenspace.  On the first p u = u q, so r turns it by ha + hb; on the
+    second p u = -u q, so by ha - hb.  Each turn is reduced to [0, pi] by
+    flipping w; a turn by exactly pi keeps (u, p u).  No plane is checked:
+    u is unit and w = +-p u for the unit pure p, so each passes Plane's
+    gate by construction.  The first plane is plane1 of a Double and the
+    rotation plane of a Simple, whose fixed plane is the second as built,
+    with angle 0.0.  _planes_of reads a result back in this order.
     """
     a = s, a1, a2, a3 = r.a
     b = t, b1, b2, b3 = r.b
@@ -347,10 +310,23 @@ def classify(r: Rotation4, eps: float = DEFAULT_EPS) -> RotationKind:
         if na <= EPS_AXIS:
             return LeftIsoclinic(math.pi)  # x -> -x
         return LeftIsoclinic(math.atan2(na, math.copysign(1.0, t) * s))
-    (p1, angle1), (p2, angle2) = _invariant_planes(a, b, na, nb, kind is Simple)
+    ha, hb = math.atan2(na, s), math.atan2(nb, t)
+    p, q = _axes(a, b, na, nb)
+    total = ha + hb
+    planes = []
+    for sign, flip in ((-1.0, total > math.pi), (1.0, kind is Double and ha < hb)):
+        u = u0, u1, u2, u3 = _eigenvector(p, q, sign)
+        w0, w1, w2, w3 = _mul4(p, u)
+        if flip:
+            w0, w1, w2, w3 = -w0, -w1, -w2, -w3
+        plane = _new(Plane)
+        _set_u(plane, _quat(u0, u1, u2, u3))
+        _set_w(plane, _quat(w0, w1, w2, w3))
+        planes.append(plane)
+    angle1 = min(total, 2.0 * math.pi - total)
     if kind is Simple:
-        return Simple(angle1, p2, p1)
-    return Double(p1, angle1, p2, angle2)
+        return Simple(angle1, planes[1], planes[0])
+    return Double(planes[0], angle1, planes[1], abs(ha - hb))
 
 
 def _planes_of(kind: RotationKind) -> tuple:

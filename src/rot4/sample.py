@@ -12,7 +12,7 @@ import random
 
 from .cli import EXIT_DISCREPANCY, EXIT_OK, _KIND_NAMES, _KINDS, _CliError, doc_of_rotation
 from .quat import Quaternion
-from .rotation import DEFAULT_EPS, ReflectionNormal, Rotation4, _kind
+from .rotation import DEFAULT_EPS, ReflectionNormal, Rotation4, classify
 from .rotation import _leading_negative, from_reflections
 
 
@@ -28,7 +28,8 @@ def random_rotation(rng, kind: str, eps: float = DEFAULT_EPS) -> Rotation4:
     requested kind, one of cli._KINDS.  Draws candidates of that kind (two
     reflections for simple, (a, 1) with a signed by the sign rule for
     left-isoclinic, (1, b) for right-isoclinic, two unit factors otherwise)
-    until the kind rule at eps names the kind; "any" takes the first."""
+    until classify(r, eps), by the one kind rule, names the kind; "any"
+    takes the first."""
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     for _ in range(1000):
@@ -43,7 +44,7 @@ def random_rotation(rng, kind: str, eps: float = DEFAULT_EPS) -> Rotation4:
             r = Rotation4(Quaternion(1.0), _random_unit(rng))
         else:
             r = Rotation4(_random_unit(rng), _random_unit(rng))
-        if kind == "any" or _KIND_NAMES[_kind(r, eps)] == kind:
+        if kind == "any" or _KIND_NAMES[type(classify(r, eps))] == kind:
             return r
     raise RuntimeError(f"failed to generate a {kind} rotation")
 

@@ -1,13 +1,31 @@
+import math
+
 import numpy as np
 import pytest
 
-from rot4 import ONE, Plane, Quaternion, Rotation4, Vec3, dot4, projector_distance, to_matrix
+from rot4 import (
+    ONE,
+    Plane,
+    Quaternion,
+    ReflectionNormal,
+    Rotation4,
+    Vec3,
+    dot4,
+    from_reflections,
+    projector_distance,
+    to_matrix,
+)
 
 # Bounds the tests hold rot4 to; no rot4 code compares against them.
 # Pure-algebra identities hold to rounding, within EPS_ALG.
 EPS_ALG = 1e-12
 # The default projector equality of planes.
 EPS_PLANE = 1e-8
+
+R2 = 1.0 / math.sqrt(2.0)
+
+GOLDEN_F = Rotation4(Quaternion.of(R2, R2, 0, 0), Quaternion.of(R2, 0, R2, 0))
+GOLDEN_G = Rotation4(Quaternion.of(R2, 0, R2, 0), Quaternion.of(R2, 0, 0, R2))
 
 
 def same_plane(p1: Plane, p2: Plane, eps: float = EPS_PLANE) -> bool:
@@ -28,6 +46,16 @@ def planes_orthogonal(p1: Plane, p2: Plane, eps: float = EPS_PLANE) -> bool:
 def rand_unit_quat(rng) -> Quaternion:
     v = rng.standard_normal(4)
     return Quaternion.from_array(v / np.linalg.norm(v))
+
+
+def rand_rotation(rng) -> Rotation4:
+    return Rotation4(rand_unit_quat(rng), rand_unit_quat(rng))
+
+
+def rand_simple(rng) -> Rotation4:
+    return from_reflections(
+        ReflectionNormal(rand_unit_quat(rng)), ReflectionNormal(rand_unit_quat(rng))
+    )
 
 
 def rand_unit_vec3(rng) -> Vec3:

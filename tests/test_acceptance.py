@@ -43,12 +43,17 @@ from rot4 import (
     to_matrix,
     unit_from_gibbs,
 )
-from conftest import comp_diff, matrix_of, numpy_projector, rand_unit_quat, rand_unit_vec3
-
-R2 = 1.0 / math.sqrt(2.0)
-
-GOLDEN_F = Rotation4(Quaternion.of(R2, R2, 0, 0), Quaternion.of(R2, 0, R2, 0))
-GOLDEN_G = Rotation4(Quaternion.of(R2, 0, R2, 0), Quaternion.of(R2, 0, 0, R2))
+from conftest import (
+    GOLDEN_F,
+    GOLDEN_G,
+    comp_diff,
+    matrix_of,
+    numpy_projector,
+    rand_rotation,
+    rand_simple,
+    rand_unit_quat,
+    rand_unit_vec3,
+)
 
 
 @contextmanager
@@ -59,16 +64,6 @@ def report(number: int, label: str):
         print(f"criterion {number:2d} FAIL  {label}")
         raise
     print(f"criterion {number:2d} PASS  {label}")
-
-
-def rand_rotation(rng) -> Rotation4:
-    return Rotation4(rand_unit_quat(rng), rand_unit_quat(rng))
-
-
-def rand_simple(rng) -> Rotation4:
-    return from_reflections(
-        ReflectionNormal(rand_unit_quat(rng)), ReflectionNormal(rand_unit_quat(rng))
-    )
 
 
 def test_01_golden_composition():

@@ -27,9 +27,7 @@ from rot4 import (
     ReflectionNormal,
 )
 from rot4.cli import build_verify_report, main, parse_doc
-from conftest import comp_diff
-
-R2 = 1.0 / math.sqrt(2.0)
+from conftest import R2, comp_diff
 
 F_DOC = json.dumps({"a": [R2, R2, 0.0, 0.0], "b": [R2, 0.0, R2, 0.0]})
 G_DOC = json.dumps({"a": [R2, 0.0, R2, 0.0], "b": [R2, 0.0, 0.0, R2]})

@@ -46,22 +46,19 @@ from rot4 import (
 )
 from rot4.cli import random_rotation
 from rot4.rotation import _split
-from conftest import EPS_ALG, comp_diff, matrix_of, rand_unit_quat, rand_unit_vec3, same_plane
-
-R2 = 1.0 / math.sqrt(2.0)
-
-GOLDEN_F = Rotation4(Quaternion.of(R2, R2, 0, 0), Quaternion.of(R2, 0, R2, 0))
-GOLDEN_G = Rotation4(Quaternion.of(R2, 0, R2, 0), Quaternion.of(R2, 0, 0, R2))
-
-
-def rand_rotation(rng) -> Rotation4:
-    return Rotation4(rand_unit_quat(rng), rand_unit_quat(rng))
-
-
-def rand_simple(rng) -> Rotation4:
-    return from_reflections(
-        ReflectionNormal(rand_unit_quat(rng)), ReflectionNormal(rand_unit_quat(rng))
-    )
+from conftest import (
+    EPS_ALG,
+    GOLDEN_F,
+    GOLDEN_G,
+    R2,
+    comp_diff,
+    matrix_of,
+    rand_rotation,
+    rand_simple,
+    rand_unit_quat,
+    rand_unit_vec3,
+    same_plane,
+)
 
 
 def rand_gibbs_rotation(rng) -> Rotation4:

@@ -1,6 +1,7 @@
 """Every name a rot4 module imports is used in that module, every
 module-level private name rot4 defines is read somewhere in rot4, and every
-tolerance lives in quat.py's block of constants and is read somewhere in rot4.
+tolerance lives in quat.py's block of constants and is read somewhere in rot4,
+and only rotation._rotation admits a rotation that rot4 derives.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree with the standard library.  A name counts as used when it is
@@ -221,6 +222,57 @@ def test_catches_an_unread_tolerance():
     assert _unread_tolerances(modules) == ["EPS_C", "EPS_E"]
 
 
+# The two places that build a Rotation4 from factors they are handed: a
+# document's pair, and a drawn pair.  Every rotation rot4 derives goes
+# through rotation._rotation, which renormalizes its factor products.
+_ADMITS_GIVEN_FACTORS = {"cli._rotation_from_doc", "sample.random_rotation"}
+
+
+def _rotation4_calls(modules: dict[str, ast.Module]) -> set[str]:
+    """module.qualname of each function that calls Rotation4(...) by name,
+    bare or as an attribute, outside the class Rotation4 itself."""
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name == "Rotation4":
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "Rotation4":
+                    found.add(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    for name, tree in modules.items():
+        visit(tree, name)
+    return found
+
+
+def test_derived_rotations_use_one_admission():
+    modules = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert _rotation4_calls(modules) - _ADMITS_GIVEN_FACTORS == set()
+
+
+def test_catches_a_second_admission():
+    modules = {
+        "rotation": ast.parse(
+            "class Rotation4:\n    @classmethod\n    def identity(cls):\n"
+            "        return Rotation4(ONE, ONE)\n\n"
+            "def from_reflections(y, z):\n    return Rotation4(mul(z, y), mul(y, z))\n"
+        ),
+        "compose": ast.parse(
+            "from . import rotation\n\nclass GibbsPair:\n    def to_rotation(self):\n"
+            "        return rotation.Rotation4(self.a, self.b)\n"
+        ),
+        "cli": ast.parse("def _rotation_from_doc(doc):\n    return Rotation4(*doc)\n"),
+    }
+    assert _rotation4_calls(modules) - _ADMITS_GIVEN_FACTORS == {
+        "compose.GibbsPair.to_rotation",
+        "rotation.from_reflections",
+    }
+
+
 # Runs a first statement, then prints one fact a line: the rot4 modules that
 # have run their code, whether dir(rot4) lists every public name (and those
 # modules again, since dir must run nothing), and whether rot4.compose,
@@ -253,7 +305,7 @@ _RUN = "rot4 rot4.errors rot4.plane rot4.quat rot4.rotation"
         ("import rot4", _RUN),
         ("import rot4.cli", _RUN + " rot4.cli"),
         ("import rot4.compose", _RUN),
-        ("from rot4.compose import _intersection_dim", _RUN + " rot4.compose"),
+        ("from rot4.compose import _gibbs_rule", _RUN + " rot4.compose"),
         ("import importlib; importlib.import_module('rot4.compose')", _RUN),
         (
             "import rot4.oracle as m; assert m is sys.modules['rot4.oracle']; m.planes_from_matrix",

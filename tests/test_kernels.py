@@ -65,10 +65,10 @@ import rot4.quat as quat_module
 import rot4.rotation as rotation_module
 from rot4.oracle import _FIXED_SPLIT, OraclePlanes, _basis, _rows
 from rot4.quat import EPS_MATRIX, _det4
+from conftest import GOLDEN_F, GOLDEN_G, R2
 
 # `import rot4.compose as ...` would bind the function rot4.compose
 compose_module = importlib.import_module("rot4.compose")
-R2 = 1.0 / math.sqrt(2.0)
 
 # --- the reference: one Quaternion or Vec3 per step ------------------------
 
@@ -106,6 +106,11 @@ def ref_eigenvectors(p: Quaternion, q: Quaternion, *signs: float) -> list[Quater
     return us
 
 
+def ref_kind(r: Rotation4, eps: float) -> type:
+    """The kind rule on the factors' scalar parts and vector-part norms."""
+    return rotation_module._kind_of(r.a.s, r.b.s, r.a.v.norm(), r.b.v.norm(), eps)
+
+
 def ref_half_angle(x: Quaternion) -> float:
     """h in [0, pi] with x = cos(h) + sin(h) axis."""
     return math.atan2(x.v.norm(), x.s)
@@ -120,7 +125,7 @@ def ref_plane(u: Quaternion, p: Quaternion, flip: bool) -> Plane:
 def ref_classify(r: Rotation4, eps: float):
     """The planes turn by the half-angle sum and difference, each reduced to
     [0, pi] by flipping w."""
-    kind = rotation_module._kind(r, eps)
+    kind = ref_kind(r, eps)
     a, b = r.a, r.b
     if kind is Identity:
         return Identity()
@@ -173,7 +178,7 @@ def ref_compose_gibbs(f: GibbsPair, g: GibbsPair) -> GibbsPair:
 
 
 def ref_split(r: Rotation4, eps: float) -> tuple[Quaternion, Quaternion]:
-    kind = rotation_module._kind(r, eps)
+    kind = ref_kind(r, eps)
     if kind is Identity:
         y = ONE
     elif kind is Simple:
@@ -190,7 +195,7 @@ def ref_realised(r: Rotation4, y: Quaternion, eps: float) -> tuple[Vec3, Vec3]:
     ay = ref_mul(r.a, y)
     n = math.sqrt(ay.s * ay.s + ay.v.norm_sq())
     va = r.a.v / n
-    if rotation_module._kind(r, eps) is Identity:
+    if ref_kind(r, eps) is Identity:
         return va, va
     return va, ref_axis(r.b).v * (r.a.v.norm() * (1.0 / n))
 
@@ -209,7 +214,7 @@ def ref_normals_dim(f: Rotation4, g: Rotation4, eps: float) -> tuple[int, tuple[
     identity): the arcsines of s1, s2, the singular values of [x1 x2], the
     parts of g's rotation plane (u, p u) in f's fixed plane, with
     x1 = V(conj(y) u) x q and x2 = V(conj(y) p u) x q."""
-    if rotation_module._kind(f, eps) is Identity or rotation_module._kind(g, eps) is Identity:
+    if ref_kind(f, eps) is Identity or ref_kind(g, eps) is Identity:
         return 2, ()
     (y, _), (u, _) = ref_split(f, eps), ref_split(g, eps)
     q, yc = ref_axis(f.b).v, ref_conj(y)
@@ -229,7 +234,7 @@ def ref_simplicity(f: Rotation4, g: Rotation4, eps: float) -> SimplicityReport:
     (a, b), (c, d) = ref_realised(f, y, eps), ref_realised(g, u, eps)
     s_condition = c.dot(a) - b.dot(d)
     det = _det4(zip(*[(n.v.x1, n.v.x2, n.v.x3, n.s) for n in (y, z, u, w)]))
-    if rotation_module._kind(f, eps) is Identity or rotation_module._kind(g, eps) is Identity:
+    if ref_kind(f, eps) is Identity or ref_kind(g, eps) is Identity:
         dim = 2
     else:
         left, right = (
@@ -471,8 +476,6 @@ def _planes(draw) -> Plane:
 _ORACLE_EPSILONS = st.sampled_from([0.0, 1e-15, 1e-8, 1e-3])
 
 
-_GOLDEN_F = Rotation4(Quaternion.of(R2, R2, 0.0, 0.0), Quaternion.of(R2, 0.0, R2, 0.0))
-_GOLDEN_G = Rotation4(Quaternion.of(R2, 0.0, R2, 0.0), Quaternion.of(R2, 0.0, 0.0, R2))
 _NEAR_ONE = Rotation4(Quaternion.of(1.0, 5e-10, 0.0, 0.0), Quaternion.of(1.0, 0.0, -5e-10, 0.0))
 _AT_EPS = Rotation4(
     Quaternion.of(0.5, 0.5, 0.5, 0.5), Quaternion.of(0.25, 0.0, math.sqrt(0.9375), 0.0)
@@ -506,16 +509,16 @@ class TestMatchesObjectArithmetic:
     # each exit of the split: f the identity; g with both factors within
     # EPS_AXIS of 1, the identity with z = a/|a| off 1; |S(a)-S(b)| = eps
     # exactly; f, then g, Double; a NaN eps, which no |S(a)-S(b)| passes
-    @example(f=Rotation4(ONE, ONE), g=_GOLDEN_G, eps=DEFAULT_EPS)
-    @example(f=_GOLDEN_F, g=_NEAR_ONE, eps=DEFAULT_EPS)
+    @example(f=Rotation4(ONE, ONE), g=GOLDEN_G, eps=DEFAULT_EPS)
+    @example(f=GOLDEN_F, g=_NEAR_ONE, eps=DEFAULT_EPS)
     # the identity _NEAR_ONE, its factors' vector parts 5e-10, on either
     # side: |s_condition| is about 3.5e-10, above eps = 1e-12, so not simple
-    @example(f=_NEAR_ONE, g=_GOLDEN_F, eps=1e-12)
-    @example(f=_GOLDEN_F, g=_NEAR_ONE, eps=1e-12)
-    @example(f=_AT_EPS, g=_GOLDEN_G, eps=0.25)
-    @example(f=_DOUBLE, g=_GOLDEN_G, eps=DEFAULT_EPS)
-    @example(f=_GOLDEN_F, g=_DOUBLE, eps=DEFAULT_EPS)
-    @example(f=_GOLDEN_F, g=_GOLDEN_G, eps=math.nan)
+    @example(f=_NEAR_ONE, g=GOLDEN_F, eps=1e-12)
+    @example(f=GOLDEN_F, g=_NEAR_ONE, eps=1e-12)
+    @example(f=_AT_EPS, g=GOLDEN_G, eps=0.25)
+    @example(f=_DOUBLE, g=GOLDEN_G, eps=DEFAULT_EPS)
+    @example(f=GOLDEN_F, g=_DOUBLE, eps=DEFAULT_EPS)
+    @example(f=GOLDEN_F, g=GOLDEN_G, eps=math.nan)
     # coordinate-axis factors: p e_k and the eigenvectors have exact zeros,
     # whose signs the closed form of p e_k must keep
     @example(f=_AXES_SIMPLE, g=_AXES_OPPOSITE, eps=DEFAULT_EPS)

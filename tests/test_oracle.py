@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rot4
@@ -34,6 +34,7 @@ from rot4.cli import build_verify_report
 
 import exact
 from conftest import (
+    R2,
     left_matrix,
     matrix_of,
     numpy_projector,
@@ -42,8 +43,6 @@ from conftest import (
     rand_unit_vec3,
     right_matrix,
 )
-
-R2 = 1.0 / math.sqrt(2.0)
 
 
 class TestMultMatrices:
@@ -350,6 +349,20 @@ def _turn(half_angle: float, axis) -> Quaternion:
     return Quaternion(math.cos(half_angle), Vec3(*axis) * math.sin(half_angle))
 
 
+def _assert_exact(r: Rotation4, got: OraclePlanes) -> None:
+    """got's planes within C_EXACT * U / |N|_F, and its angles within
+    ANGLE_TOL, of the exact planes and angles of r (tests/exact.py)."""
+    want = exact.planes(r.a.components(), r.b.components())
+    bound = C_EXACT * U / float(want.gap)
+    for plane, angle, projector, exact_angle in (
+        (got.plane1, got.angle1, want.projector1, want.angle1),
+        (got.plane2, got.angle2, want.projector2, want.angle2),
+    ):
+        u, w = plane.u.components(), plane.w.components()
+        assert exact.projector_error(u, w, projector) <= bound
+        assert abs(angle - exact_angle) <= ANGLE_TOL
+
+
 def _nearly_equal_angles(p_raw, b: Quaternion, va: float, sa_sign: float) -> Rotation4:
     """|V(a)| = va: the two angles differ by about 2 va."""
     a = Quaternion(sa_sign * math.sqrt(1.0 - va * va), Vec3(*_unit(p_raw)) * va)
@@ -365,7 +378,8 @@ class TestArrayRoute:
     by at most phi, and never past the other plane's, so the angles agree
     within the smaller of that bound and the spread of the two angles
     (_angle_spread).  verify's verdict is the same on both routes, except in
-    the nearly-equal band."""
+    the nearly-equal band.  Where the two verdicts differ, the exact planes
+    side with planes_from_matrix, as verify calls it (_assert_exact)."""
 
     @staticmethod
     def check(r: Rotation4, eps: float, same_verdict: bool = True) -> None:
@@ -387,7 +401,9 @@ class TestArrayRoute:
             verdict = _verdict(r, eps)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(oracle_module, "planes_from_matrix", _eigh_route)
-                assert _verdict(r, eps) == verdict
+                eigh_verdict = _verdict(r, eps)
+            if eigh_verdict != verdict:
+                _assert_exact(r, planes_from_matrix(m, max(eps, DEFAULT_EPS)))
 
     @pytest.mark.parametrize("d1, d2", [(2.5e-9, 0.0), (0.0, 2.5e-9), (2e-9, 2e-9)])
     def test_pair_splits_of_a_near_rotation(self, rng, d1, d2):
@@ -404,6 +420,8 @@ class TestArrayRoute:
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(a_raw=_VEC4, b_raw=_VEC4, eps=_PAIRING_EPS)
+    # |N|_F = 2.4e-8: verify says ok, the eigh route DISCREPANCY
+    @example(a_raw=(1.0, 0.0, 0.0, 1e-08), b_raw=(1.0, 0.75, 0.0, 0.0), eps=1e-10)
     def test_generic(self, a_raw, b_raw, eps):
         a, b = (Quaternion.from_array(_unit(v)) for v in (a_raw, b_raw))
         self.check(Rotation4(a, b), eps)
@@ -545,17 +563,9 @@ class TestExactArbiter:
     )
     def test_nearly_equal_angles_band(self, p_raw, q_raw, beta, va, sa_sign):
         r = _nearly_equal_angles(p_raw, _turn(beta, _unit(q_raw)), va, sa_sign)
-        want = exact.planes(r.a.components(), r.b.components())
         got = planes_from_matrix(to_matrix(r), eps=1e-12)
         assert not got.isoclinic
-        bound = C_EXACT * U / float(want.gap)
-        for plane, angle, projector, exact_angle in (
-            (got.plane1, got.angle1, want.projector1, want.angle1),
-            (got.plane2, got.angle2, want.projector2, want.angle2),
-        ):
-            u, w = plane.u.components(), plane.w.components()
-            assert exact.projector_error(u, w, projector) <= bound
-            assert abs(angle - exact_angle) <= ANGLE_TOL
+        _assert_exact(r, got)
 
 
 class TestPublicSurface:

@@ -41,9 +41,7 @@ from rot4 import (
     unit_from_gibbs,
 )
 import rot4.quat as quat_module
-from conftest import EPS_ALG, comp_diff, comp_diff_up_to_sign, rand_unit_quat
-
-R2 = 1.0 / math.sqrt(2.0)
+from conftest import EPS_ALG, R2, comp_diff, comp_diff_up_to_sign, rand_unit_quat
 
 _COORD = st.floats(-1e6, 1e6)
 _QUAT = st.tuples(_COORD, _COORD, _COORD, _COORD)

@@ -52,35 +52,25 @@ import exact
 import test_kernels as kernels
 from conftest import (
     EPS_ALG,
+    GOLDEN_F,
+    GOLDEN_G,
+    R2,
     comp_diff,
     left_matrix,
     matrix_of,
     numpy_projector,
     planes_orthogonal,
+    rand_rotation,
+    rand_simple,
     rand_unit_quat,
     rand_unit_vec3,
     right_matrix,
 )
 
-R2 = 1.0 / math.sqrt(2.0)
-
-GOLDEN_F = Rotation4(Quaternion.of(R2, R2, 0, 0), Quaternion.of(R2, 0, R2, 0))
-GOLDEN_G = Rotation4(Quaternion.of(R2, 0, R2, 0), Quaternion.of(R2, 0, 0, R2))
-
-
-def rand_rotation(rng) -> Rotation4:
-    return Rotation4(rand_unit_quat(rng), rand_unit_quat(rng))
-
 
 def _span(x, y) -> Plane:
     """The plane of the orthogonal pair x, y, each normalized."""
     return Plane(normalized(Quaternion.of(*x)), normalized(Quaternion.of(*y)))
-
-
-def rand_simple(rng) -> Rotation4:
-    return from_reflections(
-        ReflectionNormal(rand_unit_quat(rng)), ReflectionNormal(rand_unit_quat(rng))
-    )
 
 
 def cofactor_det4(m: np.ndarray) -> float:
@@ -139,6 +129,35 @@ class TestRotation4:
     def test_factors_must_be_quaternions(self, a, b, message):
         with pytest.raises(TypeError) as info:
             Rotation4(a, b)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "q, message",
+        [
+            ([1.0, 0.0, 0.0, 0.0], "q must be a Quaternion, got list"),
+            ((0.0, 1.0, 0.0, 0.0), "q must be a Quaternion, got tuple"),
+            (Vec3(1.0, 0.0, 0.0), "q must be a Quaternion, got Vec3"),
+        ],
+        ids=["list", "tuple", "vec3"],
+    )
+    def test_reflection_normal_must_be_a_quaternion(self, q, message):
+        # a list would be stored as given: unhashable, and open to mutation
+        with pytest.raises(TypeError) as info:
+            ReflectionNormal(q)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "u, w, message",
+        [
+            ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], "u must be a Quaternion, got list"),
+            (ONE, (0.0, 1.0, 0.0, 0.0), "w must be a Quaternion, got tuple"),
+            (None, I, "u must be a Quaternion, got NoneType"),
+        ],
+        ids=["both-lists", "w-tuple", "u-none"],
+    )
+    def test_plane_basis_must_be_quaternions(self, u, w, message):
+        with pytest.raises(TypeError) as info:
+            Plane(u, w)
         assert str(info.value) == message
 
     def test_admits_within_the_unit_tolerance(self):
@@ -620,7 +639,7 @@ _NO_ANGLES = types.SimpleNamespace(**{**vars(math), "atan2": _refuse})
 
 
 def _refuse_planes(mp: pytest.MonkeyPatch) -> None:
-    for name in ("classify", "_invariant_planes", "Plane"):
+    for name in ("classify", "Plane"):
         mp.setattr(rotation_module, name, _refuse)
     mp.setattr(rotation_module, "math", _NO_ANGLES)
 
